@@ -20,11 +20,11 @@ from .sparseness import (CheegerCertificate, SparsenessCertificate,
                          potential_class_kappa)
 from .operators import (HermitianOperator, assemble, kato_gap, quad_form,
                         upside_down_identity)
-from .spectra import (FormConstants, SpectralReport, cheeger_form_slopes,
-                      convert_constants, eigenvalues, extremal_eigenvalue,
-                      form_to_sparse, optimal_ktilde, perturb_constants,
-                      ratio_report, sparse_to_form, spectral_edge_bound,
-                      verify_sandwich)
+from .spectra import (FormConstants, SpectralPlan, SpectralReport,
+                      cheeger_form_slopes, convert_constants, eigenvalues,
+                      extremal_eigenvalue, form_to_sparse, optimal_ktilde,
+                      perturb_constants, ratio_report, sparse_to_form,
+                      spectral_edge_bound, verify_sandwich)
 
 __version__ = "0.1.0"
 
@@ -39,7 +39,8 @@ __all__ = [
     "cheeger_lower_bound", "potential_class_kappa",
     "HermitianOperator", "assemble", "quad_form", "upside_down_identity",
     "kato_gap",
-    "FormConstants", "SpectralReport", "eigenvalues", "extremal_eigenvalue",
+    "FormConstants", "SpectralPlan", "SpectralReport", "eigenvalues",
+    "extremal_eigenvalue",
     "optimal_ktilde", "form_to_sparse", "sparse_to_form",
     "perturb_constants", "cheeger_form_slopes", "spectral_edge_bound",
     "convert_constants", "verify_sandwich", "ratio_report",

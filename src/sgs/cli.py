@@ -23,13 +23,12 @@ from .generators import (RadialFamilySpec, antitree, ball_truncation,
 from .graphio import (graph_digest, id_map_digest, load_graph, save_graph,
                       write_report)
 from .graphs import Graph, PhaseField
-from .operators import assemble, kato_gap, upside_down_identity
+from .operators import kato_gap, upside_down_identity
 from .sparseness import (ENUMERATION_LIMIT, amin_zero_k, cheeger, kmin_flow,
                          kmin_bruteforce)
-from .spectra import (DEFAULT_ATILDE_GRID, FormConstants, cheeger_form_slopes,
-                      eigenvalues, form_to_sparse, optimal_ktilde,
-                      ratio_report, sparse_to_form, spectral_edge_bound,
-                      verify_sandwich)
+from .spectra import (DEFAULT_ATILDE_GRID, SpectralPlan, cheeger_form_slopes,
+                      form_to_sparse, ratio_report, sparse_to_form,
+                      spectral_edge_bound)
 
 _KATO_SWEEPS = 50
 
@@ -263,43 +262,37 @@ def _analyze_verify(args, graph, potential, phase, ids) -> tuple[dict, list[floa
     rng = np.random.default_rng(args.seed)
     q = potential.values
     nonneg_q = bool(np.all(q >= 0))
-    op = assemble(graph, potential, phase,
-                  kind="magnetic" if phase else "schrodinger")
-    lam = eigenvalues(op)
+    # One plan per operator serves every check below: the plain one for
+    # the sandwiches and round trips, the magnetic one (if any) for the
+    # trace, the spectral bottom and the magnetic upside-down offsets.
+    plain = SpectralPlan(graph, potential)
+    plan = plain if phase is None else SpectralPlan(graph, potential, phase)
+    op = plan.operator
+    lam = plan.spectrum
     norm = op.norm_bound()
     scale = 1.0 + norm  # margin tolerances scale with the operator norm
     trace_gap = abs(lam.sum() - float(np.real(op.matrix.diagonal().sum())))
     add("eigensolver_trace",
         1e-8 * max(norm, 1.0) * graph.vertex_count - trace_gap)
 
-    def optimal_pair(at: float, with_phase) -> tuple[float, float]:
-        low = optimal_ktilde(graph, potential, at, side="lower",
-                             phase=with_phase)
-        up = optimal_ktilde(graph, potential, at, side="upper",
-                            phase=with_phase)
-        return low.k_tilde, up.k_tilde
-
     for at in args.atilde_grid:
-        klow, kup = optimal_pair(at, None)
-        lower_m, _ = verify_sandwich(
-            graph, potential, FormConstants(at, klow, "lower"))
-        _, upper_m = verify_sandwich(
-            graph, potential, FormConstants(at, kup, "upper"))
+        klow, kup = plain.offset(at, "lower"), plain.offset(at, "upper")
+        lower_m, upper_m = plain.sandwich(at, klow, kup)
         add(f"sandwich_optimal@a_tilde={at:g}",
             min(float(lower_m.min()), float(upper_m.min())), scale=scale,
             k_lower=klow, k_upper=kup)
         add(f"upside_down@a_tilde={at:g}", klow - kup, scale=scale)
         if phase is not None:
-            mlow, mup = optimal_pair(at, phase)
             add(f"upside_down_magnetic@a_tilde={at:g}",
-                klow - max(mlow, mup), scale=scale)
+                klow - plan.constants(at).k_tilde, scale=scale)
 
     if nonneg_q:
         for a in args.a_grid:
             cert = kmin_flow(graph, potential, a)
             constants = (sparse_to_form(a, cert.k, a_tilde=0.5) if a == 0
                          else sparse_to_form(a, cert.k))
-            lo_m, up_m = verify_sandwich(graph, potential, constants)
+            kt = constants.k_tilde
+            lo_m, up_m = plain.sandwich(constants.a_tilde, kt, kt)
             add(f"roundtrip_sparse_to_form@a={a:g}",
                 min(float(lo_m.min()), float(up_m.min())), scale=scale,
                 k=cert.k, a_tilde=constants.a_tilde,
@@ -308,8 +301,7 @@ def _analyze_verify(args, graph, potential, phase, ids) -> tuple[dict, list[floa
         skip("roundtrip_sparse_to_form",
              "requires a non-negative potential")
     for at in args.atilde_grid:
-        low = optimal_ktilde(graph, potential, at, side="lower")
-        a_out, k_out = form_to_sparse(at, low.k_tilde)
+        a_out, k_out = form_to_sparse(at, plain.offset(at, "lower"))
         cert = kmin_flow(graph, potential, a_out)
         add(f"roundtrip_form_to_sparse@a_tilde={at:g}", k_out - cert.k,
             scale=scale, a=a_out, k=k_out, kmin=cert.k)
@@ -343,13 +335,7 @@ def _analyze_verify(args, graph, potential, phase, ids) -> tuple[dict, list[floa
         region = _resolve_region(args, graph, ids)
         alpha_u = cheeger(graph, potential, region, method="flow").ratio
         slope_lo, slope_hi = cheeger_form_slopes(alpha_u)
-        sub = np.ix_(region, region)
-        darr = assemble(graph, potential, kind="degree").matrix.toarray()
-        marr = assemble(graph, potential, kind="schrodinger").matrix.toarray()
-        low_eig = float(np.linalg.eigvalsh(
-            (marr - slope_lo * darr)[sub])[0])
-        up_eig = float(np.linalg.eigvalsh(
-            (slope_hi * darr - marr)[sub])[0])
+        low_eig, up_eig = plain.compressed_bottoms(region, slope_lo, slope_hi)
         add("cheeger_form_bounds", min(low_eig, up_eig), scale=scale,
             alpha=alpha_u, slope_lower=slope_lo, slope_upper=slope_hi)
         k0 = kmin_flow(graph, potential, 0.0).k

@@ -150,15 +150,6 @@ class Graph:
     def deficit(self) -> np.ndarray:
         return self._deficit
 
-    def has_edge(self, u: int, v: int) -> bool:
-        if u > v:
-            u, v = v, u
-        return (u, v) in self._edge_set()
-
-    def _edge_set(self) -> frozenset:
-        # small graphs only; built lazily through neighbors otherwise
-        return frozenset(self._edges)
-
     def neighbor_masks(self) -> tuple[int, ...]:
         """Adjacency rows as bitmasks (used by the enumeration oracles)."""
         if self._masks is None:

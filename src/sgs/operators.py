@@ -44,9 +44,6 @@ class HermitianOperator:
     def toarray(self) -> np.ndarray:
         return self.matrix.toarray()
 
-    def matvec(self, f: np.ndarray) -> np.ndarray:
-        return self.matrix @ f
-
     def norm_bound(self) -> float:
         """Row-sum upper bound for the operator norm (tolerance scaling)."""
         return float(np.abs(self.matrix).sum(axis=1).max())
@@ -80,24 +77,20 @@ def assemble(graph: Graph, potential: Potential | None,
     if kind == "degree":
         mat = sp.diags(diag, format="csr")
         return HermitianOperator("degree", mat, graph, potential, None)
-    rows, cols, vals = [], [], []
+    # Both orientations of every edge, then the diagonal; zero diagonal
+    # entries stay unstored.  The CSR conversion sorts each row.
+    ends = np.asarray(graph.edges, dtype=np.int64).reshape(-1, 2)
+    on = np.flatnonzero(diag)
+    rows = np.concatenate([ends[:, 1], ends[:, 0], on])
+    cols = np.concatenate([ends[:, 0], ends[:, 1], on])
     if kind == "schrodinger":
-        for (u, v) in graph.edges:
-            rows += [u, v]
-            cols += [v, u]
-            vals += [-1.0, -1.0]
-        dtype = np.float64
+        off = np.full(2 * len(ends), -1.0)
     else:
-        for (u, v), t in zip(graph.edges, phase.values):
-            w = -np.exp(1j * t)
-            rows += [u, v]
-            cols += [v, u]
-            vals += [w, np.conj(w)]
-        dtype = np.complex128
-    mat = sp.csr_matrix((np.asarray(vals, dtype=dtype), (rows, cols)),
+        w = -np.exp(1j * phase.values)
+        off = np.concatenate([np.conj(w), w])
+    mat = sp.csr_matrix((np.concatenate([off, diag[on]]), (rows, cols)),
                         shape=(n, n))
-    mat = mat + sp.diags(diag.astype(dtype), format="csr")
-    return HermitianOperator(kind, mat.tocsr(), graph, potential,
+    return HermitianOperator(kind, mat, graph, potential,
                              phase if kind == "magnetic" else None)
 
 

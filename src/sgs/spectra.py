@@ -16,8 +16,6 @@ resulting sandwiches index by index.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,14 +26,29 @@ from .graphs import Graph, PhaseField, Potential
 from .operators import HermitianOperator, assemble
 
 __all__ = [
-    "FormConstants", "SpectralReport", "DENSE_EIGEN_LIMIT",
-    "eigenvalues", "extremal_eigenvalue", "optimal_ktilde",
+    "FormConstants", "SpectralReport", "SpectralPlan", "DENSE_EIGEN_LIMIT",
+    "EXTREMAL_DENSE_LIMIT", "eigenvalues", "extremal_eigenvalue",
+    "optimal_ktilde",
     "form_to_sparse", "sparse_to_form", "perturb_constants",
     "cheeger_form_slopes", "spectral_edge_bound", "convert_constants",
     "verify_sandwich", "ratio_report", "DEFAULT_ATILDE_GRID",
 ]
 
 DENSE_EIGEN_LIMIT = 4000
+# Extremal eigenvalues (the offsets k_tilde) are taken with dense eigvalsh
+# up to this dimension and with eigsh(k=1) above it.  Measured on the
+# offset matrices +-A - at*D of random graphs, regular-tree balls and
+# grids, real and magnetic (2-core x86-64, OpenBLAS, best of 5): dense
+# wins below about 200-250 vertices (random graph n=60: 0.27 ms dense,
+# 2.5 ms eigsh; ball r=6, n=190: 1.8 ms both), eigsh wins above (grid
+# m=20, n=400: 9.8 ms dense, 5.1 ms eigsh, magnetic 36 ms and 16 ms; ball
+# r=8, n=766: 44 ms and 3.4 ms).  Both agree to 2.2e-15 (1 + ||M||).
+EXTREMAL_DENSE_LIMIT = 256
+# Seed of the eigsh start vector.  A fixed vector keeps reports
+# byte-deterministic; it must be generic, because a structured one can be
+# orthogonal to the wanted eigenvector (ones(n) is, on an even grid, to
+# the top eigenvector of -A - at*D, by the checkerboard symmetry).
+_START_SEED = 20130
 DEFAULT_ATILDE_GRID = tuple(round(0.1 * i, 1) for i in range(1, 10))
 
 
@@ -74,23 +87,6 @@ class SpectralReport:
     verified: tuple[tuple[str, float], ...]
 
 
-def _threads() -> int:
-    cap = os.environ.get("SGS_THREADS")
-    workers = min(4, os.cpu_count() or 1)
-    if cap:
-        workers = max(1, min(workers, int(cap)))
-    return workers
-
-
-def _thread_map(fn, items):
-    items = list(items)
-    workers = _threads()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def eigenvalues(op: HermitianOperator) -> np.ndarray:
     """All eigenvalues, ascending, with multiplicity (dense path)."""
     if op.dimension > DENSE_EIGEN_LIMIT:
@@ -100,30 +96,108 @@ def eigenvalues(op: HermitianOperator) -> np.ndarray:
     return np.linalg.eigvalsh(op.toarray())
 
 
-def _lambda_extreme(matrix: sp.spmatrix, which: str) -> float:
+def _lambda_extreme(matrix, which: str) -> float:
+    """Extreme eigenvalue of a Hermitian matrix, sparse or dense."""
     n = matrix.shape[0]
-    if n <= DENSE_EIGEN_LIMIT:
-        vals = np.linalg.eigvalsh(matrix.toarray())
+    if n <= EXTREMAL_DENSE_LIMIT:
+        if sp.issparse(matrix):
+            matrix = matrix.toarray()
+        vals = np.linalg.eigvalsh(matrix)
         return float(vals[-1] if which == "max" else vals[0])
-    mode = "LA" if which == "max" else "SA"
-    vals = spla.eigsh(matrix.tocsc().astype(np.complex128), k=1, which=mode,
-                      return_eigenvectors=False, maxiter=50 * n)
-    return float(np.real(vals[0]))
+    v0 = np.random.default_rng(_START_SEED).uniform(-1.0, 1.0, n)
+    vals = spla.eigsh(matrix, k=1, which="LA" if which == "max" else "SA",
+                      v0=v0, rng=_START_SEED, maxiter=50 * n,
+                      return_eigenvectors=False)
+    return float(vals[0])
 
 
 def extremal_eigenvalue(op: HermitianOperator, which: str = "min") -> float:
-    """Smallest or largest eigenvalue; iterative beyond the dense limit."""
+    """Smallest or largest eigenvalue; iterative above
+    ``EXTREMAL_DENSE_LIMIT``."""
     if which not in ("min", "max"):
         raise ValueError("which must be 'min' or 'max'")
     return _lambda_extreme(op.matrix, which)
 
 
-def _operator_pair(graph: Graph, potential: Potential | None,
-                   phase: PhaseField | None):
-    kind = "magnetic" if phase is not None else "schrodinger"
-    op = assemble(graph, potential, phase, kind=kind)
-    deg = assemble(graph, potential, kind="degree")
-    return op, deg
+class SpectralPlan:
+    """The spectral data of ``Delta + q`` (or of its magnetic variant) on
+    one graph, each piece computed at most once.
+
+    With ``D = diag(host_deg + q)`` and ``A`` the (phased) adjacency,
+    ``H = D - A``, so the lower offset at slope at is
+    lambda_max((1-at) D - H) = lambda_max(A - at D) and the upper one
+    lambda_max(H - (1+at) D) = lambda_max(-A - at D): one adjacency and a
+    diagonal shift per slope.  The full spectrum of ``H`` is taken on
+    first use, and offsets are memoized per (side, slope).  A plan serves
+    one analysis; nothing is cached across plans.
+    """
+
+    def __init__(self, graph: Graph, potential: Potential | None = None,
+                 phase: PhaseField | None = None):
+        kind = "magnetic" if phase is not None else "schrodinger"
+        self.operator = assemble(graph, potential, phase, kind=kind)
+        self.diagonal = np.real(self.operator.matrix.diagonal())
+        self.mu = np.sort(self.diagonal)
+        # Offsets at most EXTREMAL_DENSE_LIMIT in size are solved densely,
+        # so the adjacency is kept dense there: a slope then costs one
+        # diagonal shift instead of several sparse constructions.
+        self._dense = graph.vertex_count <= EXTREMAL_DENSE_LIMIT
+        if self._dense:
+            self._adjacency = (np.diag(self.diagonal)
+                               - self.operator.matrix.toarray())
+        else:
+            self._adjacency = (sp.diags(self.diagonal)
+                               - self.operator.matrix).tocsr()
+        self._spectrum: np.ndarray | None = None
+        self._offsets: dict[tuple[str, float], float] = {}
+
+    @property
+    def spectrum(self) -> np.ndarray:
+        """All eigenvalues of the operator, ascending (dense path)."""
+        if self._spectrum is None:
+            self._spectrum = eigenvalues(self.operator)
+        return self._spectrum
+
+    def offset(self, a_tilde: float, side: str) -> float:
+        """Smallest k_tilde >= 0 for one side of the comparison."""
+        if not 0.0 < a_tilde < 1.0:
+            raise ValueError("a_tilde must lie in (0, 1)")
+        if side not in ("lower", "upper"):
+            raise ValueError(f"unknown side {side!r}")
+        key = (side, a_tilde)
+        if key not in self._offsets:
+            adj = self._adjacency if side == "lower" else -self._adjacency
+            shift = a_tilde * self.diagonal
+            diff = adj - (np.diag(shift) if self._dense else sp.diags(shift))
+            self._offsets[key] = max(0.0, _lambda_extreme(diff, "max"))
+        return self._offsets[key]
+
+    def constants(self, a_tilde: float, side: str = "both") -> FormConstants:
+        """Optimal offset for ``side``; ``both`` takes the larger one."""
+        if side not in ("lower", "upper", "both"):
+            raise ValueError(f"unknown side {side!r}")
+        sides = ("lower", "upper") if side == "both" else (side,)
+        k = max(self.offset(a_tilde, s) for s in sides)
+        return FormConstants(a_tilde=a_tilde, k_tilde=k, side=side)
+
+    def sandwich(self, a_tilde: float, k_lower: float,
+                 k_upper: float) -> tuple[np.ndarray, np.ndarray]:
+        """Per-index margins lam_n - [(1-at) mu_n - k_lower] and
+        [(1+at) mu_n + k_upper] - lam_n."""
+        lam = self.spectrum
+        lower = lam - ((1.0 - a_tilde) * self.mu - k_lower)
+        upper = ((1.0 + a_tilde) * self.mu + k_upper) - lam
+        return lower, upper
+
+    def compressed_bottoms(self, region, slope_lower: float,
+                           slope_upper: float) -> tuple[float, float]:
+        """Smallest eigenvalues of H - slope_lower D and slope_upper D - H
+        compressed to ``region`` (functions supported there)."""
+        idx = np.asarray(region, dtype=np.int64)
+        h = self.operator.matrix[idx][:, idx]
+        d = sp.diags(self.diagonal[idx])
+        return (_lambda_extreme((h - slope_lower * d).tocsr(), "min"),
+                _lambda_extreme((slope_upper * d - h).tocsr(), "min"))
 
 
 def optimal_ktilde(graph: Graph, potential: Potential | None, a_tilde: float,
@@ -133,24 +207,11 @@ def optimal_ktilde(graph: Graph, potential: Potential | None, a_tilde: float,
 
     The lower offset is max(0, lambda_max((1-at)(deg+q) - (Delta+q))),
     the upper one max(0, lambda_max((Delta+q) - (1+at)(deg+q))); the
-    extremes are taken of the explicitly formed difference matrices,
-    never of differences of eigenvalue lists.
+    extremes are taken of the explicitly formed difference matrices
+    (see :class:`SpectralPlan`), never of differences of eigenvalue
+    lists.
     """
-    if not 0.0 < a_tilde < 1.0:
-        raise ValueError("a_tilde must lie in (0, 1)")
-    if side not in ("lower", "upper", "both"):
-        raise ValueError(f"unknown side {side!r}")
-    op, deg = _operator_pair(graph, potential, phase)
-    k_lower = k_upper = 0.0
-    if side in ("lower", "both"):
-        diff = (1.0 - a_tilde) * deg.matrix - op.matrix
-        k_lower = max(0.0, _lambda_extreme(diff.tocsr(), "max"))
-    if side in ("upper", "both"):
-        diff = op.matrix - (1.0 + a_tilde) * deg.matrix
-        k_upper = max(0.0, _lambda_extreme(diff.tocsr(), "max"))
-    k = {"lower": k_lower, "upper": k_upper,
-         "both": max(k_lower, k_upper)}[side]
-    return FormConstants(a_tilde=a_tilde, k_tilde=k, side=side)
+    return SpectralPlan(graph, potential, phase).constants(a_tilde, side)
 
 
 # -- conversions between constant pairs ---------------------------------------
@@ -260,13 +321,8 @@ def verify_sandwich(graph: Graph, potential: Potential | None,
     non-negative up to eigensolver noise whenever the constants certify
     the corresponding form bound on this graph.
     """
-    op, deg = _operator_pair(graph, potential, None)
-    lam = eigenvalues(op)
-    mu = np.sort(np.real(deg.matrix.diagonal()))
     at, kt = constants.a_tilde, constants.k_tilde
-    lower = lam - ((1.0 - at) * mu - kt)
-    upper = ((1.0 + at) * mu + kt) - lam
-    return lower, upper
+    return SpectralPlan(graph, potential).sandwich(at, kt, kt)
 
 
 def ratio_report(graph: Graph, potential: Potential | None,
@@ -286,21 +342,15 @@ def ratio_report(graph: Graph, potential: Potential | None,
     n = graph.vertex_count
     if top_m > n:
         raise ValueError("top_m exceeds the dimension")
-    op, deg = _operator_pair(graph, potential, phase)
-    lam = eigenvalues(op)
-    mu = np.sort(np.real(deg.matrix.diagonal()))
+    plan = SpectralPlan(graph, potential, phase)
+    lam, mu = plan.spectrum, plan.mu
     window = range(n - top_m, n)
     indices = tuple(i for i in window if mu[i] > 0.0)
     skipped = tuple(i for i in window if mu[i] <= 0.0)
     ratios = tuple(float(lam[i] / mu[i]) for i in indices)
     grid = tuple(atilde_grid) if atilde_grid is not None else DEFAULT_ATILDE_GRID
-
-    def constants_at(at: float) -> tuple[float, float, float]:
-        lowc = optimal_ktilde(graph, potential, at, side="lower", phase=phase)
-        upc = optimal_ktilde(graph, potential, at, side="upper", phase=phase)
-        return at, lowc.k_tilde, upc.k_tilde
-
-    rows = tuple(_thread_map(constants_at, grid))
+    rows = tuple((at, plan.offset(at, "lower"), plan.offset(at, "upper"))
+                 for at in grid)
     bracket = None
     bracket_at = None
     verified: list[tuple[str, float]] = []
@@ -318,8 +368,7 @@ def ratio_report(graph: Graph, potential: Potential | None,
                      min(bracket[1] - r for r in ratios))
         verified.append(("ratios_within_bracket", float(margin)))
     for at, klow, kup in rows:
-        lower = lam - ((1.0 - at) * mu - klow)
-        upper = ((1.0 + at) * mu + kup) - lam
+        lower, upper = plan.sandwich(at, klow, kup)
         verified.append((f"sandwich_lower@a_tilde={at:g}", float(lower.min())))
         verified.append((f"sandwich_upper@a_tilde={at:g}", float(upper.min())))
     return SpectralReport(

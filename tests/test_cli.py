@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 
@@ -78,6 +79,18 @@ def test_verify_reports_are_deterministic(tmp_path):
         rep.pop("wall_clock_seconds")
         reports.append(rep)
     assert reports[0] == reports[1]
+
+
+def test_verify_reports_above_dense_cutover_are_deterministic(tmp_path):
+    gfile = tmp_path / "grid20.json"  # 400 vertices: offsets use eigsh
+    run(["gen", "grid", "--m", 20, "--out", gfile])
+    texts = []
+    for name in ("r1.json", "r2.json"):
+        rfile = tmp_path / name
+        assert run(["analyze", "verify", gfile, "--out", rfile]) == 0
+        texts.append(re.sub(r'"wall_clock_seconds": [^,}\n]*', "",
+                            rfile.read_text()))
+    assert texts[0] == texts[1]
 
 
 def test_verify_tiny_tolerance_fails(tmp_path):

@@ -5,11 +5,12 @@ import pytest
 
 from sgs import (Graph, PhaseField, Potential, assemble, cheeger,
                  cheeger_form_slopes, complete_graph, convert_constants,
-                 eigenvalues, form_to_sparse, kmin_flow, optimal_ktilde,
-                 path_graph, perturb_constants, ratio_report,
+                 eigenvalues, form_to_sparse, grid_graph, kmin_flow,
+                 optimal_ktilde, path_graph, perturb_constants, ratio_report,
                  regular_tree_ball, sparse_to_form, spectral_edge_bound,
                  verify_sandwich, FormConstants, make_radial_family,
                  RadialFamilySpec)
+from sgs.spectra import DEFAULT_ATILDE_GRID, EXTREMAL_DENSE_LIMIT
 
 from helpers import random_graph, uniform_potential
 
@@ -210,13 +211,42 @@ def test_ratio_report_rejects_bad_top_m():
         ratio_report(g, None, top_m=0)
 
 
-def test_thread_cap_does_not_change_results(monkeypatch):
-    g = regular_tree_ball(3, 3)
-    rep_default = ratio_report(g, None, top_m=4)
-    monkeypatch.setenv("SGS_THREADS", "1")
-    rep_serial = ratio_report(g, None, top_m=4)
-    assert rep_default.grid == rep_serial.grid
-    assert rep_default.ratios == rep_serial.ratios
+def test_ratio_report_is_deterministic():
+    g = regular_tree_ball(3, 7)  # offsets above the dense cutover
+    first = ratio_report(g, None, top_m=4)
+    second = ratio_report(g, None, top_m=4)
+    assert first.grid == second.grid
+    assert first.ratios == second.ratios
+
+
+def _offset_case(name):
+    rng = np.random.default_rng(37)
+    if name == "even_grid":
+        # ones(n) is orthogonal to the top eigenvector of -A - at*D here
+        return grid_graph(20), None, None
+    if name == "tree_ball":
+        return regular_tree_ball(3, 8), None, None
+    g = grid_graph(20)
+    return (g, uniform_potential(rng, g.vertex_count, 0, 1),
+            PhaseField.random(g, rng))
+
+
+@pytest.mark.parametrize("name", ["even_grid", "tree_ball", "magnetic_grid"])
+def test_offsets_above_dense_cutover_match_dense(name):
+    g, q, ph = _offset_case(name)
+    assert g.vertex_count > EXTREMAL_DENSE_LIMIT
+    kind = "schrodinger" if ph is None else "magnetic"
+    h = assemble(g, q, ph, kind=kind).toarray()
+    d = np.diag(np.real(np.diag(h)))
+    for at in DEFAULT_ATILDE_GRID:
+        for side, m in (("lower", (1.0 - at) * d - h),
+                        ("upper", h - (1.0 + at) * d)):
+            first = optimal_ktilde(g, q, at, side=side, phase=ph).k_tilde
+            again = optimal_ktilde(g, q, at, side=side, phase=ph).k_tilde
+            dense = max(0.0, float(np.linalg.eigvalsh(m)[-1]))
+            norm = float(np.abs(m).sum(axis=1).max())
+            assert abs(first - dense) <= 1e-9 * (1.0 + norm), (side, at)
+            assert first == again
 
 
 def test_ratio_report_constant_denominator():
