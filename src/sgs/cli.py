@@ -17,9 +17,8 @@ import time
 import numpy as np
 
 from . import __version__
-from .generators import (RadialFamilySpec, antitree, ball_truncation,
-                         complete_graph, cycle_graph, grid_graph,
-                         make_radial_family, path_graph, star_graph)
+from .generators import (RadialFamilySpec, ball_truncation, make_basic,
+                         make_radial_family)
 from .graphio import (graph_digest, id_map_digest, load_graph, save_graph,
                       write_report)
 from .graphs import Graph, PhaseField
@@ -51,15 +50,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="generate a graph file")
     gsub = gen.add_subparsers(dest="kind", required=True)
+    # the basic kinds keep their one size argument in ``args.size``
     for kind in ("path", "cycle", "complete", "star"):
         p = gsub.add_parser(kind)
-        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--n", dest="size", metavar="N", type=int,
+                       required=True)
         p.add_argument("--out", required=True)
     p = gsub.add_parser("grid")
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", dest="size", metavar="M", type=int,
+                   required=True)
     p.add_argument("--out", required=True)
     p = gsub.add_parser("antitree")
-    p.add_argument("--spheres", type=_int_list, required=True,
+    p.add_argument("--spheres", dest="size", metavar="SPHERES",
+                   type=_int_list, required=True,
                    help="comma-separated sphere sizes")
     p.add_argument("--out", required=True)
     p = gsub.add_parser("tree", help="radial tree family truncation")
@@ -99,19 +102,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _command_gen(args) -> int:
-    if args.kind in ("path", "cycle", "complete", "star"):
-        builder = {"path": path_graph, "cycle": cycle_graph,
-                   "complete": complete_graph, "star": star_graph}[args.kind]
-        graph = builder(args.n)
-    elif args.kind == "grid":
-        graph = grid_graph(args.m)
-    elif args.kind == "antitree":
-        graph = antitree(args.spheres)
-    elif args.kind == "tree":
+    if args.kind == "tree":
         spec = RadialFamilySpec(beta=tuple(args.beta), gamma=tuple(args.gamma),
                                 depth=args.depth)
         graph = make_radial_family(spec)
-    else:  # ball
+    elif args.kind == "ball":
         if args.host == "regular-tree":
             if args.d is None:
                 raise ValueError("--d is required for the regular-tree host")
@@ -123,6 +118,8 @@ def _command_gen(args) -> int:
             spec = RadialFamilySpec(beta=tuple(args.beta),
                                     gamma=tuple(args.gamma), depth=args.radius)
             graph = ball_truncation("radial_family", args.radius, spec=spec)
+    else:
+        graph = make_basic(args.kind, args.size)
     save_graph(args.out, graph)
     return 0
 
@@ -356,6 +353,9 @@ def _analyze_verify(args, graph, potential, phase, ids) -> tuple[dict, list[floa
 
 def _command_analyze(args) -> int:
     started = time.monotonic()
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        raise ValueError("--tol must be finite and non-negative, "
+                         f"got {args.tol!r}")
     graph, potential, phase, ids = load_graph(args.graph)
     if args.csv and args.subcommand != "spectrum":
         raise ValueError("--csv applies to the spectrum subcommand only")

@@ -180,8 +180,10 @@ def verify_report_certificates(report: dict, graph: Graph,
                     return
                 worst = max(worst, np.inf)
                 return
-            ratio = 0.0 if st.induced_edges == 0 else \
-                2.0 * st.induced_edges / den
+            if st.induced_edges == 0:
+                ratio = 0.0
+            else:  # a closed witness has an infinite threshold
+                ratio = np.inf if den == 0 else 2.0 * st.induced_edges / den
         else:  # isoperimetric certificate
             den = st.degree_sum + st.q_sum
             ratio = 0.0 if den == 0 else (st.boundary + st.q_sum) / den

@@ -11,11 +11,13 @@ constants computed on a truncation certify the infinite host.
 
 Two routes are provided for every optimization: a brute-force oracle
 that enumerates all subsets (guarded to 22 vertices) and a production
-path running Dinkelbach's ratio iteration with each linearized
-subproblem solved exactly by a minimum s-t cut.  All flow arithmetic is
-exact: float inputs are dyadic rationals and are converted losslessly
-to fractions, capacities are rescaled to integers, and the iteration
-terminates because the achievable ratios form a finite set.
+path.  The production path of k_min, of the (a, 0) threshold and of the
+Cheeger constant is one driver, ``_dinkelbach``: Dinkelbach's ratio
+iteration with each linearized subproblem solved exactly by one minimum
+s-t cut (``_best_subset``).  All flow arithmetic is exact: float inputs
+are dyadic rationals and are converted losslessly to fractions,
+capacities are rescaled to integers, and the iteration terminates
+because the achievable ratios form a finite set.
 """
 from __future__ import annotations
 
@@ -86,21 +88,17 @@ def _as_fraction(x, name: str) -> Fraction:
     return Fraction(xf)  # exact: IEEE floats are dyadic rationals
 
 
-def _fraction_values(values: np.ndarray) -> list[Fraction]:
-    out = []
-    for v in values:
-        v = float(v)
-        if not math.isfinite(v):
-            raise ValueError("potential values must be finite")
-        out.append(Fraction(v))
-    return out
-
-
 def _scaled_ints(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The values times the lcm ``den`` of their denominators, and ``den``."""
     den = 1
     for v in values:
         den = lcm(den, v.denominator)
     return [int(v * den) for v in values], den
+
+
+def _exact_potential(values: np.ndarray) -> tuple[list[int], int]:
+    """Per-vertex numerators over one common denominator (exact)."""
+    return _scaled_ints([Fraction(v) for v in values.tolist()])
 
 
 def _float(x: Fraction) -> float:
@@ -210,45 +208,81 @@ def _kmin_certificate(graph: Graph, potential: Potential, a: float,
                                  clamped=ratio < 0.0)
 
 
-def _kmin_exact_ratio(graph: Graph, qplus: Sequence[Fraction], a: Fraction,
-                      witness: Sequence[int]) -> Fraction:
+def _subset_counts(graph: Graph, q: tuple[list[int], int],
+                   witness: Sequence[int]) -> tuple[int, int, Fraction]:
+    """Exact (|E_W|, deg W, q W) of a vertex subset; ``q`` as from
+    :func:`_exact_potential`."""
     members = set(witness)
-    induced = sum(1 for (u, v) in graph.edges if u in members and v in members)
-    degsum = int(sum(int(graph.host_degree[x]) for x in members))
-    boundary = degsum - 2 * induced
-    qp = sum((qplus[x] for x in members), Fraction(0))
-    return (2 * induced - a * (boundary + qp)) / len(members)
+    induced = sum(1 for x in members for y in graph.neighbors(x)
+                  if y > x and y in members)
+    degsum = sum(int(graph.host_degree[x]) for x in members)
+    qn, qd = q
+    return induced, degsum, Fraction(sum(qn[x] for x in members), qd)
 
 
-def _vertex_cut_argbest(graph: Graph, vertex_weight: Sequence[Fraction],
-                        edge_cost: Fraction,
-                        deficit_cost: Fraction) -> tuple[Fraction, list[int]]:
-    """Maximize sum_{x in W} w(x) - edge_cost * cross(W) - deficit_cost * def(W).
+def _best_subset(graph: Graph, region: tuple[int, ...],
+                 q: tuple[list[int], int],
+                 linear: tuple[Fraction, ...]) -> tuple[int, ...]:
+    """Smallest W inside ``region`` maximizing
+    sum_{x in W} (alpha deg(x) + beta q(x) + gamma) - cost |dW|,
+    where ``linear`` is (alpha, beta, gamma, cost) and the boundary is
+    host-aware.
 
-    Returns the optimum (0 for the empty set is always feasible) and an
-    attaining subset, via a single minimum s-t cut on integer-rescaled
-    capacities.
+    One minimum s-t cut on capacities scaled to integers: edges inside
+    the region are bidirected arcs of capacity ``cost``, and each
+    vertex's outside boundary (deficit plus edges leaving the region) is
+    netted into its terminal arc.  The vertices reachable from the
+    source in the residual graph form the smallest minimum cut, so the
+    result is empty exactly when no W beats the empty set.
     """
-    n = graph.vertex_count
-    scaled, den = _scaled_ints(list(vertex_weight) + [edge_cost, deficit_cost])
-    weights, ecost, dcost = scaled[:n], scaled[n], scaled[n + 1]
-    net = Dinic(n + 2)
-    s, t = n, n + 1
-    total_positive = 0
-    for x in range(n):
-        src = max(weights[x], 0)
-        snk = max(-weights[x], 0) + dcost * int(graph.deficit[x])
-        if src:
-            net.add_edge(s, x, src)
-            total_positive += src
-        if snk:
-            net.add_edge(x, t, snk)
+    qn, qd = q
+    alpha, beta, gamma, cost = linear
+    (da, dq, c, unit), _ = _scaled_ints([alpha, beta / qd, gamma, cost])
+    deg, deficit = graph.host_degree.tolist(), graph.deficit.tolist()
+    m = len(region)
+    pos = {x: i for i, x in enumerate(region)}
+    net = Dinic(m + 2)
+    s, t = m, m + 1
+    for i, x in enumerate(region):
+        outside = deficit[x] + sum(1 for y in graph.neighbors(x)
+                                   if y not in pos)
+        w = da * deg[x] + dq * qn[x] + c - unit * outside
+        if w > 0:
+            net.add_edge(s, i, w)
+        elif w < 0:
+            net.add_edge(i, t, -w)
     for (u, v) in graph.edges:
-        net.add_edge(u, v, ecost, ecost)
-    flow = net.max_flow(s, t)
-    best = Fraction(total_positive - flow, den)
-    side = [v for v in net.min_cut_source_side(s) if v < n]
-    return best, side
+        if u in pos and v in pos:
+            net.add_edge(pos[u], pos[v], unit, unit)
+    net.max_flow(s, t)
+    return tuple(region[i] for i in net.min_cut_source_side(s) if i < m)
+
+
+def _dinkelbach(graph: Graph, region: tuple[int, ...],
+                q: tuple[list[int], int], ratio, linearized,
+                start: tuple[int, ...]
+                ) -> tuple[tuple[int, ...], Fraction | None]:
+    """Maximize ``ratio`` over nonempty subsets of ``region`` (Dinkelbach).
+
+    ``ratio(W)`` is exact, or None when it is infinite (which ends the
+    search).  ``linearized(r)`` gives the coefficients of
+    :func:`_best_subset` whose objective is positive exactly on the
+    subsets of ratio above r.  Returns the last improving subset and its
+    ratio; the achievable ratios are finite, so the ratio climbs to the
+    maximum in finitely many cuts.
+    """
+    witness, r = start, ratio(start)
+    for _ in range(_MAX_RATIO_ITERATIONS):
+        if r is None:
+            return witness, None
+        side = _best_subset(graph, region, q, linearized(r))
+        if not side:
+            return witness, r
+        witness, new_r = side, ratio(side)
+        assert new_r is None or new_r > r
+        r = new_r
+    raise RuntimeError(
+        f"ratio iteration exceeded {_MAX_RATIO_ITERATIONS} steps")
 
 
 def kmin_flow(graph: Graph, potential: Potential | None,
@@ -258,45 +292,27 @@ def kmin_flow(graph: Graph, potential: Potential | None,
     Matches :func:`kmin_bruteforce` exactly on the optimal value; the
     witness may differ when several subsets attain it.  For parameter k,
     the subproblem max_W [sum_{x in W}(deg(x) - a q_+(x) - k) -
-    (1+a)|dW|] is a minimum cut (source arcs for positive vertex
-    weights, sink arcs for negative ones, bidirected internal arcs of
-    capacity (1+a), and sink-side capacity (1+a) deficit(x) for host
-    deficits); k increases to the attained ratio until no strictly
-    improving subset remains.
+    (1+a)|dW|] is a minimum cut; k increases to the attained ratio until
+    no strictly improving subset remains.
     """
     potential = _check_potential(graph, potential)
     a_fr = _as_fraction(a, "a")
     if a_fr < 0:
         raise ValueError("a must be non-negative")
-    qplus = _fraction_values(potential.plus)
-    n = graph.vertex_count
-    witness = tuple(range(n))
-    k = _kmin_exact_ratio(graph, qplus, a_fr, witness)
-    edge_cost = 1 + a_fr
-    for _ in range(_MAX_RATIO_ITERATIONS):
-        weights = [Fraction(int(graph.host_degree[x])) - a_fr * qplus[x] - k
-                   for x in range(n)]
-        gain, side = _vertex_cut_argbest(graph, weights, edge_cost, edge_cost)
-        if gain <= 0:
-            return _kmin_certificate(graph, potential, _float(a_fr), witness)
-        witness = tuple(sorted(side))
-        new_k = _kmin_exact_ratio(graph, qplus, a_fr, witness)
-        assert new_k > k
-        k = new_k
-    raise RuntimeError("ratio iteration exceeded 64 steps")
+    qplus = _exact_potential(potential.plus)
+
+    def ratio(w):
+        induced, degsum, qp = _subset_counts(graph, qplus, w)
+        return (2 * induced - a_fr * (degsum - 2 * induced + qp)) / len(w)
+
+    # sum_W (deg - a q_+ - k) - (1+a)|dW| = 2|E_W| - a(|dW| + q_+(W)) - k|W|
+    everything = tuple(range(graph.vertex_count))
+    witness, _ = _dinkelbach(graph, everything, qplus, ratio,
+                             lambda k: (1, -a_fr, -k, 1 + a_fr), everything)
+    return _kmin_certificate(graph, potential, _float(a_fr), witness)
 
 
 # -- (a, 0) threshold ---------------------------------------------------------
-
-def _amin_parts(graph: Graph, qplus: Sequence[Fraction],
-                witness: Sequence[int]) -> tuple[int, Fraction]:
-    members = set(witness)
-    induced = sum(1 for (u, v) in graph.edges if u in members and v in members)
-    degsum = int(sum(int(graph.host_degree[x]) for x in members))
-    boundary = degsum - 2 * induced
-    qp = sum((qplus[x] for x in members), Fraction(0))
-    return 2 * induced, boundary + qp
-
 
 def amin_zero_k(graph: Graph, potential: Potential | None) -> SparsityThreshold:
     """Least a for which the pair is (a, 0)-sparse.
@@ -306,32 +322,21 @@ def amin_zero_k(graph: Graph, potential: Potential | None) -> SparsityThreshold:
     positive potential mass.
     """
     potential = _check_potential(graph, potential)
-    qplus = _fraction_values(potential.plus)
-    n = graph.vertex_count
     if graph.edge_count == 0:
         return SparsityThreshold(0.0, (0,), subset_stats(graph, potential, (0,)))
-    witness = tuple(range(n))
-    num, den = _amin_parts(graph, qplus, witness)
-    if den == 0:
-        return SparsityThreshold(math.inf, witness,
-                                 subset_stats(graph, potential, witness))
-    a = Fraction(num, 1) / den
-    for _ in range(_MAX_RATIO_ITERATIONS):
-        weights = [Fraction(int(graph.host_degree[x])) - a * qplus[x]
-                   for x in range(n)]
-        gain, side = _vertex_cut_argbest(graph, weights, 1 + a, 1 + a)
-        if gain <= 0:
-            return SparsityThreshold(_float(a), witness,
-                                     subset_stats(graph, potential, witness))
-        witness = tuple(sorted(side))
-        num, den = _amin_parts(graph, qplus, witness)
-        if den == 0:
-            return SparsityThreshold(math.inf, witness,
-                                     subset_stats(graph, potential, witness))
-        new_a = Fraction(num, 1) / den
-        assert new_a > a
-        a = new_a
-    raise RuntimeError("ratio iteration exceeded 64 steps")
+    qplus = _exact_potential(potential.plus)
+
+    def ratio(w):
+        induced, degsum, qp = _subset_counts(graph, qplus, w)
+        den = degsum - 2 * induced + qp
+        return None if den == 0 else 2 * induced / den
+
+    # sum_W (deg - a q_+) - (1+a)|dW| = 2|E_W| - a(|dW| + q_+(W))
+    everything = tuple(range(graph.vertex_count))
+    witness, a = _dinkelbach(graph, everything, qplus, ratio,
+                             lambda a: (1, -a, 0, 1 + a), everything)
+    return SparsityThreshold(math.inf if a is None else _float(a), witness,
+                             subset_stats(graph, potential, witness))
 
 
 # -- Cheeger constants --------------------------------------------------------
@@ -394,73 +399,27 @@ def _cheeger_bruteforce(graph: Graph, potential: Potential,
     return _cheeger_certificate(graph, potential, witness, region)
 
 
-def _cheeger_ratio_exact(graph: Graph, q: Sequence[Fraction],
-                         witness: Sequence[int]) -> tuple[Fraction, Fraction]:
-    members = set(witness)
-    induced = sum(1 for (u, v) in graph.edges if u in members and v in members)
-    degsum = int(sum(int(graph.host_degree[x]) for x in members))
-    qsum = sum((q[x] for x in members), Fraction(0))
-    return Fraction(degsum - 2 * induced) + qsum, Fraction(degsum) + qsum
-
-
-def _cheeger_cut(graph: Graph, q: Sequence[Fraction], region: tuple[int, ...],
-                 t: Fraction) -> tuple[bool, tuple[int, ...]]:
-    """Strictly improving subset for the Cheeger descent, if one exists.
-
-    Minimizes |dW| + (1-t) q(W) - t deg(W) over W inside the region via
-    one min-cut; a negative optimum certifies a subset of ratio < t.
-    """
-    pos = {x: i for i, x in enumerate(region)}
-    inside = set(region)
-    costs = []
-    for x in region:
-        ext = int(graph.deficit[x]) + sum(1 for y in graph.neighbors(x)
-                                          if y not in inside)
-        costs.append(Fraction(ext) + (1 - t) * q[x]
-                     - t * int(graph.host_degree[x]))
-    scaled, _den = _scaled_ints(costs + [Fraction(1)])
-    cint, unit = scaled[:-1], scaled[-1]
-    m = len(region)
-    net = Dinic(m + 2)
-    s, snk = m, m + 1
-    baseline = 0
-    for i, c in enumerate(cint):
-        if c > 0:
-            net.add_edge(i, snk, c)
-        elif c < 0:
-            net.add_edge(s, i, -c)
-            baseline += -c
-    for (u, v) in graph.edges:
-        if u in pos and v in pos:
-            net.add_edge(pos[u], pos[v], unit, unit)
-    flow = net.max_flow(s, snk)
-    if flow - baseline >= 0:
-        return False, ()
-    side = [region[i] for i in net.min_cut_source_side(s) if i < m]
-    return True, tuple(sorted(side))
-
-
 def _cheeger_flow(graph: Graph, potential: Potential,
                   region: tuple[int, ...]) -> CheegerCertificate:
     if np.any(potential.values[np.asarray(region)] < 0):
         raise ValueError(
             "flow Cheeger method requires a non-negative potential on the region")
-    q = _fraction_values(potential.values)
     # zero-denominator convention: an isolated massless vertex gives ratio 0
     for x in region:
-        if int(graph.host_degree[x]) == 0 and q[x] == 0:
+        if int(graph.host_degree[x]) == 0 and potential.values[x] == 0:
             return _cheeger_certificate(graph, potential, (x,), region)
-    witness = (region[0],)  # every singleton has ratio exactly 1
-    t = Fraction(1)
-    for _ in range(_MAX_RATIO_ITERATIONS):
-        improved, side = _cheeger_cut(graph, q, region, t)
-        if not improved:
-            return _cheeger_certificate(graph, potential, witness, region)
-        num, den = _cheeger_ratio_exact(graph, q, side)
-        new_t = num / den
-        assert new_t < t
-        witness, t = side, new_t
-    raise RuntimeError("ratio iteration exceeded 64 steps")
+    q = _exact_potential(potential.plus)  # equals q on the region
+
+    # maximize -(|dW| + q(W)) / (deg W + q(W)); every denominator is
+    # now positive, and every singleton has ratio exactly -1.  At ratio r
+    # the subproblem is sum_W (-r deg - (1+r) q) - |dW|.
+    def ratio(w):
+        induced, degsum, qs = _subset_counts(graph, q, w)
+        return -(degsum - 2 * induced + qs) / (degsum + qs)
+
+    witness, _ = _dinkelbach(graph, region, q, ratio,
+                             lambda r: (-r, -1 - r, 0, 1), (region[0],))
+    return _cheeger_certificate(graph, potential, witness, region)
 
 
 def cheeger(graph: Graph, potential: Potential | None, region=None,

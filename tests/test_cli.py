@@ -101,6 +101,16 @@ def test_verify_tiny_tolerance_fails(tmp_path):
                 "--atilde-grid", "0.5", "--out", rfile]) == 1
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_verify_rejects_bad_tolerance(tmp_path, capsys, tol):
+    gfile = tmp_path / "c5.json"
+    run(["gen", "cycle", "--n", 5, "--out", gfile])
+    assert run(["analyze", "verify", gfile, "--tol", tol,
+                "--atilde-grid", "0.5", "--out", tmp_path / "r.json"]) == 2
+    assert "--tol" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_analyze_cheeger_region(tmp_path):
     gfile = tmp_path / "grid5.json"
     rfile = tmp_path / "cheeger.json"

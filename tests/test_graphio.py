@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from sgs import PhaseField, Potential, path_graph, regular_tree_ball
+from sgs import (PhaseField, Potential, cycle_graph, path_graph,
+                 regular_tree_ball)
 from sgs.graphio import (canonical_json, document_to_graph, graph_digest,
                          load_graph, save_graph,
                          verify_report_certificates)
@@ -80,3 +81,12 @@ def test_verify_report_certificates():
     assert verify_report_certificates(report, g, q, ids) <= 1e-12
     report["results"]["kmin"][0]["flow"]["ratio"] = 1.25
     assert verify_report_certificates(report, g, q, ids) > 1e-3
+    # a finite threshold whose witness is closed (no boundary, no q_+)
+    c4 = cycle_graph(4)
+    closed = {"results": {"amin": {"value": 2.0,
+                                   "witness": ["0", "1", "2", "3"]}}}
+    assert verify_report_certificates(
+        closed, c4, Potential.zero(c4), ["0", "1", "2", "3"]) == np.inf
+    closed["results"]["amin"]["value"] = "inf"
+    assert verify_report_certificates(
+        closed, c4, Potential.zero(c4), ["0", "1", "2", "3"]) == 0.0

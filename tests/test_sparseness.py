@@ -298,3 +298,37 @@ def test_cheeger_oracle_agreement_with_host_deficits():
         cb = cheeger(g, q, region, method="bruteforce").ratio
         cf = cheeger(g, q, region, method="flow").ratio
         assert abs(cb - cf) <= 1e-9
+
+
+def test_flow_witnesses_are_pinned():
+    # a flow witness is the smallest min-cut side of the last improving
+    # step, so it is fixed by the input whatever the network's arc order.
+    # Vertex 8 has host degree 0: it adds nothing to either side of the
+    # (a, 0) ratio, so it ties every cut of amin_zero_k and the smallest
+    # side leaves it out.  The Cheeger region skips it (it would take the
+    # zero-denominator shortcut).
+    edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
+             (3, 4), (4, 5), (5, 6), (6, 7), (5, 7)]
+    deficits = Graph(9, edges, host_degree=Graph(9, edges).internal_degree
+                     + [0, 0, 1, 0, 2, 0, 1, 3, 0])
+    float_q = Graph(9, [(i, j) for i in range(5) for j in range(i + 1, 5)]
+                    + [(4, 5), (5, 6), (6, 7), (7, 8), (6, 8)])
+    q = Potential([0.1, 0.7, 1.3, 0.25, 0.3, 0.0, 0.05, 2.5, 0.125])
+    ball = regular_tree_ball(3, 4)
+    top = int(ball.internal_degree.max())
+    inner = tuple(x for x in range(ball.vertex_count)
+                  if ball.internal_degree[x] == top)
+    k4, k5 = (0, 1, 2, 3), (0, 1, 2, 3, 4)
+    cases = [
+        (deficits, None, tuple(range(8)), [k4, k4, k4], k4, k4),
+        (float_q, q, None, [k5, k5, k5], k5 + (5,), k5 + (5,)),
+        (ball, None, inner, [tuple(range(46))] * 3, tuple(range(46)),
+         tuple(range(22))),
+    ]
+    for g, pot, region, kmins, amin, cheeger_w in cases:
+        got = [kmin_flow(g, pot, a).witness
+               for a in (0, Fraction(1, 2), 2)]
+        assert got == kmins
+        assert amin_zero_k(g, pot).witness == amin
+        assert cheeger(g, pot, region, method="flow").witness == cheeger_w
+    assert inner == tuple(range(22))
