@@ -9,7 +9,7 @@ and verifies every implied eigenvalue inequality on concrete instances.
 """
 
 from .graphs import (Graph, PhaseField, Potential, SubsetStats,
-                     breadth_first_spheres, subset_stats, validate)
+                     breadth_first_spheres, subset_stats)
 from .generators import (RadialFamilySpec, antitree, ball_truncation,
                          combine, complete_graph, cycle_graph, grid_graph,
                          make_basic, make_radial_family, path_graph,
@@ -21,16 +21,17 @@ from .sparseness import (CheegerCertificate, SparsenessCertificate,
 from .operators import (HermitianOperator, assemble, kato_gap, quad_form,
                         upside_down_identity)
 from .spectra import (FormConstants, SpectralPlan, SpectralReport,
-                      cheeger_form_slopes, convert_constants, eigenvalues,
-                      extremal_eigenvalue, form_to_sparse, optimal_ktilde,
-                      perturb_constants, ratio_report, sparse_to_form,
-                      spectral_edge_bound, verify_sandwich)
+                      cheeger_form_slopes, eigenvalues, extremal_eigenvalue,
+                      form_to_sparse, optimal_ktilde, perturb_constants,
+                      ratio_report, sparse_to_form, spectral_edge_bound,
+                      verify_sandwich)
+from .verify import run_checks
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Graph", "Potential", "PhaseField", "SubsetStats",
-    "subset_stats", "validate", "breadth_first_spheres",
+    "subset_stats", "breadth_first_spheres",
     "path_graph", "cycle_graph", "complete_graph", "grid_graph",
     "star_graph", "antitree", "make_basic", "RadialFamilySpec",
     "make_radial_family", "combine", "ball_truncation", "regular_tree_ball",
@@ -43,6 +44,6 @@ __all__ = [
     "extremal_eigenvalue",
     "optimal_ktilde", "form_to_sparse", "sparse_to_form",
     "perturb_constants", "cheeger_form_slopes", "spectral_edge_bound",
-    "convert_constants", "verify_sandwich", "ratio_report",
+    "verify_sandwich", "ratio_report", "run_checks",
     "__version__",
 ]

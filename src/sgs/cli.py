@@ -3,8 +3,9 @@ runs the sparsity / cheeger / spectrum / verify pipelines and emits JSON
 reports.
 
 Reports are deterministic for identical inputs apart from their
-wall-clock field.  Exit codes: 0 on success with all verification
-margins above -tol, 1 when a margin fails, 2 on input errors.
+wall-clock field.  Exit codes: 0 on success, 1 when a verification
+margin (scaled by its tolerance) falls below -tol or flow and brute
+force disagree by more than tol, 2 on input errors.
 """
 from __future__ import annotations
 
@@ -14,22 +15,16 @@ import math
 import sys
 import time
 
-import numpy as np
-
 from . import __version__
 from .generators import (RadialFamilySpec, ball_truncation, make_basic,
                          make_radial_family)
 from .graphio import (graph_digest, id_map_digest, load_graph, save_graph,
                       write_report)
-from .graphs import Graph, PhaseField
-from .operators import kato_gap, upside_down_identity
+from .graphs import Graph
 from .sparseness import (ENUMERATION_LIMIT, amin_zero_k, cheeger, kmin_flow,
                          kmin_bruteforce)
-from .spectra import (DEFAULT_ATILDE_GRID, SpectralPlan, cheeger_form_slopes,
-                      form_to_sparse, ratio_report, sparse_to_form,
-                      spectral_edge_bound)
-
-_KATO_SWEEPS = 50
+from .spectra import DEFAULT_ATILDE_GRID, ratio_report
+from .verify import run_checks
 
 
 def _float_list(text: str) -> list[float]:
@@ -171,8 +166,7 @@ def _cheeger_entry(cert, ids) -> dict:
             "region_size": len(cert.region)}
 
 
-def _analyze_sparsity(args, graph, potential, ids) -> tuple[dict, list[float]]:
-    margins: list[float] = []
+def _analyze_sparsity(args, graph, potential, ids) -> dict:
     per_a = []
     for a in args.a_grid:
         entry: dict = {}
@@ -187,17 +181,15 @@ def _analyze_sparsity(args, graph, potential, ids) -> tuple[dict, list[float]]:
         if args.method == "both":
             gap = abs(entry["flow"]["k"] - entry["bruteforce"]["k"])
             entry["method_agreement"] = gap
-            margins.append(args.tol - gap)
         per_a.append(entry)
     amin = amin_zero_k(graph, potential)
     amin_entry = {"value": "inf" if math.isinf(amin.value) else amin.value,
                   "witness": _witness_ids(amin.witness, ids)}
-    return {"kmin": per_a, "amin": amin_entry}, margins
+    return {"kmin": per_a, "amin": amin_entry}
 
 
-def _analyze_cheeger(args, graph, potential, ids) -> tuple[dict, list[float]]:
+def _analyze_cheeger(args, graph, potential, ids) -> dict:
     region = _resolve_region(args, graph, ids)
-    margins: list[float] = []
     out: dict = {"region_size": len(region)}
     if args.method in ("flow", "both"):
         out["flow"] = _cheeger_entry(
@@ -208,8 +200,7 @@ def _analyze_cheeger(args, graph, potential, ids) -> tuple[dict, list[float]]:
     if args.method == "both":
         gap = abs(out["flow"]["ratio"] - out["bruteforce"]["ratio"])
         out["method_agreement"] = gap
-        margins.append(args.tol - gap)
-    return out, margins
+    return out
 
 
 def _analyze_spectrum(args, graph, potential, phase, ids) -> dict:
@@ -241,114 +232,20 @@ def _analyze_spectrum(args, graph, potential, phase, ids) -> dict:
     return out
 
 
-def _analyze_verify(args, graph, potential, phase, ids) -> tuple[dict, list[float]]:
-    checks: list[dict] = []
-    margins: list[float] = []
+def _analyze_verify(args, graph, potential, phase, ids) -> dict:
+    return {"checks": run_checks(graph, potential, phase, a_grid=args.a_grid,
+                                 atilde_grid=args.atilde_grid,
+                                 region=_resolve_region(args, graph, ids),
+                                 seed=args.seed)}
 
-    def add(check_id: str, margin: float, scale: float = 1.0, **details) -> None:
-        entry = {"id": check_id, "status": "ok", "margin": float(margin),
-                 "tolerance_scale": scale}
-        entry.update(details)
-        checks.append(entry)
-        margins.append(float(margin) / scale)
 
-    def skip(check_id: str, reason: str) -> None:
-        checks.append({"id": check_id, "status": "skipped", "margin": None,
-                       "reason": reason})
-
-    rng = np.random.default_rng(args.seed)
-    q = potential.values
-    nonneg_q = bool(np.all(q >= 0))
-    # One plan per operator serves every check below: the plain one for
-    # the sandwiches and round trips, the magnetic one (if any) for the
-    # trace, the spectral bottom and the magnetic upside-down offsets.
-    plain = SpectralPlan(graph, potential)
-    plan = plain if phase is None else SpectralPlan(graph, potential, phase)
-    op = plan.operator
-    lam = plan.spectrum
-    norm = op.norm_bound()
-    scale = 1.0 + norm  # margin tolerances scale with the operator norm
-    trace_gap = abs(lam.sum() - float(np.real(op.matrix.diagonal().sum())))
-    add("eigensolver_trace",
-        1e-8 * max(norm, 1.0) * graph.vertex_count - trace_gap)
-
-    for at in args.atilde_grid:
-        klow, kup = plain.offset(at, "lower"), plain.offset(at, "upper")
-        lower_m, upper_m = plain.sandwich(at, klow, kup)
-        add(f"sandwich_optimal@a_tilde={at:g}",
-            min(float(lower_m.min()), float(upper_m.min())), scale=scale,
-            k_lower=klow, k_upper=kup)
-        add(f"upside_down@a_tilde={at:g}", klow - kup, scale=scale)
-        if phase is not None:
-            add(f"upside_down_magnetic@a_tilde={at:g}",
-                klow - plan.constants(at).k_tilde, scale=scale)
-
-    if nonneg_q:
-        for a in args.a_grid:
-            cert = kmin_flow(graph, potential, a)
-            constants = (sparse_to_form(a, cert.k, a_tilde=0.5) if a == 0
-                         else sparse_to_form(a, cert.k))
-            kt = constants.k_tilde
-            lo_m, up_m = plain.sandwich(constants.a_tilde, kt, kt)
-            add(f"roundtrip_sparse_to_form@a={a:g}",
-                min(float(lo_m.min()), float(up_m.min())), scale=scale,
-                k=cert.k, a_tilde=constants.a_tilde,
-                k_tilde=constants.k_tilde)
-    else:
-        skip("roundtrip_sparse_to_form",
-             "requires a non-negative potential")
-    for at in args.atilde_grid:
-        a_out, k_out = form_to_sparse(at, plain.offset(at, "lower"))
-        cert = kmin_flow(graph, potential, a_out)
-        add(f"roundtrip_form_to_sparse@a_tilde={at:g}", k_out - cert.k,
-            scale=scale, a=a_out, k=k_out, kmin=cert.k)
-
-    sweep_phase = phase
-    gaps = []
-    for _ in range(_KATO_SWEEPS):
-        if phase is None:
-            sweep_phase = PhaseField.random(graph, rng)
-        f = rng.standard_normal(graph.vertex_count) \
-            + 1j * rng.standard_normal(graph.vertex_count)
-        gaps.append(kato_gap(graph, potential, sweep_phase, f))
-    add("kato_sweep", min(gaps), sweeps=_KATO_SWEEPS)
-    add("phase_pi_identity",
-        -upside_down_identity(graph, phase if phase is not None
-                              else PhaseField.zero(graph)))
-
-    if nonneg_q and np.all(q > 0):
-        amin = amin_zero_k(graph, potential)
-        if math.isinf(amin.value):
-            skip("isoperimetric_dictionary", "amin is infinite")
-        else:
-            alpha_v = cheeger(graph, potential, method="flow").ratio
-            add("isoperimetric_dictionary",
-                -abs(alpha_v - 1.0 / (1.0 + amin.value)),
-                alpha=alpha_v, amin=amin.value)
-    else:
-        skip("isoperimetric_dictionary", "requires strictly positive q")
-
-    if nonneg_q:
-        region = _resolve_region(args, graph, ids)
-        alpha_u = cheeger(graph, potential, region, method="flow").ratio
-        slope_lo, slope_hi = cheeger_form_slopes(alpha_u)
-        low_eig, up_eig = plain.compressed_bottoms(region, slope_lo, slope_hi)
-        add("cheeger_form_bounds", min(low_eig, up_eig), scale=scale,
-            alpha=alpha_u, slope_lower=slope_lo, slope_upper=slope_hi)
-        k0 = kmin_flow(graph, potential, 0.0).k
-        d_floor = float((graph.host_degree + q).min())
-        if 0.0 < d_floor and k0 <= d_floor:
-            bound = spectral_edge_bound(d_floor, k0)
-            add("spectral_bottom_bound", float(lam[0]) - bound,
-                d=d_floor, k=k0, bound=bound)
-        else:
-            skip("spectral_bottom_bound",
-                 "needs 0 < k_min(0) <= min(deg+q)")
-    else:
-        skip("cheeger_form_bounds", "requires a non-negative potential")
-        skip("spectral_bottom_bound", "requires a non-negative potential")
-
-    return {"checks": checks}, margins
+def _failed(results: dict, tol: float) -> bool:
+    """Flow and brute force apart by more than tol, or a verify check's
+    margin over its tolerance scale below -tol."""
+    return (any(e.get("method_agreement", 0.0) > tol
+                for e in results.get("kmin", [results]))
+            or any(c["status"] == "ok" and c["margin"] / c["tolerance_scale"]
+                   < -tol for c in results.get("checks", [])))
 
 
 def _command_analyze(args) -> int:
@@ -359,15 +256,14 @@ def _command_analyze(args) -> int:
     graph, potential, phase, ids = load_graph(args.graph)
     if args.csv and args.subcommand != "spectrum":
         raise ValueError("--csv applies to the spectrum subcommand only")
-    margins: list[float] = []
     if args.subcommand == "sparsity":
-        results, margins = _analyze_sparsity(args, graph, potential, ids)
+        results = _analyze_sparsity(args, graph, potential, ids)
     elif args.subcommand == "cheeger":
-        results, margins = _analyze_cheeger(args, graph, potential, ids)
+        results = _analyze_cheeger(args, graph, potential, ids)
     elif args.subcommand == "spectrum":
         results = _analyze_spectrum(args, graph, potential, phase, ids)
     else:
-        results, margins = _analyze_verify(args, graph, potential, phase, ids)
+        results = _analyze_verify(args, graph, potential, phase, ids)
     report = {
         "command": ["analyze", args.subcommand, args.graph],
         "settings": {
@@ -390,8 +286,7 @@ def _command_analyze(args) -> int:
         "wall_clock_seconds": time.monotonic() - started,
     }
     write_report(args.out, report)
-    failed = [m for m in margins if m < -args.tol]
-    return 1 if failed else 0
+    return 1 if _failed(results, args.tol) else 0
 
 
 def main(argv=None) -> int:

@@ -27,7 +27,6 @@ __all__ = [
     "Potential",
     "PhaseField",
     "SubsetStats",
-    "validate",
     "subset_stats",
     "breadth_first_spheres",
 ]
@@ -165,33 +164,6 @@ class Graph:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Graph(n={self._n}, m={self.edge_count}, "
                 f"deficit_total={int(self._deficit.sum())})")
-
-
-def validate(graph: Graph) -> None:
-    """Re-check every structural invariant of ``graph``.
-
-    Idempotent; raises ``ValueError`` naming the first violation.  The
-    constructor already enforces these, so this is mostly useful after
-    deserialization or for paranoid callers.
-    """
-    n = graph.vertex_count
-    seen = set()
-    for u, v in graph.edges:
-        if u == v:
-            raise ValueError(f"self-loop at vertex {u}")
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge ({u},{v}) out of range")
-        if (u, v) in seen:
-            raise ValueError(f"duplicate edge ({u},{v})")
-        seen.add((u, v))
-        if v not in graph.neighbors(u) or u not in graph.neighbors(v):
-            raise ValueError(f"asymmetric adjacency at ({u},{v})")
-    for x in range(n):
-        if len(set(graph.neighbors(x))) != len(graph.neighbors(x)):
-            raise ValueError(f"repeated neighbor at vertex {x}")
-        if graph.host_degree[x] < graph.internal_degree[x]:
-            raise ValueError(
-                f"host degree below internal degree at vertex {x}")
 
 
 class Potential:

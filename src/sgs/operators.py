@@ -17,7 +17,7 @@ import scipy.sparse as sp
 from .graphs import Graph, PhaseField, Potential
 
 __all__ = ["HermitianOperator", "assemble", "quad_form",
-           "upside_down_identity", "kato_gap"]
+           "upside_down_identity", "kato_form_gap", "kato_gap"]
 
 KINDS = ("schrodinger", "degree", "magnetic")
 
@@ -141,6 +141,14 @@ def upside_down_identity(graph: Graph, phase: PhaseField) -> float:
     return float(np.abs(residue.data).max())
 
 
+def kato_form_gap(magnetic: HermitianOperator, plain: HermitianOperator,
+                  f) -> float:
+    """<f, M_theta f> minus <|f|, H |f|> for the magnetic operator
+    ``M_theta`` and the plain operator ``H`` of one graph and potential."""
+    f = np.asarray(f, dtype=np.complex128)
+    return quad_form(magnetic, f) - quad_form(plain, np.abs(f))
+
+
 def kato_gap(graph: Graph, potential: Potential | None, phase: PhaseField,
              f) -> float:
     """<f, (Delta_theta + q) f> minus <|f|, (Delta + q) |f|>.
@@ -151,8 +159,5 @@ def kato_gap(graph: Graph, potential: Potential | None, phase: PhaseField,
     f = np.asarray(f, dtype=np.complex128)
     if f.shape != (graph.vertex_count,):
         raise ValueError("vector length does not match graph")
-    if potential is None:
-        potential = Potential.zero(graph)
-    magnetic = assemble(graph, potential, phase, kind="magnetic")
-    plain = assemble(graph, potential, kind="schrodinger")
-    return quad_form(magnetic, f) - quad_form(plain, np.abs(f))
+    return kato_form_gap(assemble(graph, potential, phase, kind="magnetic"),
+                         assemble(graph, potential, kind="schrodinger"), f)

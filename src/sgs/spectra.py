@@ -30,8 +30,8 @@ __all__ = [
     "EXTREMAL_DENSE_LIMIT", "eigenvalues", "extremal_eigenvalue",
     "optimal_ktilde",
     "form_to_sparse", "sparse_to_form", "perturb_constants",
-    "cheeger_form_slopes", "spectral_edge_bound", "convert_constants",
-    "verify_sandwich", "ratio_report", "DEFAULT_ATILDE_GRID",
+    "cheeger_form_slopes", "spectral_edge_bound", "verify_sandwich",
+    "ratio_report", "DEFAULT_ATILDE_GRID",
 ]
 
 DENSE_EIGEN_LIMIT = 4000
@@ -290,24 +290,6 @@ def spectral_edge_bound(d: float, k: float) -> float:
     if k < 0 or k > 2.0 * d:
         raise ValueError("k must lie in [0, 2d]")
     return max(0.0, d - 2.0 * math.sqrt((k / 2.0) * (d - k / 2.0)))
-
-
-_CONVERSIONS = {
-    "form_to_sparse": form_to_sparse,
-    "sparse_to_form": sparse_to_form,
-    "perturb": perturb_constants,
-    "cheeger_to_form": cheeger_form_slopes,
-    "spectral_edge": spectral_edge_bound,
-}
-
-
-def convert_constants(direction: str, **inputs):
-    """Dispatch to one of the closed-form constant conversions."""
-    try:
-        fn = _CONVERSIONS[direction]
-    except KeyError:
-        raise ValueError(f"unknown conversion {direction!r}") from None
-    return fn(**inputs)
 
 
 # -- sandwich verification ----------------------------------------------------

@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import math
 import re
 
 import pytest
 
+import sgs.cli
 from sgs.cli import main
 from sgs.graphio import load_graph, verify_report_certificates
 
@@ -109,6 +111,22 @@ def test_verify_rejects_bad_tolerance(tmp_path, capsys, tol):
                 "--atilde-grid", "0.5", "--out", tmp_path / "r.json"]) == 2
     assert "--tol" in capsys.readouterr().err
     assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("shift, code", [(0.5, 0), (1.5, 1)])
+def test_method_agreement_fails_above_tol(tmp_path, monkeypatch, shift, code):
+    """Flow and brute force may differ by at most tol (not 2 tol)."""
+    brute = sgs.cli.kmin_bruteforce
+
+    def shifted(*args, **kwargs):
+        cert = brute(*args, **kwargs)
+        return dataclasses.replace(cert, k=cert.k + shift * 1e-9)
+
+    monkeypatch.setattr(sgs.cli, "kmin_bruteforce", shifted)
+    gfile = tmp_path / "c5.json"
+    run(["gen", "cycle", "--n", 5, "--out", gfile])
+    assert run(["analyze", "sparsity", gfile, "--method", "both",
+                "--tol", "1e-9", "--out", tmp_path / "r.json"]) == code
 
 
 def test_analyze_cheeger_region(tmp_path):

@@ -1,4 +1,5 @@
-"""Smoke tests: the demos that go through the flow routes run cleanly."""
+"""Smoke tests: the demos that go through the flow routes run cleanly,
+and the file demo cleans up after itself."""
 import os
 import subprocess
 import sys
@@ -9,14 +10,27 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def _run_demo(demo, cwd, tmpdir):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmpdir))
+    return subprocess.run([sys.executable, str(ROOT / "demos" / demo)],
+                          cwd=cwd, env=env, capture_output=True, text=True,
+                          timeout=300)
+
+
 @pytest.mark.parametrize("demo", ["01_sparseness_profiles.py",
                                   "05_cheeger_dictionary.py",
                                   "07_files_and_cli.py"])
 def test_flow_demo_runs(tmp_path, demo):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmp_path))
-    done = subprocess.run([sys.executable, str(ROOT / "demos" / demo)],
-                          cwd=tmp_path, env=env, capture_output=True,
-                          text=True, timeout=300)
+    done = _run_demo(demo, tmp_path, tmp_path)
     assert done.returncode == 0, done.stderr
     assert done.stderr == ""
     assert done.stdout
+
+
+def test_file_demo_leaves_nothing_and_repeats(tmp_path):
+    tmpdir = tmp_path / "tmp"
+    tmpdir.mkdir()
+    outputs = [_run_demo("07_files_and_cli.py", tmp_path, tmpdir).stdout
+               for _ in range(2)]
+    assert list(tmpdir.glob("sgs-demo-*")) == []
+    assert outputs[0] and outputs[0] == outputs[1]

@@ -2,14 +2,9 @@ import numpy as np
 import pytest
 
 from sgs import (Graph, Potential, PhaseField, breadth_first_spheres,
-                 complete_graph, path_graph, regular_tree_ball, subset_stats,
-                 validate)
+                 path_graph, regular_tree_ball, subset_stats)
 
 from helpers import random_graph
-
-
-def test_validate_triangle_ok():
-    validate(complete_graph(3))
 
 
 def test_asymmetric_relation_rejected():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sgs import (Graph, PhaseField, Potential, assemble, cheeger,
-                 cheeger_form_slopes, complete_graph, convert_constants,
+                 cheeger_form_slopes, complete_graph,
                  eigenvalues, form_to_sparse, grid_graph, kmin_flow,
                  optimal_ktilde, path_graph, perturb_constants, ratio_report,
                  regular_tree_ball, sparse_to_form, spectral_edge_bound,
@@ -82,16 +82,13 @@ def test_conversion_domains():
         perturb_constants(0.5, 1.0, 1.0, 0.0)
 
 
-def test_convert_constants_dispatch():
-    assert convert_constants("form_to_sparse", a_tilde=0.5, k_tilde=1.0) == (1.0, 2.0)
-    slopes = convert_constants("cheeger_to_form", alpha_u=0.6)
+def test_closed_form_conversions():
+    assert form_to_sparse(a_tilde=0.5, k_tilde=1.0) == (1.0, 2.0)
+    slopes = cheeger_form_slopes(alpha_u=0.6)
     assert slopes == pytest.approx((1 - 0.8, 1 + 0.8))
-    slope, offset = convert_constants("perturb", a=0.5, k=1.0, alpha=0.25,
-                                      c_alpha=2.0)
+    slope, offset = perturb_constants(a=0.5, k=1.0, alpha=0.25, c_alpha=2.0)
     assert slope == pytest.approx((0.75 * 0.5) / (1 - 0.25 * 0.5))
     assert offset == pytest.approx((0.75 * 1.0 + 0.5 * 2.0) / (1 - 0.25 * 0.5))
-    with pytest.raises(ValueError):
-        convert_constants("laplace_transform")
 
 
 def test_perturb_limits():
