@@ -21,8 +21,7 @@ from .generators import (RadialFamilySpec, ball_truncation, make_basic,
 from .graphio import (graph_digest, id_map_digest, load_graph, save_graph,
                       write_report)
 from .graphs import Graph
-from .sparseness import (ENUMERATION_LIMIT, amin_zero_k, cheeger, kmin_flow,
-                         kmin_bruteforce)
+from .sparseness import amin_zero_k, cheeger, kmin_bruteforce, kmin_flow
 from .spectra import DEFAULT_ATILDE_GRID, ratio_report
 from .verify import run_checks
 
@@ -83,7 +82,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ana.add_argument("--atilde-grid", type=_float_list,
                      default=list(DEFAULT_ATILDE_GRID))
     ana.add_argument("--region", default="all",
-                     help="'all', 'all-but-border', or comma-separated ids")
+                     help="'all', 'all-but-border' (the vertices of maximal "
+                          "internal degree), or comma-separated ids")
     ana.add_argument("--method", choices=("flow", "bruteforce", "both"),
                      default="flow")
     ana.add_argument("--top-m", type=int, default=10)
@@ -173,9 +173,6 @@ def _analyze_sparsity(args, graph, potential, ids) -> dict:
         if args.method in ("flow", "both"):
             entry["flow"] = _sparseness_entry(kmin_flow(graph, potential, a), ids)
         if args.method in ("bruteforce", "both"):
-            if graph.vertex_count > ENUMERATION_LIMIT:
-                raise ValueError(
-                    f"bruteforce method limited to {ENUMERATION_LIMIT} vertices")
             entry["bruteforce"] = _sparseness_entry(
                 kmin_bruteforce(graph, potential, a), ids)
         if args.method == "both":

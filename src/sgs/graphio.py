@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from typing import Any
 
 import numpy as np
@@ -57,6 +58,17 @@ def graph_to_document(graph: Graph, potential: Potential | None = None,
     return {"vertices": vertices, "edges": edges}
 
 
+def _finite_number(entry: dict, key: str, where: str) -> float:
+    value = entry.get(key, 0.0)
+    # a bool is an int to Python but not a number in JSON; the bound
+    # rejects NaN, the infinities and integers no float can hold
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max):
+        raise ValueError(f"{where}: {key} must be a finite number, "
+                         f"got {value!r}")
+    return float(value)
+
+
 def document_to_graph(doc: dict) -> tuple[Graph, Potential, PhaseField | None, list[str]]:
     """Parse a graph document; errors name the offending entry."""
     if not isinstance(doc, dict) or "vertices" not in doc or "edges" not in doc:
@@ -74,9 +86,12 @@ def document_to_graph(doc: dict) -> tuple[Graph, Potential, PhaseField | None, l
             raise ValueError(f"{where}: duplicate id {vid!r}")
         index[vid] = i
         ids.append(vid)
-        q.append(float(entry.get("q", 0.0)))
+        q.append(_finite_number(entry, "q", where))
         hd = entry.get("host_degree")
-        host.append(None if hd is None else int(hd))
+        if hd is not None and (isinstance(hd, bool) or not isinstance(hd, int)):
+            raise ValueError(f"{where}: host_degree must be an integer, "
+                             f"got {hd!r}")
+        host.append(hd)
     edges: list[tuple[int, int]] = []
     thetas: dict[tuple[int, int], float] = {}
     has_theta = False
@@ -97,7 +112,7 @@ def document_to_graph(doc: dict) -> tuple[Graph, Potential, PhaseField | None, l
         edges.append(key)
         if "theta" in entry and entry["theta"] is not None:
             has_theta = True
-            t = float(entry["theta"])
+            t = _finite_number(entry, "theta", where)
             thetas[key] = t if u < v else -t
         else:
             thetas[key] = 0.0

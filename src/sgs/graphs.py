@@ -57,7 +57,7 @@ class Graph:
     """
 
     __slots__ = ("_n", "_edges", "_neighbors", "_internal_degree",
-                 "_host_degree", "_deficit", "_masks")
+                 "_host_degree", "_deficit")
 
     def __init__(self, vertex_count: int,
                  edges: Iterable[tuple[int, int]],
@@ -101,7 +101,6 @@ class Graph:
                 f"({int(host[x])} < {int(deg[x])})")
         self._host_degree = _readonly(host)
         self._deficit = _readonly(deficit)
-        self._masks: tuple[int, ...] | None = None
 
     @classmethod
     def from_matrix(cls, matrix, host_degree: Sequence[int] | None = None) -> "Graph":
@@ -148,18 +147,6 @@ class Graph:
     @property
     def deficit(self) -> np.ndarray:
         return self._deficit
-
-    def neighbor_masks(self) -> tuple[int, ...]:
-        """Adjacency rows as bitmasks (used by the enumeration oracles)."""
-        if self._masks is None:
-            masks = []
-            for x in range(self._n):
-                m = 0
-                for y in self._neighbors[x]:
-                    m |= 1 << y
-                masks.append(m)
-            self._masks = tuple(masks)
-        return self._masks
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Graph(n={self._n}, m={self.edge_count}, "
@@ -217,6 +204,8 @@ class PhaseField:
         v = np.asarray(values, dtype=np.float64)
         if v.shape != (graph.edge_count,):
             raise ValueError("need one phase per edge")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("phase angles must be finite")
         self._graph = graph
         self._values = _readonly(v)
         self._index = {e: i for i, e in enumerate(graph.edges)}

@@ -9,15 +9,16 @@ is the maximum over nonempty W of (2|E_W| - a(|dW| + q_+(W))) / |W|.
 Boundaries are host-aware throughout (cut edges plus deficits), so the
 constants computed on a truncation certify the infinite host.
 
-Two routes are provided for every optimization: a brute-force oracle
-that enumerates all subsets (guarded to 22 vertices) and a production
-path.  The production path of k_min, of the (a, 0) threshold and of the
-Cheeger constant is one driver, ``_dinkelbach``: Dinkelbach's ratio
-iteration with each linearized subproblem solved exactly by one minimum
-s-t cut (``_best_subset``).  All flow arithmetic is exact: float inputs
-are dyadic rationals and are converted losslessly to fractions,
-capacities are rescaled to integers, and the iteration terminates
-because the achievable ratios form a finite set.
+k_min and the Cheeger constant have two routes: a brute-force oracle
+that enumerates all subsets (``_best_by_enumeration``, guarded to 22
+vertices) and a production path.  The (a, 0) threshold has the
+production path only.  The production path of k_min, of the (a, 0)
+threshold and of the Cheeger constant is one driver, ``_dinkelbach``:
+Dinkelbach's ratio iteration with each linearized subproblem solved
+exactly by one minimum s-t cut (``_best_subset``).  All flow arithmetic
+is exact: float inputs are dyadic rationals and are converted losslessly
+to fractions, capacities are rescaled to integers, and the iteration
+terminates because the achievable ratios form a finite set.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -105,52 +106,49 @@ def _float(x: Fraction) -> float:
     return x.numerator / x.denominator
 
 
-# -- subset enumeration tables ---------------------------------------------
+# -- subset enumeration -------------------------------------------------------
 
-def _popcount(arr: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(arr).astype(np.int64)
+def _best_by_enumeration(graph: Graph, region: Sequence[int],
+                         sums: Sequence[np.ndarray],
+                         objective) -> tuple[int, ...]:
+    """The nonempty subset of ``region`` (sorted, at most 22 vertices)
+    that maximizes ``objective``.
 
-
-def _subset_tables(local_masks: Sequence[int],
-                   weights: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Induced-edge counts and linear sums for all subsets of n <= 22 vertices.
-
-    ``local_masks[i]`` is the adjacency bitmask of vertex i restricted
-    to the enumerated vertex set.  Entry S of each returned array is the
-    value for the subset with bitmask S.
+    ``objective(twice_edges, size, *tables)`` maps tables over all
+    subsets W to their values: 2|E_W|, |W| and, per array in ``sums``
+    (indexed by vertex), its sum over W.  Ties go to the fewest
+    vertices, then the lexicographically smallest vertex list, so the
+    result does not depend on how table indices map to vertices.
     """
-    n = len(local_masks)
-    total = 1 << n
-    masks = np.asarray(local_masks, dtype=np.uint64)
-    out = {"edges": np.zeros(total, dtype=np.int64)}
-    for key, w in weights.items():
-        out[key] = np.zeros(total, dtype=w.dtype)
-    # subsets with lowest bit b reduce to subsets whose lowest bit is
-    # higher, so fill from the top bit down
-    for b in reversed(range(n)):
-        step = 1 << (b + 1)
-        rest = np.arange(0, total, step, dtype=np.uint64)
-        sub = (rest | np.uint64(1 << b)).astype(np.int64)
-        rest_i = rest.astype(np.int64)
-        out["edges"][sub] = out["edges"][rest_i] + _popcount(masks[b] & rest)
-        for key, w in weights.items():
-            out[key][sub] = out[key][rest_i] + w[b]
-    return out
-
-
-def _mask_vertices(mask: int, vertex_map: Sequence[int]) -> tuple[int, ...]:
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(vertex_map[i])
-        mask >>= 1
-        i += 1
-    return tuple(out)
-
-
-def _lexicographic_best(masks: Iterable[int], vertex_map: Sequence[int]) -> int:
-    return min(masks, key=lambda m: _mask_vertices(m, vertex_map))
+    m = len(region)
+    if m > ENUMERATION_LIMIT:
+        raise ValueError(f"{m} vertices are too many for enumeration "
+                         f"(limit {ENUMERATION_LIMIT})")
+    # bit b of a table index is region[m - 1 - b]: adding vertices from
+    # the last down to the first makes every float sum add its lowest
+    # member last, and which float values tie decides the witness
+    bit = {x: m - 1 - i for i, x in enumerate(region)}
+    twice_edges, size = np.zeros(1 << m), np.zeros(1 << m, dtype=np.uint8)
+    tables = [np.zeros(1 << m) for _ in sums]
+    lower = np.arange((1 << m) // 2, dtype=np.uint64)
+    for b in range(m):
+        x, h = region[m - 1 - b], 1 << b
+        adj = np.uint64(sum(1 << bit[y] for y in graph.neighbors(x)
+                            if y in bit))
+        np.add(twice_edges[:h], 2 * np.bitwise_count(lower[:h] & adj),
+               out=twice_edges[h:2 * h])
+        np.add(size[:h], 1, out=size[h:2 * h])
+        for t, w in zip(tables, sums):
+            np.add(t[:h], w[x], out=t[h:2 * h])
+    del lower
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = objective(twice_edges, size, *tables)
+    values[0] = -np.inf
+    cand = np.flatnonzero(values == values.max())
+    sizes = size[cand]
+    cand = cand[sizes == sizes.min()]
+    return min(tuple(region[m - 1 - b] for b in reversed(range(m))
+                     if c >> b & 1) for c in cand.tolist())
 
 
 def _check_potential(graph: Graph, potential: Potential | None) -> Potential:
@@ -170,31 +168,17 @@ def kmin_bruteforce(graph: Graph, potential: Potential | None,
     Ties are broken by smallest witness size, then lexicographically
     smallest vertex list.
     """
-    n = graph.vertex_count
-    if n > ENUMERATION_LIMIT:
-        raise ValueError(
-            f"graph too large for enumeration ({n} > {ENUMERATION_LIMIT})")
     potential = _check_potential(graph, potential)
     a_fr = _as_fraction(a, "a")
     if a_fr < 0:
         raise ValueError("a must be non-negative")
     af = _float(a_fr)
-    tables = _subset_tables(graph.neighbor_masks(), {
-        "deg": graph.host_degree.astype(np.float64),
-        "qplus": potential.plus,
-    })
-    size = _popcount(np.arange(1 << n, dtype=np.uint64))
-    boundary = tables["deg"] - 2.0 * tables["edges"]
-    num = 2.0 * tables["edges"] - af * (boundary + tables["qplus"])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = num / size
-    ratios[0] = -np.inf
-    best = float(np.max(ratios))
-    cand = np.flatnonzero(ratios == best)
-    sizes = size[cand]
-    cand = cand[sizes == sizes.min()]
-    mask = _lexicographic_best((int(c) for c in cand), range(n))
-    witness = _mask_vertices(mask, range(n))
+
+    def ratio(twice_edges, size, deg, qplus):
+        return (twice_edges - af * ((deg - twice_edges) + qplus)) / size
+
+    witness = _best_by_enumeration(graph, range(graph.vertex_count),
+                                   (graph.host_degree, potential.plus), ratio)
     return _kmin_certificate(graph, potential, af, witness)
 
 
@@ -368,34 +352,13 @@ def _cheeger_certificate(graph: Graph, potential: Potential,
 
 def _cheeger_bruteforce(graph: Graph, potential: Potential,
                         region: tuple[int, ...]) -> CheegerCertificate:
-    m = len(region)
-    if m > ENUMERATION_LIMIT:
-        raise ValueError(
-            f"region too large for enumeration ({m} > {ENUMERATION_LIMIT})")
-    pos = {x: i for i, x in enumerate(region)}
-    local_masks = []
-    for x in region:
-        mask = 0
-        for y in graph.neighbors(x):
-            if y in pos:
-                mask |= 1 << pos[y]
-        local_masks.append(mask)
-    tables = _subset_tables(local_masks, {
-        "deg": graph.host_degree[np.asarray(region)].astype(np.float64),
-        "q": potential.values[np.asarray(region)],
-    })
-    boundary = tables["deg"] - 2.0 * tables["edges"]
-    num = boundary + tables["q"]
-    den = tables["deg"] + tables["q"]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(den == 0.0, 0.0, num / den)
-    ratios[0] = np.inf
-    best = float(np.min(ratios))
-    cand = np.flatnonzero(ratios == best)
-    size = _popcount(cand.astype(np.uint64))
-    cand = cand[size == size.min()]
-    mask = _lexicographic_best((int(c) for c in cand), region)
-    witness = _mask_vertices(mask, region)
+    # the least quotient is the greatest negated one (negation is exact)
+    def minus_quotient(twice_edges, size, deg, q):
+        den = deg + q
+        return np.where(den == 0.0, 0.0, -((deg - twice_edges) + q) / den)
+
+    witness = _best_by_enumeration(
+        graph, region, (graph.host_degree, potential.values), minus_quotient)
     return _cheeger_certificate(graph, potential, witness, region)
 
 

@@ -166,6 +166,11 @@ def test_malformed_file(tmp_path):
     bad.write_text(json.dumps({"vertices": [{"id": "x"}],
                                "edges": [{"u": "x", "v": "zzz"}]}))
     assert run(["analyze", "sparsity", bad]) == 2
+    # a fractional host degree used to load truncated, and exit 0
+    bad.write_text(json.dumps({"vertices": [{"id": "x"},
+                                            {"id": "y", "host_degree": 2.7}],
+                               "edges": [{"u": "x", "v": "y"}]}))
+    assert run(["analyze", "spectrum", bad]) == 2
 
 
 def test_infeasible_family(tmp_path):

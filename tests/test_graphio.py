@@ -58,6 +58,22 @@ def test_parse_errors_are_positioned():
         document_to_graph({"vertices": [{"id": "x", "host_degree": 0},
                                         {"id": "y"}],
                            "edges": [{"u": "x", "v": "y"}]})
+    # numbers that would load as something else, or not at all
+    for bad in (2.7, True, "x", 2.0):
+        with pytest.raises(ValueError, match=r"vertices\[1\]: host_degree"):
+            document_to_graph({"vertices": [{"id": "x"},
+                                            {"id": "y", "host_degree": bad}],
+                               "edges": [{"u": "x", "v": "y"}]})
+    for bad in ("abc", float("nan"), float("inf"), None, True, 10 ** 400):
+        with pytest.raises(ValueError, match=r"vertices\[1\]: q"):
+            document_to_graph({"vertices": [{"id": "x"}, {"id": "y", "q": bad}],
+                               "edges": []})
+    for bad in (float("nan"), -float("inf"), "0.5"):
+        with pytest.raises(ValueError, match=r"edges\[1\]: theta"):
+            document_to_graph({"vertices": [{"id": "x"}, {"id": "y"},
+                                            {"id": "z"}],
+                               "edges": [{"u": "x", "v": "y", "theta": 0.5},
+                                         {"u": "y", "v": "z", "theta": bad}]})
 
 
 def test_digest_stability():

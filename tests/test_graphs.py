@@ -117,6 +117,9 @@ def test_phase_antisymmetry_checked():
         PhaseField.from_directed(g, {(0, 1): 0.5, (1, 0): 0.5})
     # equality mod 2*pi is accepted
     PhaseField.from_directed(g, {(0, 1): 0.5, (1, 0): 2 * np.pi - 0.5})
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            PhaseField(g, [0.0, bad])
 
 
 def test_phase_shift_and_negate():

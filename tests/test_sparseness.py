@@ -53,6 +53,8 @@ def test_kmin_cycle_any_a():
 def test_kmin_enumeration_guard():
     with pytest.raises(ValueError, match="enumeration"):
         kmin_bruteforce(cycle_graph(23), None, 0.0)
+    with pytest.raises(ValueError, match="enumeration"):
+        cheeger(cycle_graph(23), None, method="bruteforce")
 
 
 def test_kmin_oracle_agreement():
@@ -253,6 +255,11 @@ def test_bruteforce_tie_breaking():
     # all ratios tie at zero on an edgeless graph: the first singleton wins
     lone = kmin_bruteforce(Graph(3, []), None, 0.0)
     assert lone.witness == (0,)
+    # on a region with a gap, {1, 2}, {4, 5} and their union all have
+    # Cheeger ratio 1/2: the smaller, then lexicographically first wins
+    arc = cheeger(cycle_graph(8), None, (5, 4, 2, 1), method="bruteforce")
+    assert arc.ratio == 0.5
+    assert arc.witness == (1, 2)
 
 
 def test_oracle_agreement_with_host_deficits_and_negative_q():
