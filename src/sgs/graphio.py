@@ -29,6 +29,11 @@ __all__ = [
 ]
 
 
+# every integer up to 2**53 is an exact float, so host degrees and the
+# float degree sums of the subset enumerator stay exact below it
+_MAX_HOST_DEGREE = 2**53
+
+
 def canonical_json(obj: Any) -> str:
     """Stable serialization: sorted keys, two-space indent, LF endings."""
     return json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=True) + "\n"
@@ -91,6 +96,9 @@ def document_to_graph(doc: dict) -> tuple[Graph, Potential, PhaseField | None, l
         if hd is not None and (isinstance(hd, bool) or not isinstance(hd, int)):
             raise ValueError(f"{where}: host_degree must be an integer, "
                              f"got {hd!r}")
+        if hd is not None and hd > _MAX_HOST_DEGREE:
+            raise ValueError(f"{where}: host_degree {hd} too large "
+                             f"(limit 2**53)")
         host.append(hd)
     edges: list[tuple[int, int]] = []
     thetas: dict[tuple[int, int], float] = {}

@@ -15,10 +15,21 @@ vertices) and a production path.  The (a, 0) threshold has the
 production path only.  The production path of k_min, of the (a, 0)
 threshold and of the Cheeger constant is one driver, ``_dinkelbach``:
 Dinkelbach's ratio iteration with each linearized subproblem solved
-exactly by one minimum s-t cut (``_best_subset``).  All flow arithmetic
-is exact: float inputs are dyadic rationals and are converted losslessly
-to fractions, capacities are rescaled to integers, and the iteration
-terminates because the achievable ratios form a finite set.
+exactly by one minimum s-t cut.  The cut network of a (graph, region)
+is built once per call, and a step only recomputes its terminal
+capacities.  All flow arithmetic is exact: float inputs are dyadic
+rationals and are converted losslessly to fractions, capacities are
+rescaled to integers, and the iteration terminates because the
+achievable ratios form a finite set.
+
+Each cut goes through :func:`sgs.maxflow.min_cut`.  It runs scipy's
+compiled Dinic when the network has at least 512 arcs and fits int32
+(every capacity plus its reverse, the source total and the sink total
+at most 2**31 - 1, as for most networks of integer potentials) and the
+exact Python Dinic otherwise (as for the wide capacities of float
+potentials).  Both give the same witness: the vertices the source
+reaches in the residual graph of a maximum flow, which form the
+smallest minimum cut.
 """
 from __future__ import annotations
 
@@ -31,7 +42,7 @@ from typing import Sequence
 import numpy as np
 
 from .graphs import Graph, Potential, SubsetStats, subset_stats
-from .maxflow import Dinic
+from .maxflow import min_cut
 
 __all__ = [
     "SparsenessCertificate", "CheegerCertificate", "SparsityThreshold",
@@ -204,44 +215,6 @@ def _subset_counts(graph: Graph, q: tuple[list[int], int],
     return induced, degsum, Fraction(sum(qn[x] for x in members), qd)
 
 
-def _best_subset(graph: Graph, region: tuple[int, ...],
-                 q: tuple[list[int], int],
-                 linear: tuple[Fraction, ...]) -> tuple[int, ...]:
-    """Smallest W inside ``region`` maximizing
-    sum_{x in W} (alpha deg(x) + beta q(x) + gamma) - cost |dW|,
-    where ``linear`` is (alpha, beta, gamma, cost) and the boundary is
-    host-aware.
-
-    One minimum s-t cut on capacities scaled to integers: edges inside
-    the region are bidirected arcs of capacity ``cost``, and each
-    vertex's outside boundary (deficit plus edges leaving the region) is
-    netted into its terminal arc.  The vertices reachable from the
-    source in the residual graph form the smallest minimum cut, so the
-    result is empty exactly when no W beats the empty set.
-    """
-    qn, qd = q
-    alpha, beta, gamma, cost = linear
-    (da, dq, c, unit), _ = _scaled_ints([alpha, beta / qd, gamma, cost])
-    deg, deficit = graph.host_degree.tolist(), graph.deficit.tolist()
-    m = len(region)
-    pos = {x: i for i, x in enumerate(region)}
-    net = Dinic(m + 2)
-    s, t = m, m + 1
-    for i, x in enumerate(region):
-        outside = deficit[x] + sum(1 for y in graph.neighbors(x)
-                                   if y not in pos)
-        w = da * deg[x] + dq * qn[x] + c - unit * outside
-        if w > 0:
-            net.add_edge(s, i, w)
-        elif w < 0:
-            net.add_edge(i, t, -w)
-    for (u, v) in graph.edges:
-        if u in pos and v in pos:
-            net.add_edge(pos[u], pos[v], unit, unit)
-    net.max_flow(s, t)
-    return tuple(region[i] for i in net.min_cut_source_side(s) if i < m)
-
-
 def _dinkelbach(graph: Graph, region: tuple[int, ...],
                 q: tuple[list[int], int], ratio, linearized,
                 start: tuple[int, ...]
@@ -249,17 +222,53 @@ def _dinkelbach(graph: Graph, region: tuple[int, ...],
     """Maximize ``ratio`` over nonempty subsets of ``region`` (Dinkelbach).
 
     ``ratio(W)`` is exact, or None when it is infinite (which ends the
-    search).  ``linearized(r)`` gives the coefficients of
-    :func:`_best_subset` whose objective is positive exactly on the
-    subsets of ratio above r.  Returns the last improving subset and its
-    ratio; the achievable ratios are finite, so the ratio climbs to the
-    maximum in finitely many cuts.
+    search).  ``linearized(r)`` gives coefficients (alpha, beta, gamma,
+    cost) such that sum_{x in W} (alpha deg(x) + beta q(x) + gamma) -
+    cost |dW|, with the host-aware boundary, is positive exactly on the
+    subsets of ratio above r.  Each step finds the smallest W that
+    maximizes it by one minimum s-t cut on capacities scaled to integers
+    (:func:`sgs.maxflow.min_cut`, which picks scipy's int32 Dinic or the
+    exact Python one by network size and capacity width).  The network is built once per
+    call: edges inside the region are bidirected arcs of capacity
+    ``cost``, and each vertex's outside boundary (deficit plus edges
+    leaving the region) is netted into its terminal arc, so a step only
+    recomputes the terminal capacities.  The vertices the source reaches
+    in the residual graph form the smallest minimum cut, so the side is
+    empty exactly when no W beats the empty set.
+
+    Returns the last improving subset and its ratio; the achievable
+    ratios are finite, so the ratio climbs to the maximum in finitely
+    many cuts.
     """
+    qn, qd = q
+    m = len(region)
+    pos = {x: i for i, x in enumerate(region)}
+    deg, deficit = graph.host_degree.tolist(), graph.deficit.tolist()
+    terms = [(deg[x], qn[x], deficit[x] + sum(1 for y in graph.neighbors(x)
+                                              if y not in pos))
+             for x in region]
+    inner_tails, inner_heads = [], []
+    for (u, v) in graph.edges:
+        if u in pos and v in pos:
+            inner_tails += (pos[u], pos[v])
+            inner_heads += (pos[v], pos[u])
+    s, t = m, m + 1
     witness, r = start, ratio(start)
     for _ in range(_MAX_RATIO_ITERATIONS):
         if r is None:
             return witness, None
-        side = _best_subset(graph, region, q, linearized(r))
+        alpha, beta, gamma, cost = linearized(r)
+        (da, dq, c, unit), _ = _scaled_ints([alpha, beta / qd, gamma, cost])
+        tails, heads, caps = [], [], []
+        for i, (d, qx, outside) in enumerate(terms):
+            w = da * d + dq * qx + c - unit * outside
+            if w:
+                tails.append(s if w > 0 else i)
+                heads.append(i if w > 0 else t)
+                caps.append(abs(w))
+        side = tuple(region[i] for i in min_cut(
+            m + 2, tails + inner_tails, heads + inner_heads,
+            caps + [unit] * len(inner_tails), s, t) if i < m)
         if not side:
             return witness, r
         witness, new_r = side, ratio(side)

@@ -173,6 +173,17 @@ def test_malformed_file(tmp_path):
     assert run(["analyze", "spectrum", bad]) == 2
 
 
+def test_oversized_host_degree_exits_two(tmp_path, capsys):
+    # it used to escape as an OverflowError traceback with exit 1, the
+    # code of a failed verification
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"vertices": [{"id": "x"},
+                                            {"id": "y", "host_degree": 10**30}],
+                               "edges": [{"u": "x", "v": "y"}]}))
+    assert run(["analyze", "sparsity", bad]) == 2
+    assert "vertices[1]: host_degree" in capsys.readouterr().err
+
+
 def test_infeasible_family(tmp_path):
     assert run(["gen", "tree", "--beta", "3", "--gamma", "2", "--depth", 2,
                 "--out", tmp_path / "x.json"]) == 2

@@ -64,6 +64,17 @@ def test_parse_errors_are_positioned():
             document_to_graph({"vertices": [{"id": "x"},
                                             {"id": "y", "host_degree": bad}],
                                "edges": [{"u": "x", "v": "y"}]})
+    # above 2**53, where host degrees stop being exact floats; 10**30
+    # used to crash in Graph with an OverflowError
+    for big in (2 ** 53 + 1, 10 ** 30):
+        with pytest.raises(ValueError,
+                           match=r"vertices\[1\]: host_degree \d+ too large"):
+            document_to_graph({"vertices": [{"id": "x"},
+                                            {"id": "y", "host_degree": big}],
+                               "edges": [{"u": "x", "v": "y"}]})
+    graph = document_to_graph({"vertices": [{"id": "x", "host_degree": 2 ** 53}],
+                               "edges": []})[0]
+    assert graph.host_degree.tolist() == [2 ** 53]
     for bad in ("abc", float("nan"), float("inf"), None, True, 10 ** 400):
         with pytest.raises(ValueError, match=r"vertices\[1\]: q"):
             document_to_graph({"vertices": [{"id": "x"}, {"id": "y", "q": bad}],
