@@ -4,23 +4,17 @@ One entry point, :func:`min_cut`, takes a network as arc lists and
 returns the smallest minimum-cut source side: the nodes reachable from
 the source in the residual graph of a maximum flow.  That side is the
 same for every maximum flow, so it does not depend on the backend or on
-arc order.  There are two exact backends:
+arc order.  There are two exact paths, chosen by arc count alone:
 
-* scipy's compiled Dinic (``scipy.sparse.csgraph.maximum_flow``) runs
-  on an int32 matrix and keeps its flows and residual capacities in
-  int32.  It takes networks of at least ``_SCIPY_MIN_ARCS`` arcs in
-  which, after parallel arcs are summed, every capacity plus the
-  capacity of its reverse arc, the total capacity leaving the source
-  and the total entering the sink are all at most 2**31 - 1.  The
-  width rule is a correctness condition: scipy silently truncates
-  wider inputs (one arc of 2**40 gives flow 0), and the residual
-  ``c(u, v) - f(u, v)`` of an arc whose reverse carries flow can reach
-  ``c(u, v) + c(v, u)``, which wraps in int32 when that sum does not
-  fit.  The size rule only saves time.
+* networks of at least ``_SCIPY_MIN_ARCS`` arcs run on scipy's compiled
+  Dinic (``scipy.sparse.csgraph.maximum_flow``) in bit-scaling rounds
+  (:func:`_rounds_cut`), whatever their capacity width.  scipy keeps
+  capacities, flows and residuals in int32, so each round solves the
+  top 31 bits of the exact residual capacities and subtracts that flow
+  exactly; a network that fits int32 takes one round.
 * :class:`Dinic`, Dinic's blocking-flow algorithm over adjacency lists
-  with plain Python integers, takes every other network (such as the
-  rescaled rational capacities of float potentials), exactly and
-  without overflow checks.
+  with plain Python integers, takes the smaller networks, and the
+  residual of the rare round that makes no progress.
 """
 from __future__ import annotations
 
@@ -32,13 +26,22 @@ from scipy.sparse import csr_array
 
 __all__ = ["Dinic", "min_cut"]
 
-_INT32_MAX = 2**31 - 1
+# Width of the capacities one scipy round may see: scipy silently
+# truncates wider ones (one arc of 2**40 gives flow 0), and its int32
+# residual c(u, v) - f(u, v) reaches c(u, v) + c(v, u), which wraps
+# when that sum does not fit (it then returns less than the maximum
+# flow).  A round therefore keeps every capacity plus its reverse's,
+# the source total and the sink total below 2**_ROUND_BITS.
+_ROUND_BITS = 31
 # Below this many arcs the Python Dinic finishes before scipy's fixed
-# cost of about 1.5 ms per cut (matrix build, guard, residual search).
+# cost of about 1.5 ms per cut (matrix build, residual search).
 # Measured on the networks of the benchmark corpora (2-core x86-64,
 # scipy 1.17): the two times meet at 512-1023 arcs, and below 512 the
 # Python Dinic takes under 0.5 ms.
 _SCIPY_MIN_ARCS = 512
+# Capacities below this bound keep every sum of two exact in int64;
+# wider residuals stay Python integers.
+_INT64_SAFE = 2**62
 
 
 def min_cut(n: int, tails: Sequence[int], heads: Sequence[int],
@@ -48,43 +51,114 @@ def min_cut(n: int, tails: Sequence[int], heads: Sequence[int],
     integer capacity ``caps[i]``, in increasing node order.
 
     Parallel arcs add up, and an arc given in both directions is one
-    bidirected arc.
+    bidirected arc.  A node outside ``0 .. n-1``, ``s == t`` or a
+    negative capacity raises ``ValueError``.
     """
     if min(caps, default=0) < 0:
         raise ValueError("capacities must be non-negative")
-    matrix = None
+    for name, nodes in (("source", (s,)), ("sink", (t,)),
+                        ("arc tail", tails), ("arc head", heads)):
+        for node in (min(nodes, default=0), max(nodes, default=0)):
+            if not 0 <= node < n:
+                raise ValueError(f"{name} {node} is not a node (n = {n})")
+    if s == t:
+        raise ValueError(f"source and sink are the same node {s}")
     if len(caps) >= _SCIPY_MIN_ARCS:
-        matrix = _int32_matrix(n, tails, heads, caps, s, t)
-    if matrix is None:
-        return _dinic_cut(n, tails, heads, caps, s, t)[1]
-    return _scipy_cut(matrix, s, t)[1]
+        return _rounds_cut(n, tails, heads, caps, s, t)[1]
+    return _dinic_cut(n, tails, heads, caps, s, t)[1]
 
 
-def _int32_matrix(n: int, tails, heads, caps, s: int, t: int):
-    """The capacities as an int32 CSR matrix, or None when scipy's
-    int32 Dinic could not solve the network exactly (see the module
-    docstring)."""
-    if max(caps, default=0) > _INT32_MAX:
-        return None  # also keeps the int64 sums below exact
-    c = csr_array((np.asarray(caps, dtype=np.int64), (tails, heads)),
-                  shape=(n, n))
-    if (c.sum(axis=1)[s] > _INT32_MAX or c.sum(axis=0)[t] > _INT32_MAX
-            or (c + c.T).max() > _INT32_MAX):
-        return None
-    return c.astype(np.int32)
+def _rounds_cut(n: int, tails, heads, caps, s: int,
+                t: int) -> tuple[int, list[int]]:
+    """Flow value and smallest source side by scipy's Dinic in exact
+    bit-scaling rounds (Edmonds-Karp 1972; Gabow 1985).
 
+    The arcs and their reverses form one symmetric CSR pattern with
+    parallel arcs summed; ``r`` holds the exact residual capacities on
+    it, and ``U`` (``bound``) bounds the flow still missing, at first
+    the smaller of the source and sink totals.  Each round
 
-def _scipy_cut(matrix: csr_array, s: int, t: int) -> tuple[int, list[int]]:
-    """Flow value and smallest source side by scipy's Dinic; ``matrix``
-    as from :func:`_int32_matrix`."""
+    1. clamps ``r`` to ``U + 1``, which changes neither the maximum-flow
+       value nor any minimum cut: a cut through a clamped arc exceeds
+       the missing flow;
+    2. takes ``shift`` so that, after ``r >> shift``, every capacity
+       plus its reverse's, the source total and the sink total are below
+       ``2**_ROUND_BITS`` (scipy's width rule, see above);
+    3. runs scipy on ``r >> shift``, a network whose flows are feasible
+       in ``r``, and subtracts that flow times ``2**shift`` from ``r``;
+    4. sets ``U`` to the exact residual capacity of the cut whose source
+       side ``S`` is what the source reaches in the scaled residual.
+
+    The round with ``shift == 0`` solves the exact residual, so ``S`` is
+    the witness (the residual graph of ``r`` and the scaled one then
+    coincide) and the loop ends.  Why it ends: the arcs leaving ``S``
+    are saturated in the scaled network, so in ``r`` each keeps less
+    than ``2**shift``, and the new ``U`` is below ``|arcs leaving S| *
+    2**shift``.  Here ``2**shift`` is at most ``2**(1 - _ROUND_BITS)``
+    times the width, which after the clamp is at most ``max(2, n) *
+    (U + 1)``.  ``U`` is a non-negative integer, and a round that fails
+    to lower it hands the residual to the exact Python :class:`Dinic`
+    instead, so the loop ends after finitely many rounds (2-6 on the
+    55-119-bit networks of the benchmark corpora, one for a network
+    that fits int32).
+    """
     # imported on first use: a process whose networks all stay below
     # _SCIPY_MIN_ARCS never loads scipy's graph routines (about 1 MB)
     from scipy.sparse.csgraph import breadth_first_order, maximum_flow
-    result = maximum_flow(matrix, s, t, method="dinic")
-    residual = (matrix - result.flow) > 0
-    side = breadth_first_order(residual, s, directed=True,
-                               return_predecessors=False)
-    return int(result.flow_value), sorted(side.tolist())
+    tail, head = np.asarray(tails, np.int64), np.asarray(heads, np.int64)
+    keys = tail * n + head
+    pattern = np.sort(np.concatenate((keys, head * n + tail)))
+    pattern = pattern[np.concatenate(([True], pattern[1:] != pattern[:-1]))]
+    rows, cols = np.divmod(pattern, n)
+    indptr = np.searchsorted(rows, np.arange(n + 1))
+    rev = np.argsort(cols * n + rows, kind="stable")  # pattern[rev] reversed
+    source_out = np.arange(indptr[s], indptr[s + 1])
+    sink_in = rev[indptr[t]:indptr[t + 1]]
+    wide = sum(caps) >= _INT64_SAFE
+    r = np.zeros(len(pattern), dtype=object if wide else np.int64)
+    np.add.at(r, np.searchsorted(pattern, keys),
+              np.array(caps, dtype=r.dtype))
+    bound = min(_total(r[source_out]), _total(r[sink_in]))
+    flow = 0
+    while True:
+        r = np.minimum(r, bound + 1)
+        if bound + 1 < _INT64_SAFE:
+            r = r.astype(np.int64, copy=False)
+        width = max(int((r + r[rev]).max()), _total(r[source_out]),
+                    _total(r[sink_in]))
+        shift = max(0, width.bit_length() - _ROUND_BITS)
+        scaled = (r >> shift).astype(np.int32)
+        result = maximum_flow(csr_array((scaled, cols, indptr), shape=(n, n)),
+                              s, t, method="dinic")
+        flow += int(result.flow_value) << shift
+        # align by (row, col): the flow's sparsity pattern is scipy's
+        f = result.flow
+        f_rows = np.repeat(np.arange(n), np.diff(f.indptr))
+        moved = np.zeros(len(pattern), dtype=np.int64)
+        moved[np.searchsorted(pattern, f_rows * n + f.indices)] = f.data
+        r = r - (moved.astype(r.dtype) << shift)
+        # csgraph treats explicit zeros as arcs: keep only residual > 0
+        keep = scaled > moved
+        kept = np.concatenate(([0], np.cumsum(keep)))[indptr]
+        residual = csr_array((np.ones(kept[-1], np.int8), cols[keep], kept),
+                             shape=(n, n))
+        side = np.zeros(n, dtype=bool)
+        side[breadth_first_order(residual, s, directed=True,
+                                 return_predecessors=False)] = True
+        if shift == 0:
+            return flow, np.flatnonzero(side).tolist()
+        left = _total(r[side[rows] & ~side[cols]])
+        if left >= bound:
+            rest, witness = _dinic_cut(n, rows.tolist(), cols.tolist(),
+                                       r.tolist(), s, t)
+            return flow + rest, witness
+        bound = left
+
+
+def _total(x: np.ndarray) -> int:
+    """Exact sum of non-negative int64 entries below ``_INT64_SAFE``
+    (or of Python integers) in 31-bit halves, which cannot overflow."""
+    return (int((x >> 31).sum()) << 31) + int((x & 0x7FFFFFFF).sum())
 
 
 def _dinic_cut(n: int, tails, heads, caps, s: int,

@@ -22,14 +22,13 @@ rationals and are converted losslessly to fractions, capacities are
 rescaled to integers, and the iteration terminates because the
 achievable ratios form a finite set.
 
-Each cut goes through :func:`sgs.maxflow.min_cut`.  It runs scipy's
-compiled Dinic when the network has at least 512 arcs and fits int32
-(every capacity plus its reverse, the source total and the sink total
-at most 2**31 - 1, as for most networks of integer potentials) and the
-exact Python Dinic otherwise (as for the wide capacities of float
-potentials).  Both give the same witness: the vertices the source
-reaches in the residual graph of a maximum flow, which form the
-smallest minimum cut.
+Each cut goes through :func:`sgs.maxflow.min_cut`.  Networks of at
+least 512 arcs run on scipy's compiled Dinic in exact bit-scaling
+rounds, one round when the capacities fit int32 (as for most networks
+of integer potentials) and a few for the wide capacities of float
+potentials; smaller networks run on the exact Python Dinic.  Both give
+the same witness: the vertices the source reaches in the residual graph
+of a maximum flow, which form the smallest minimum cut.
 """
 from __future__ import annotations
 
@@ -110,7 +109,9 @@ def _scaled_ints(values: Sequence[Fraction]) -> tuple[list[int], int]:
 
 def _exact_potential(values: np.ndarray) -> tuple[list[int], int]:
     """Per-vertex numerators over one common denominator (exact)."""
-    return _scaled_ints([Fraction(v) for v in values.tolist()])
+    ratios = [v.as_integer_ratio() for v in values.tolist()]
+    den = lcm(*(d for _, d in ratios))
+    return [p * (den // d) for p, d in ratios], den
 
 
 def _float(x: Fraction) -> float:
@@ -227,14 +228,15 @@ def _dinkelbach(graph: Graph, region: tuple[int, ...],
     cost |dW|, with the host-aware boundary, is positive exactly on the
     subsets of ratio above r.  Each step finds the smallest W that
     maximizes it by one minimum s-t cut on capacities scaled to integers
-    (:func:`sgs.maxflow.min_cut`, which picks scipy's int32 Dinic or the
-    exact Python one by network size and capacity width).  The network is built once per
-    call: edges inside the region are bidirected arcs of capacity
-    ``cost``, and each vertex's outside boundary (deficit plus edges
-    leaving the region) is netted into its terminal arc, so a step only
-    recomputes the terminal capacities.  The vertices the source reaches
-    in the residual graph form the smallest minimum cut, so the side is
-    empty exactly when no W beats the empty set.
+    (:func:`sgs.maxflow.min_cut`, which picks scipy's Dinic in exact
+    bit-scaling rounds or the Python one by network size, whatever the
+    capacity width).  The network is built once per call: edges inside
+    the region are bidirected arcs of capacity ``cost``, and each
+    vertex's outside boundary (deficit plus edges leaving the region) is
+    netted into its terminal arc, so a step only recomputes the terminal
+    capacities.  The vertices the source reaches in the residual graph
+    form the smallest minimum cut, so the side is empty exactly when no
+    W beats the empty set.
 
     Returns the last improving subset and its ratio; the achievable
     ratios are finite, so the ratio climbs to the maximum in finitely

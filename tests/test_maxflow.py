@@ -104,22 +104,37 @@ def _smallest_min_cut_side(n, tails, heads, caps):
     return sorted(set.intersection(*sides))
 
 
+def _spy_scipy(monkeypatch):
+    """Record every matrix min_cut hands to scipy's maximum_flow."""
+    import scipy.sparse.csgraph as csgraph
+    solved = []
+    maximum_flow = csgraph.maximum_flow
+
+    def spy(matrix, s, t, method):
+        solved.append(matrix)
+        return maximum_flow(matrix, s, t, method=method)
+
+    monkeypatch.setattr(csgraph, "maximum_flow", spy)
+    return solved
+
+
 @pytest.mark.parametrize("kind, narrow", [
     ("small", True), ("int32_max", True),
     ("wide_source", False), ("wide_arc", False), ("wide_pair", False)])
 def test_min_cut_backends_agree_across_int32_cutover(monkeypatch, kind,
                                                      narrow):
-    solved = []
+    solved = _spy_scipy(monkeypatch)
+    rounds_cut = maxflow._rounds_cut
+    compiled = []
 
-    def spy(matrix, s, t):
-        solved.append(matrix)
-        return scipy_cut(matrix, s, t)
+    def spy(*args):
+        compiled.append(args)
+        return rounds_cut(*args)
 
-    scipy_cut = maxflow._scipy_cut
-    monkeypatch.setattr(maxflow, "_scipy_cut", spy)
+    monkeypatch.setattr(maxflow, "_rounds_cut", spy)
     rng = np.random.default_rng(sum(map(ord, kind)))
     # 4-8 nodes are checked against enumeration; 170-230 nodes give
-    # enough arcs for min_cut to consider scipy at all
+    # enough arcs for min_cut to take the compiled path
     for n in [*rng.integers(4, 9, 20), *rng.integers(170, 231, 5)]:
         n = int(n)
         tails, heads, caps = _network(rng, kind, n)
@@ -128,17 +143,88 @@ def test_min_cut_backends_agree_across_int32_cutover(monkeypatch, kind,
         assert _cut_value(tails, heads, caps, side) == flow
         if n < 9:
             assert side == _smallest_min_cut_side(n, tails, heads, caps)
-        matrix = maxflow._int32_matrix(n, tails, heads, caps, s, t)
-        assert (matrix is not None) == narrow
-        if narrow:
-            assert scipy_cut(matrix, s, t) == (flow, side)
         del solved[:]
+        assert rounds_cut(n, tails, heads, caps, s, t) == (flow, side)
+        if narrow:  # a network that fits int32 takes one round
+            assert len(solved) == 1
+        del compiled[:]
         assert min_cut(n, tails, heads, caps, s, t) == side
         large = len(caps) >= maxflow._SCIPY_MIN_ARCS
-        assert len(solved) == (narrow and large)
+        assert len(compiled) == large
         assert large == (n > 8)
 
 
+def _star(k, source_cap, sink_cap):
+    """Source 0, sink k + 1, and k paths 0 -> i -> k + 1."""
+    tails = [0] * k + list(range(1, k + 1))
+    heads = list(range(1, k + 1)) + [k + 1] * k
+    return k + 2, tails, heads, [source_cap] * k + [sink_cap] * k
+
+
+def test_rounds_cut_at_narrow_width(monkeypatch):
+    """The rounds at a width of 8 bits: 4-8-node networks take several
+    rounds, every scaled network obeys the width rule, and each side is
+    the smallest minimum cut."""
+    bits = 8
+    monkeypatch.setattr(maxflow, "_ROUND_BITS", bits)
+    solved = _spy_scipy(monkeypatch)
+    dinic_cut = maxflow._dinic_cut
+    handed_off = []
+
+    def spy(*args):
+        handed_off.append(args)
+        return dinic_cut(*args)
+
+    monkeypatch.setattr(maxflow, "_dinic_cut", spy)
+
+    def check(n, tails, heads, caps):
+        del solved[:], handed_off[:]
+        got = maxflow._rounds_cut(n, tails, heads, caps, 0, n - 1)
+        assert got == dinic_cut(n, tails, heads, caps, 0, n - 1)
+        assert got[1] == _smallest_min_cut_side(n, tails, heads, caps)
+        for matrix in solved:
+            c = matrix.toarray().astype(np.int64)
+            assert (c + c.T).max() < 2**bits
+            assert c[0].sum() < 2**bits and c[:, n - 1].sum() < 2**bits
+        return len(solved), len(handed_off)
+
+    rounds = []
+    for kind in ("small", "int32_max", "wide_source", "wide_arc",
+                 "wide_pair"):
+        rng = np.random.default_rng(sum(map(ord, kind)))
+        for n in rng.integers(4, 9, 20):
+            rounds.append(check(int(n), *_network(rng, kind, int(n)))[0])
+    assert max(rounds) >= 4
+    # the clamp: an arc of 2**60 that no minimum cut crosses leaves the
+    # width, and so the single round, to the flow of at most 5
+    assert check(*_star(1, 2**60, 5)) == (1, 0)
+    # a bidirected pair of 2**21 each way, clamped to 2**20 + 1: the
+    # pair, not the single capacities or the totals, sets the width
+    x = 2**20
+    assert check(4, [0, 1, 2, 2], [1, 2, 1, 3], [x, 2 * x, 2 * x, x]) == (2, 0)
+    # 12 saturated paths: the clamped source total is 12 * (12c + 1),
+    # the shifted sink arcs are 0, the first round moves no flow and
+    # the residual goes to Dinic
+    c = 2**20 - 1
+    assert check(*_star(12, 2**40, c)) == (1, 1)
+
+
 def test_min_cut_rejects_negative_capacity():
-    with pytest.raises(ValueError, match="non-negative"):
-        min_cut(3, [0, 1], [1, 2], [4, -1], 0, 2)
+    # and every other malformed input, with one ValueError that names
+    # the bad node before either path runs (600 arcs take the compiled
+    # path, where scipy would raise its own errors)
+    many = [0] * 599
+    cases = [
+        ((3, [0, 1], [1, 2], [4, -1], 0, 2), "non-negative"),
+        ((3, [0, 1], [1, 2], [4, 1], 1, 1), "source and sink .* node 1$"),
+        ((3, [0, 1], [1, 2], [4, 1], 0, 3), "^sink 3 is not a node"),
+        ((3, [0, 1], [1, 2], [4, 1], -1, 2), "^source -1 is not a node"),
+        ((3, [0, 5], [1, 2], [4, 1], 0, 2), "^arc tail 5 is not a node"),
+        ((2, many + [0], many + [2], [1] * 600, 0, 1),
+         "^arc head 2 is not a node"),
+        ((2, many + [-2], many + [1], [1] * 600, 0, 1),
+         "^arc tail -2 is not a node"),
+    ]
+    for args, message in cases:
+        with pytest.raises(ValueError, match=message):
+            min_cut(*args)

@@ -339,3 +339,58 @@ def test_flow_witnesses_are_pinned():
         assert amin_zero_k(g, pot).witness == amin
         assert cheeger(g, pot, region, method="flow").witness == cheeger_w
     assert inner == tuple(range(22))
+
+
+def test_exact_potential_matches_fractions():
+    from sgs.sparseness import _exact_potential, _scaled_ints
+    rng = np.random.default_rng(43)
+    cases = [np.zeros(9), np.array([3.0, -2.0, 0.0, 7.0]),
+             np.array([3, -2, 0, 7]), np.array([0.1, 0.0]),
+             np.array([-0.0, 0.0, 1.0]), np.array([5e-324, 2.0]),
+             np.array([1e300, 0.5]), rng.uniform(0.0, 3.0, 500)]
+    for values in cases:
+        fractions = [Fraction(v) for v in values.tolist()]
+        assert _exact_potential(values) == _scaled_ints(fractions)
+
+
+def test_compiled_cuts_match_dinic_on_wide_capacities(monkeypatch):
+    # float q gives 55-119-bit capacities; on networks of at least 512
+    # arcs min_cut solves them in several scipy rounds, and the
+    # certificates must equal those of a run where every cut is Dinic's
+    import scipy.sparse.csgraph as csgraph
+
+    from sgs import grid_graph, maxflow
+    rng = np.random.default_rng(47)
+    cases = []
+    for g in (grid_graph(16), regular_tree_ball(3, 6)):
+        top = g.internal_degree.max()
+        inner = tuple(x for x in range(g.vertex_count)
+                      if g.internal_degree[x] == top)
+        cases.append((g, Potential(rng.uniform(0.0, 3.0, g.vertex_count)),
+                      inner))
+
+    def certificates():
+        out = []
+        for g, q, inner in cases:
+            for a in (0, Fraction(1, 2), 2):
+                cert = kmin_flow(g, q, a)
+                out.append((cert.witness, repr(cert.ratio)))
+            threshold = amin_zero_k(g, q)
+            out.append((threshold.witness, repr(threshold.value)))
+            cert = cheeger(g, q, inner, method="flow")
+            out.append((cert.witness, repr(cert.ratio)))
+        return out
+
+    cuts, rounds = [], []
+    rounds_cut, maximum_flow = maxflow._rounds_cut, csgraph.maximum_flow
+    monkeypatch.setattr(maxflow, "_rounds_cut",
+                        lambda *a: cuts.append(a) or rounds_cut(*a))
+    monkeypatch.setattr(csgraph, "maximum_flow",
+                        lambda *a, **k: rounds.append(a) or
+                        maximum_flow(*a, **k))
+    compiled = certificates()
+    assert len(cuts) >= 10 and len(rounds) > 2 * len(cuts)
+    monkeypatch.setattr(maxflow, "_SCIPY_MIN_ARCS", 10**9)
+    del cuts[:]
+    assert certificates() == compiled
+    assert not cuts
