@@ -9,13 +9,17 @@ with unique string ids, optional host degrees (defaulting to the
 internal degree), and optional antisymmetric edge phases stored for the
 written (u, v) orientation.  Vertices map to dense indices in file
 order; saving normalizes key order and float formatting, after which
-load/save round-trips are byte-stable.
+load/save round-trips are byte-stable.  The saved text is
+``canonical_json`` of ``graph_to_document``, byte for byte, but written
+directly from the graph's arrays, and :func:`graph_digest` hashes the
+same text.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 import numpy as np
@@ -39,14 +43,19 @@ def canonical_json(obj: Any) -> str:
     return json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=True) + "\n"
 
 
+def _vertex_ids(ids: list[str] | None, n: int) -> list[str]:
+    if ids is None:
+        return [str(i) for i in range(n)]
+    if len(ids) != n or len(set(ids)) != n:
+        raise ValueError("ids must be unique, one per vertex")
+    return ids
+
+
 def graph_to_document(graph: Graph, potential: Potential | None = None,
                       phase: PhaseField | None = None,
                       ids: list[str] | None = None) -> dict:
     n = graph.vertex_count
-    if ids is None:
-        ids = [str(i) for i in range(n)]
-    if len(ids) != n or len(set(ids)) != n:
-        raise ValueError("ids must be unique, one per vertex")
+    ids = _vertex_ids(ids, n)
     q = potential.values if potential is not None else np.zeros(n)
     vertices = []
     for x in range(n):
@@ -142,12 +151,36 @@ def document_to_graph(doc: dict) -> tuple[Graph, Potential, PhaseField | None, l
     return graph, potential, phase, ids
 
 
+def _graph_text(graph: Graph, potential: Potential | None,
+                phase: PhaseField | None, ids: list[str] | None) -> str:
+    """``canonical_json(graph_to_document(...))``, written directly: the
+    same keys in sorted order, ``encode_basestring_ascii`` for strings
+    and ``repr`` for the (finite) floats, as ``json.dumps`` writes them."""
+    n = graph.vertex_count
+    names = [encode_basestring_ascii(i) for i in _vertex_ids(ids, n)]
+    q = potential.values.tolist() if potential is not None else [0.0] * n
+    vertices = [
+        "    {\n"
+        + (f'      "host_degree": {h},\n' if h != d else "")
+        + f'      "id": {name},\n      "q": {x!r}\n    }}'
+        for name, x, h, d in zip(names, q, graph.host_degree.tolist(),
+                                 graph.internal_degree.tolist())]
+    thetas = ([f'      "theta": {x!r},\n' for x in phase.values.tolist()]
+              if phase is not None else [""] * graph.edge_count)
+    edges = [f'    {{\n{theta}      "u": {names[u]},\n'
+             f'      "v": {names[v]}\n    }}'
+             for theta, (u, v) in zip(thetas, graph.edges)]
+    edge_list = "[\n" + ",\n".join(edges) + "\n  ]" if edges else "[]"
+    return ('{\n  "edges": ' + edge_list + ',\n  "vertices": [\n'
+            + ",\n".join(vertices) + "\n  ]\n}\n")
+
+
 def save_graph(path, graph: Graph, potential: Potential | None = None,
                phase: PhaseField | None = None,
                ids: list[str] | None = None) -> None:
-    doc = graph_to_document(graph, potential, phase, ids)
+    text = _graph_text(graph, potential, phase, ids)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(canonical_json(doc))
+        fh.write(text)
 
 
 def load_graph(path) -> tuple[Graph, Potential, PhaseField | None, list[str]]:
@@ -159,7 +192,7 @@ def load_graph(path) -> tuple[Graph, Potential, PhaseField | None, list[str]]:
 def graph_digest(graph: Graph, potential: Potential | None = None,
                  phase: PhaseField | None = None,
                  ids: list[str] | None = None) -> str:
-    text = canonical_json(graph_to_document(graph, potential, phase, ids))
+    text = _graph_text(graph, potential, phase, ids)
     return hashlib.sha256(text.encode()).hexdigest()
 
 

@@ -89,9 +89,20 @@ class Graph:
         if host_degree is None:
             host = deg.copy()
         else:
-            host = np.asarray(list(host_degree), dtype=np.int64)
-            if host.shape != (n,):
+            values = list(host_degree)
+            if len(values) != n:
                 raise ValueError("host_degree must have one entry per vertex")
+            host = np.asarray(values)
+            if host.dtype.kind not in "iu":  # floats, or Python ints past int64
+                for x, h in enumerate(values):
+                    integral = isinstance(h, (int, np.integer)) or (
+                        isinstance(h, (float, np.floating))
+                        and float(h).is_integer())
+                    if not integral:
+                        raise ValueError(f"host degree at vertex {x} is not "
+                                         f"an integer: {h!r}")
+                host = np.array([int(h) for h in values])
+            host = host.astype(np.int64)
         deficit = host - deg
         bad = np.flatnonzero(deficit < 0)
         if bad.size:
@@ -300,7 +311,8 @@ def subset_stats(graph: Graph, potential: Potential | None,
             if y > x and y in members:
                 induced += 1
     idx = np.fromiter(members, dtype=np.int64)
-    degree_sum = int(graph.host_degree[idx].sum())
+    # Python integers: host degrees reach 2**53, so an int64 sum can wrap
+    degree_sum = sum(graph.host_degree[idx].tolist())
     boundary = degree_sum - 2 * induced
     if potential is None:
         q_sum = q_plus = 0.0

@@ -1,17 +1,21 @@
 """Exact maximum flow / minimum cut on integer capacities.
 
-One entry point, :func:`min_cut`, takes a network as arc lists and
-returns the smallest minimum-cut source side: the nodes reachable from
-the source in the residual graph of a maximum flow.  That side is the
-same for every maximum flow, so it does not depend on the backend or on
-arc order.  There are two exact paths, chosen by arc count alone:
+A network is built once by :func:`cut_network` from its arc lists, and
+:func:`min_cut` solves it for one capacity vector, so a family of cuts
+that differ only in their capacities (the Dinkelbach steps of
+:mod:`sgs.sparseness`) shares one build.  :func:`min_cut` returns the
+smallest minimum-cut source side: the nodes reachable from the source in
+the residual graph of a maximum flow.  That side is the same for every
+maximum flow, so it does not depend on the backend or on arc order.
+There are two exact paths, chosen by the number of arcs of nonzero
+capacity alone:
 
-* networks of at least ``_SCIPY_MIN_ARCS`` arcs run on scipy's compiled
-  Dinic (``scipy.sparse.csgraph.maximum_flow``) in bit-scaling rounds
-  (:func:`_rounds_cut`), whatever their capacity width.  scipy keeps
-  capacities, flows and residuals in int32, so each round solves the
-  top 31 bits of the exact residual capacities and subtracts that flow
-  exactly; a network that fits int32 takes one round.
+* networks of at least ``_SCIPY_MIN_ARCS`` such arcs run on scipy's
+  compiled Dinic (``scipy.sparse.csgraph.maximum_flow``) in bit-scaling
+  rounds (:func:`_rounds_cut`), whatever their capacity width.  scipy
+  keeps capacities, flows and residuals in int32, so each round solves
+  the top 31 bits of the exact residual capacities and subtracts that
+  flow exactly; a network that fits int32 takes one round.
 * :class:`Dinic`, Dinic's blocking-flow algorithm over adjacency lists
   with plain Python integers, takes the smaller networks, and the
   residual of the rare round that makes no progress.
@@ -19,12 +23,12 @@ arc order.  There are two exact paths, chosen by arc count alone:
 from __future__ import annotations
 
 from collections import deque
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.sparse import csr_array
 
-__all__ = ["Dinic", "min_cut"]
+__all__ = ["CutNetwork", "Dinic", "cut_network", "min_cut"]
 
 # Width of the capacities one scipy round may see: scipy silently
 # truncates wider ones (one arc of 2**40 gives flow 0), and its int32
@@ -33,50 +37,127 @@ __all__ = ["Dinic", "min_cut"]
 # flow).  A round therefore keeps every capacity plus its reverse's,
 # the source total and the sink total below 2**_ROUND_BITS.
 _ROUND_BITS = 31
-# Below this many arcs the Python Dinic finishes before scipy's fixed
-# cost of about 1.5 ms per cut (matrix build, residual search).
-# Measured on the networks of the benchmark corpora (2-core x86-64,
-# scipy 1.17): the two times meet at 512-1023 arcs, and below 512 the
-# Python Dinic takes under 0.5 ms.
+# Below this many arcs of nonzero capacity the Python Dinic finishes
+# before scipy's fixed cost of about 1.5 ms per cut (matrix build,
+# residual search).  Measured on the networks of the benchmark corpora
+# (2-core x86-64, scipy 1.17): the two times meet at 512-1023 arcs, and
+# below 512 the Python Dinic takes under 0.5 ms.
 _SCIPY_MIN_ARCS = 512
 # Capacities below this bound keep every sum of two exact in int64;
 # wider residuals stay Python integers.
 _INT64_SAFE = 2**62
 
 
-def min_cut(n: int, tails: Sequence[int], heads: Sequence[int],
-            caps: Sequence[int], s: int, t: int) -> list[int]:
-    """Smallest minimum s-t cut source side of a network on nodes
-    ``0 .. n-1`` with arcs ``tails[i] -> heads[i]`` of non-negative
-    integer capacity ``caps[i]``, in increasing node order.
+class CutNetwork(NamedTuple):
+    """The arcs ``tails[i] -> heads[i]`` of a network on nodes ``0 ..
+    n-1`` with source ``s`` and sink ``t``, and their CSR ``pattern``
+    when the network is large enough to reach scipy."""
+    n: int
+    s: int
+    t: int
+    tails: np.ndarray
+    heads: np.ndarray
+    pattern: "_Pattern | None"
 
-    Parallel arcs add up, and an arc given in both directions is one
-    bidirected arc.  A node outside ``0 .. n-1``, ``s == t`` or a
-    negative capacity raises ``ValueError``.
+
+class _Pattern(NamedTuple):
+    """The symmetric CSR pattern of a network: every arc and its reverse
+    once, in (tail, head) order.
+
+    ``indptr`` and ``indices`` are int32, as scipy takes them, ``rows``
+    holds the tail of each entry, ``rev`` the entry of each entry's
+    reverse and ``slot`` the entry of each arc; parallel arcs share one,
+    and ``parallel`` says whether any do.  ``source_out`` and
+    ``sink_in`` are the entries of the arcs leaving the source and
+    entering the sink.
     """
-    if min(caps, default=0) < 0:
-        raise ValueError("capacities must be non-negative")
-    for name, nodes in (("source", (s,)), ("sink", (t,)),
-                        ("arc tail", tails), ("arc head", heads)):
-        for node in (min(nodes, default=0), max(nodes, default=0)):
+    slot: np.ndarray
+    parallel: bool
+    indptr: np.ndarray
+    indices: np.ndarray
+    rows: np.ndarray
+    rev: np.ndarray
+    source_out: np.ndarray
+    sink_in: np.ndarray
+
+
+def cut_network(n: int, tails: Sequence[int], heads: Sequence[int],
+                s: int, t: int) -> CutNetwork:
+    """The network on nodes ``0 .. n-1`` with arcs ``tails[i] ->
+    heads[i]``, source ``s`` and sink ``t``.
+
+    Its CSR pattern is built here when it has at least
+    ``_SCIPY_MIN_ARCS`` arcs; a smaller network always runs on the
+    Python :class:`Dinic`.  A node outside ``0 .. n-1`` or ``s == t``
+    raises ``ValueError``.
+    """
+    tail = np.asarray(tails, dtype=np.int64)
+    head = np.asarray(heads, dtype=np.int64)
+    for name, node in (("source", s), ("sink", t)):
+        if not 0 <= node < n:
+            raise ValueError(f"{name} {node} is not a node (n = {n})")
+    for name, nodes in (("arc tail", tail), ("arc head", head)):
+        for node in (nodes.min(), nodes.max()) if len(nodes) else ():
             if not 0 <= node < n:
                 raise ValueError(f"{name} {node} is not a node (n = {n})")
     if s == t:
         raise ValueError(f"source and sink are the same node {s}")
-    if len(caps) >= _SCIPY_MIN_ARCS:
-        return _rounds_cut(n, tails, heads, caps, s, t)[1]
-    return _dinic_cut(n, tails, heads, caps, s, t)[1]
+    pattern = (_pattern(n, tail, head, s, t)
+               if len(tail) >= _SCIPY_MIN_ARCS else None)
+    return CutNetwork(n, s, t, tail, head, pattern)
 
 
-def _rounds_cut(n: int, tails, heads, caps, s: int,
-                t: int) -> tuple[int, list[int]]:
+def _pattern(n: int, tail: np.ndarray, head: np.ndarray, s: int,
+             t: int) -> _Pattern:
+    keys = tail * n + head
+    pattern = np.sort(np.concatenate((keys, head * n + tail)))
+    pattern = pattern[np.concatenate(([True], pattern[1:] != pattern[:-1]))]
+    rows, cols = np.divmod(pattern, n)
+    indptr = np.searchsorted(rows, np.arange(n + 1))
+    slot = np.searchsorted(pattern, keys)
+    rev = np.argsort(cols * n + rows, kind="stable")  # pattern[rev] reversed
+    return _Pattern(slot, np.bincount(slot).max(initial=0) > 1,
+                    indptr.astype(np.int32), cols.astype(np.int32),
+                    rows.astype(np.int32), rev,
+                    np.arange(indptr[s], indptr[s + 1]),
+                    rev[indptr[t]:indptr[t + 1]])
+
+
+def min_cut(network: CutNetwork, caps: Sequence[int]) -> list[int]:
+    """Smallest minimum s-t cut source side of ``network`` when arc
+    ``i`` has the non-negative integer capacity ``caps[i]``, in
+    increasing node order.
+
+    Parallel arcs add up, and an arc given in both directions is one
+    bidirected arc.  A negative capacity, or a capacity count other
+    than the arc count, raises ``ValueError``.
+    """
+    caps = np.asarray(caps)
+    if caps.dtype != np.int64:
+        caps = caps.astype(object)  # Python integers of any width
+    if len(caps) != len(network.tails):
+        raise ValueError(f"{len(caps)} capacities for "
+                         f"{len(network.tails)} arcs")
+    if len(caps) and caps.min() < 0:
+        raise ValueError("capacities must be non-negative")
+    used = np.flatnonzero(caps)
+    if len(used) >= _SCIPY_MIN_ARCS:
+        return _rounds_cut(network, caps)[1]
+    return _dinic_cut(network.n, network.tails[used].tolist(),
+                      network.heads[used].tolist(), caps[used].tolist(),
+                      network.s, network.t)[1]
+
+
+def _rounds_cut(network: CutNetwork,
+                caps: np.ndarray) -> tuple[int, list[int]]:
     """Flow value and smallest source side by scipy's Dinic in exact
     bit-scaling rounds (Edmonds-Karp 1972; Gabow 1985).
 
-    The arcs and their reverses form one symmetric CSR pattern with
-    parallel arcs summed; ``r`` holds the exact residual capacities on
-    it, and ``U`` (``bound``) bounds the flow still missing, at first
-    the smaller of the source and sink totals.  Each round
+    ``caps`` is an int64 or object array of non-negative capacities, one
+    per arc.  ``r`` holds the exact residual capacities on the network's
+    symmetric pattern, and ``U`` (``bound``) bounds the flow still
+    missing, at first the smaller of the source and sink totals.  Each
+    round
 
     1. clamps ``r`` to ``U + 1``, which changes neither the maximum-flow
        value nor any minimum cut: a cut through a clamped arc exceeds
@@ -105,19 +186,19 @@ def _rounds_cut(n: int, tails, heads, caps, s: int,
     # imported on first use: a process whose networks all stay below
     # _SCIPY_MIN_ARCS never loads scipy's graph routines (about 1 MB)
     from scipy.sparse.csgraph import breadth_first_order, maximum_flow
-    tail, head = np.asarray(tails, np.int64), np.asarray(heads, np.int64)
-    keys = tail * n + head
-    pattern = np.sort(np.concatenate((keys, head * n + tail)))
-    pattern = pattern[np.concatenate(([True], pattern[1:] != pattern[:-1]))]
-    rows, cols = np.divmod(pattern, n)
-    indptr = np.searchsorted(rows, np.arange(n + 1))
-    rev = np.argsort(cols * n + rows, kind="stable")  # pattern[rev] reversed
-    source_out = np.arange(indptr[s], indptr[s + 1])
-    sink_in = rev[indptr[t]:indptr[t + 1]]
-    wide = sum(caps) >= _INT64_SAFE
-    r = np.zeros(len(pattern), dtype=object if wide else np.int64)
-    np.add.at(r, np.searchsorted(pattern, keys),
-              np.array(caps, dtype=r.dtype))
+    n, s, t = network.n, network.s, network.t
+    p = network.pattern
+    if p is None:
+        p = _pattern(n, network.tails, network.heads, s, t)
+    indptr, indices, rows = p.indptr, p.indices, p.rows
+    rev, source_out, sink_in = p.rev, p.source_out, p.sink_in
+    total = caps.sum() if caps.dtype == object else _total(caps)
+    r = np.zeros(len(indices),
+                 dtype=object if total >= _INT64_SAFE else np.int64)
+    if p.parallel:
+        np.add.at(r, p.slot, caps.astype(r.dtype))
+    else:
+        r[p.slot] = caps
     bound = min(_total(r[source_out]), _total(r[sink_in]))
     flow = 0
     while True:
@@ -128,36 +209,49 @@ def _rounds_cut(n: int, tails, heads, caps, s: int,
                     _total(r[sink_in]))
         shift = max(0, width.bit_length() - _ROUND_BITS)
         scaled = (r >> shift).astype(np.int32)
-        result = maximum_flow(csr_array((scaled, cols, indptr), shape=(n, n)),
-                              s, t, method="dinic")
+        result = maximum_flow(csr_array((scaled, indices, indptr),
+                                        shape=(n, n)), s, t, method="dinic")
         flow += int(result.flow_value) << shift
-        # align by (row, col): the flow's sparsity pattern is scipy's
-        f = result.flow
-        f_rows = np.repeat(np.arange(n), np.diff(f.indptr))
-        moved = np.zeros(len(pattern), dtype=np.int64)
-        moved[np.searchsorted(pattern, f_rows * n + f.indices)] = f.data
+        moved = _flow_on_pattern(result.flow, n, p)
         r = r - (moved.astype(r.dtype) << shift)
         # csgraph treats explicit zeros as arcs: keep only residual > 0
         keep = scaled > moved
-        kept = np.concatenate(([0], np.cumsum(keep)))[indptr]
-        residual = csr_array((np.ones(kept[-1], np.int8), cols[keep], kept),
-                             shape=(n, n))
+        kept = np.concatenate(([0], np.cumsum(keep, dtype=np.int32)))[indptr]
+        residual = csr_array((np.ones(kept[-1], np.int8), indices[keep],
+                              kept), shape=(n, n))
         side = np.zeros(n, dtype=bool)
         side[breadth_first_order(residual, s, directed=True,
                                  return_predecessors=False)] = True
         if shift == 0:
             return flow, np.flatnonzero(side).tolist()
-        left = _total(r[side[rows] & ~side[cols]])
+        left = _total(r[side[rows] & ~side[indices]])
         if left >= bound:
-            rest, witness = _dinic_cut(n, rows.tolist(), cols.tolist(),
+            rest, witness = _dinic_cut(n, rows.tolist(), indices.tolist(),
                                        r.tolist(), s, t)
             return flow + rest, witness
         bound = left
 
 
+def _flow_on_pattern(flow: csr_array, n: int, p: _Pattern) -> np.ndarray:
+    """The entries of scipy's ``flow`` matrix on the pattern ``p``.
+
+    scipy returns the flow on the input's own pattern when that pattern
+    is symmetric, as here, so its data is read in place; a flow on any
+    other pattern is aligned by (row, column) instead.
+    """
+    if (np.array_equal(flow.indptr, p.indptr)
+            and np.array_equal(flow.indices, p.indices)):
+        return flow.data
+    keys = p.rows.astype(np.int64) * n + p.indices
+    flow_rows = np.repeat(np.arange(n), np.diff(flow.indptr))
+    moved = np.zeros(len(keys), dtype=flow.data.dtype)
+    moved[np.searchsorted(keys, flow_rows * n + flow.indices)] = flow.data
+    return moved
+
+
 def _total(x: np.ndarray) -> int:
-    """Exact sum of non-negative int64 entries below ``_INT64_SAFE``
-    (or of Python integers) in 31-bit halves, which cannot overflow."""
+    """Exact sum of non-negative int64 entries (or of Python integers)
+    in 31-bit halves, which cannot overflow."""
     return (int((x >> 31).sum()) << 31) + int((x & 0x7FFFFFFF).sum())
 
 

@@ -16,17 +16,19 @@ production path only.  The production path of k_min, of the (a, 0)
 threshold and of the Cheeger constant is one driver, ``_dinkelbach``:
 Dinkelbach's ratio iteration with each linearized subproblem solved
 exactly by one minimum s-t cut.  The cut network of a (graph, region)
-is built once per call, and a step only recomputes its terminal
-capacities.  All flow arithmetic is exact: float inputs are dyadic
-rationals and are converted losslessly to fractions, capacities are
-rescaled to integers, and the iteration terminates because the
-achievable ratios form a finite set.
+is built once per call (:func:`sgs.maxflow.cut_network`), and a step
+only recomputes its terminal capacities, as one numpy expression.  All
+flow arithmetic is exact: float inputs are dyadic rationals and are
+converted losslessly to fractions, capacities are rescaled to integers,
+subset sums are taken in Python integers, and the iteration terminates
+because the achievable ratios form a finite set.
 
 Each cut goes through :func:`sgs.maxflow.min_cut`.  Networks of at
-least 512 arcs run on scipy's compiled Dinic in exact bit-scaling
-rounds, one round when the capacities fit int32 (as for most networks
-of integer potentials) and a few for the wide capacities of float
-potentials; smaller networks run on the exact Python Dinic.  Both give
+least 512 arcs of nonzero capacity run on scipy's compiled Dinic in
+exact bit-scaling rounds, one round when the capacities fit int32 (as
+for most networks of integer potentials) and a few for the wide
+capacities of float potentials; smaller networks run on the exact
+Python Dinic.  Both give
 the same witness: the vertices the source reaches in the residual graph
 of a maximum flow, which form the smallest minimum cut.
 """
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from fractions import Fraction
 from math import lcm
 from typing import Sequence
@@ -41,7 +44,7 @@ from typing import Sequence
 import numpy as np
 
 from .graphs import Graph, Potential, SubsetStats, subset_stats
-from .maxflow import min_cut
+from .maxflow import cut_network, min_cut
 
 __all__ = [
     "SparsenessCertificate", "CheegerCertificate", "SparsityThreshold",
@@ -204,39 +207,32 @@ def _kmin_certificate(graph: Graph, potential: Potential, a: float,
                                  clamped=ratio < 0.0)
 
 
-def _subset_counts(graph: Graph, q: tuple[list[int], int],
-                   witness: Sequence[int]) -> tuple[int, int, Fraction]:
-    """Exact (|E_W|, deg W, q W) of a vertex subset; ``q`` as from
-    :func:`_exact_potential`."""
-    members = set(witness)
-    induced = sum(1 for x in members for y in graph.neighbors(x)
-                  if y > x and y in members)
-    degsum = sum(int(graph.host_degree[x]) for x in members)
-    qn, qd = q
-    return induced, degsum, Fraction(sum(qn[x] for x in members), qd)
-
-
 def _dinkelbach(graph: Graph, region: tuple[int, ...],
                 q: tuple[list[int], int], ratio, linearized,
                 start: tuple[int, ...]
                 ) -> tuple[tuple[int, ...], Fraction | None]:
     """Maximize ``ratio`` over nonempty subsets of ``region`` (Dinkelbach).
 
-    ``ratio(W)`` is exact, or None when it is infinite (which ends the
-    search).  ``linearized(r)`` gives coefficients (alpha, beta, gamma,
-    cost) such that sum_{x in W} (alpha deg(x) + beta q(x) + gamma) -
-    cost |dW|, with the host-aware boundary, is positive exactly on the
-    subsets of ratio above r.  Each step finds the smallest W that
-    maximizes it by one minimum s-t cut on capacities scaled to integers
-    (:func:`sgs.maxflow.min_cut`, which picks scipy's Dinic in exact
-    bit-scaling rounds or the Python one by network size, whatever the
-    capacity width).  The network is built once per call: edges inside
-    the region are bidirected arcs of capacity ``cost``, and each
-    vertex's outside boundary (deficit plus edges leaving the region) is
-    netted into its terminal arc, so a step only recomputes the terminal
-    capacities.  The vertices the source reaches in the residual graph
-    form the smallest minimum cut, so the side is empty exactly when no
-    W beats the empty set.
+    ``ratio(size, induced, degsum, qsum)`` maps the exact counts |W|,
+    |E_W|, deg W and q W of a subset W (``qsum`` a Fraction; ``q`` as
+    from :func:`_exact_potential`) to its ratio, or to None when it is
+    infinite (which ends the search).  ``linearized(r)`` gives
+    coefficients (alpha, beta, gamma, cost) such that sum_{x in W}
+    (alpha deg(x) + beta q(x) + gamma) - cost |dW|, with the host-aware
+    boundary, is positive exactly on the subsets of ratio above r.  Each
+    step finds the smallest W that maximizes it by one minimum s-t cut
+    on capacities scaled to integers (:func:`sgs.maxflow.min_cut`, which
+    picks scipy's Dinic in exact bit-scaling rounds or the Python one by
+    network size, whatever the capacity width).  The network is built
+    once per call: edges inside the region are bidirected arcs of
+    capacity ``cost``, each vertex's outside boundary (deficit plus
+    edges leaving the region) is netted into its terminal weight, and
+    every vertex has both terminal arcs, the one its weight does not
+    use at capacity 0.  So a step only recomputes the terminal weights,
+    as one array expression: in int64 when a bound on the coefficients
+    allows it, in Python integers otherwise.  The vertices the source
+    reaches in the residual graph form the smallest minimum cut, so the
+    side is empty exactly when no W beats the empty set.
 
     Returns the last improving subset and its ratio; the achievable
     ratios are finite, so the ratio climbs to the maximum in finitely
@@ -244,36 +240,52 @@ def _dinkelbach(graph: Graph, region: tuple[int, ...],
     """
     qn, qd = q
     m = len(region)
-    pos = {x: i for i, x in enumerate(region)}
-    deg, deficit = graph.host_degree.tolist(), graph.deficit.tolist()
-    terms = [(deg[x], qn[x], deficit[x] + sum(1 for y in graph.neighbors(x)
-                                              if y not in pos))
-             for x in region]
-    inner_tails, inner_heads = [], []
-    for (u, v) in graph.edges:
-        if u in pos and v in pos:
-            inner_tails += (pos[u], pos[v])
-            inner_heads += (pos[v], pos[u])
+    vertices = np.asarray(region, dtype=np.int64)
+    local = np.full(graph.vertex_count, -1, dtype=np.int64)
+    local[vertices] = np.arange(m)
+    ends = local[np.fromiter(chain.from_iterable(graph.edges), np.int64,
+                             2 * graph.edge_count).reshape(-1, 2)]
+    iu, iv = ends[(ends[:, 0] >= 0) & (ends[:, 1] >= 0)].T
+    deg = graph.host_degree[vertices]
+    outside = (deg - np.bincount(iu, minlength=m)
+               - np.bincount(iv, minlength=m))
+    exact_q = np.array(qn, dtype=object)[vertices]
+    exact = deg.astype(object), exact_q, outside.astype(object)
+    dmax, omax = int(deg.max()), int(outside.max())
+    qmax = int(np.abs(exact_q).max())
+    narrow = ((deg, exact_q.astype(np.int64), outside) if qmax < 2**63
+              else exact)
+
+    def counts(members: np.ndarray):  # summed in Python integers: exact
+        inside = np.zeros(m, dtype=bool)
+        inside[members] = True
+        return (len(members), int(np.count_nonzero(inside[iu] & inside[iv])),
+                sum(deg[members].tolist()),
+                Fraction(sum(exact_q[members].tolist()), qd))
+
     s, t = m, m + 1
-    witness, r = start, ratio(start)
+    net = cut_network(m + 2, np.concatenate((np.full(m, s), np.arange(m),
+                                            iu, iv)),
+                      np.concatenate((np.arange(m), np.full(m, t), iv, iu)),
+                      s, t)
+    witness = start
+    r = ratio(*counts(local[np.asarray(start)]))
     for _ in range(_MAX_RATIO_ITERATIONS):
         if r is None:
             return witness, None
         alpha, beta, gamma, cost = linearized(r)
         (da, dq, c, unit), _ = _scaled_ints([alpha, beta / qd, gamma, cost])
-        tails, heads, caps = [], [], []
-        for i, (d, qx, outside) in enumerate(terms):
-            w = da * d + dq * qx + c - unit * outside
-            if w:
-                tails.append(s if w > 0 else i)
-                heads.append(i if w > 0 else t)
-                caps.append(abs(w))
-        side = tuple(region[i] for i in min_cut(
-            m + 2, tails + inner_tails, heads + inner_heads,
-            caps + [unit] * len(inner_tails), s, t) if i < m)
-        if not side:
+        # bounds every partial sum of the weights, and the inner capacity
+        fits = (abs(da) * dmax + abs(dq) * qmax + abs(c)
+                + unit * (omax + 1)) < 2**63
+        d, qx, o = narrow if fits else exact
+        w = da * d + dq * qx + c - unit * o
+        caps = np.concatenate((np.maximum(w, 0), np.maximum(-w, 0),
+                               np.full(2 * len(iu), unit, dtype=w.dtype)))
+        side = np.array(min_cut(net, caps), dtype=np.int64)[:-1]  # drop s
+        if not len(side):
             return witness, r
-        witness, new_r = side, ratio(side)
+        witness, new_r = tuple(vertices[side].tolist()), ratio(*counts(side))
         assert new_r is None or new_r > r
         r = new_r
     raise RuntimeError(
@@ -296,9 +308,8 @@ def kmin_flow(graph: Graph, potential: Potential | None,
         raise ValueError("a must be non-negative")
     qplus = _exact_potential(potential.plus)
 
-    def ratio(w):
-        induced, degsum, qp = _subset_counts(graph, qplus, w)
-        return (2 * induced - a_fr * (degsum - 2 * induced + qp)) / len(w)
+    def ratio(size, induced, degsum, qp):
+        return (2 * induced - a_fr * (degsum - 2 * induced + qp)) / size
 
     # sum_W (deg - a q_+ - k) - (1+a)|dW| = 2|E_W| - a(|dW| + q_+(W)) - k|W|
     everything = tuple(range(graph.vertex_count))
@@ -321,8 +332,7 @@ def amin_zero_k(graph: Graph, potential: Potential | None) -> SparsityThreshold:
         return SparsityThreshold(0.0, (0,), subset_stats(graph, potential, (0,)))
     qplus = _exact_potential(potential.plus)
 
-    def ratio(w):
-        induced, degsum, qp = _subset_counts(graph, qplus, w)
+    def ratio(size, induced, degsum, qp):
         den = degsum - 2 * induced + qp
         return None if den == 0 else 2 * induced / den
 
@@ -375,20 +385,22 @@ def _cheeger_bruteforce(graph: Graph, potential: Potential,
 
 def _cheeger_flow(graph: Graph, potential: Potential,
                   region: tuple[int, ...]) -> CheegerCertificate:
-    if np.any(potential.values[np.asarray(region)] < 0):
+    idx = np.asarray(region)
+    if np.any(potential.values[idx] < 0):
         raise ValueError(
             "flow Cheeger method requires a non-negative potential on the region")
     # zero-denominator convention: an isolated massless vertex gives ratio 0
-    for x in region:
-        if int(graph.host_degree[x]) == 0 and potential.values[x] == 0:
-            return _cheeger_certificate(graph, potential, (x,), region)
+    isolated = np.flatnonzero((graph.host_degree[idx] == 0)
+                              & (potential.values[idx] == 0))
+    if len(isolated):
+        return _cheeger_certificate(graph, potential,
+                                    (region[isolated[0]],), region)
     q = _exact_potential(potential.plus)  # equals q on the region
 
     # maximize -(|dW| + q(W)) / (deg W + q(W)); every denominator is
     # now positive, and every singleton has ratio exactly -1.  At ratio r
     # the subproblem is sum_W (-r deg - (1+r) q) - |dW|.
-    def ratio(w):
-        induced, degsum, qs = _subset_counts(graph, q, w)
+    def ratio(size, induced, degsum, qs):
         return -(degsum - 2 * induced + qs) / (degsum + qs)
 
     witness, _ = _dinkelbach(graph, region, q, ratio,

@@ -184,6 +184,27 @@ def test_oversized_host_degree_exits_two(tmp_path, capsys):
     assert "vertices[1]: host_degree" in capsys.readouterr().err
 
 
+def test_huge_host_degrees_are_summed_exactly(tmp_path):
+    # the witness's 1100 host degrees of 2**53 sum past 2**63: an int64
+    # sum used to wrap to a negative degree sum and report k = 3.88e15,
+    # unclamped, for a ratio of about -4.5e15
+    n = 1100
+    gfile, rfile = tmp_path / "path.json", tmp_path / "rep.json"
+    gfile.write_text(json.dumps({
+        "vertices": [{"id": str(x), "host_degree": 2**53} for x in range(n)],
+        "edges": [{"u": str(x), "v": str(x + 1)} for x in range(n - 1)]}))
+    assert run(["analyze", "sparsity", gfile, "--a-grid", "0.5",
+                "--out", rfile]) == 0
+    results = json.loads(rfile.read_text())["results"]
+    entry = results["kmin"][0]["flow"]
+    assert entry["k"] == 0.0 and entry["clamped"]
+    assert entry["ratio"] == pytest.approx(-2.0**52, rel=1e-12)
+    assert entry["witness_stats"]["degree_sum"] == n * 2**53
+    assert len(entry["witness"]) == n
+    # the ratio driver's own counts must not wrap either
+    assert results["amin"]["value"] == 2 * (n - 1) / (n * 2**53 - 2 * (n - 1))
+
+
 def test_infeasible_family(tmp_path):
     assert run(["gen", "tree", "--beta", "3", "--gamma", "2", "--depth", 2,
                 "--out", tmp_path / "x.json"]) == 2

@@ -1,12 +1,13 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from sgs import (PhaseField, Potential, cycle_graph, path_graph,
+from sgs import (Graph, PhaseField, Potential, cycle_graph, path_graph,
                  regular_tree_ball)
 from sgs.graphio import (canonical_json, document_to_graph, graph_digest,
-                         load_graph, save_graph,
+                         graph_to_document, load_graph, save_graph,
                          verify_report_certificates)
 
 
@@ -91,6 +92,33 @@ def test_digest_stability():
     g = path_graph(3)
     assert graph_digest(g) == graph_digest(path_graph(3))
     assert graph_digest(g) != graph_digest(path_graph(4))
+
+
+def test_graph_text_is_canonical_json(tmp_path):
+    # save_graph and graph_digest write the text directly from the graph;
+    # it must be canonical_json(graph_to_document(...)) byte for byte
+    host = Graph(4, [(0, 1), (1, 2), (2, 3)], host_degree=[2, 3, 5, 1])
+    cases = [
+        (host, None, None, None),
+        (host, Potential([-0.0, 1 / 3, 2.5, -7e-300]), None, None),
+        (host, Potential([0.0, 1e300, -1.5, 3.0]),
+         PhaseField(host, [0.5, -1 / 3, -0.0]), ["a", "b", "c", "d"]),
+        (host, None, None, ["\u00e9t\u00e9", 'say "hi"', "back\\slash\n",
+                            "\U0001d11e\u2028"]),
+        (Graph(2, []), Potential([1 / 3, -0.0]), None, ["x", "\x00"]),
+        (Graph(1, [], host_degree=[2**53]), None, PhaseField(Graph(1, []), []),
+         None),
+        (regular_tree_ball(3, 2), None, None, None),
+    ]
+    path = tmp_path / "g.json"
+    for graph, potential, phase, ids in cases:
+        text = canonical_json(graph_to_document(graph, potential, phase, ids))
+        assert (graph_digest(graph, potential, phase, ids)
+                == hashlib.sha256(text.encode()).hexdigest())
+        save_graph(path, graph, potential, phase, ids)
+        assert path.read_bytes() == text.encode()
+    with pytest.raises(ValueError, match="ids must be unique"):
+        graph_digest(host, ids=["a", "a", "b", "c"])
 
 
 def test_canonical_json_floats():

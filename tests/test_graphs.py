@@ -27,6 +27,29 @@ def test_host_degree_below_internal_rejected():
         Graph(3, [(0, 1), (1, 2), (0, 2)], host_degree=[2, 2, 1])
 
 
+def test_non_integer_host_degree_rejected():
+    # numpy used to truncate 1.5 to 1 and 0.9 to 0 without a word, and
+    # NaN failed with "cannot convert float NaN to integer"
+    for host, x in (([1.5, 1, 0.9], 0), ([1, float("nan"), 1], 1),
+                    ([1, 1, float("inf")], 2), ([2, 2, "3"], 2)):
+        with pytest.raises(ValueError,
+                           match=rf"host degree at vertex {x} is not an "
+                                 r"integer"):
+            Graph(3, [], host_degree=host)
+    # integer values of any numeric type are fine
+    g = Graph(3, [], host_degree=[2.0, np.float32(1), np.int8(0)])
+    assert g.host_degree.tolist() == [2, 1, 0]
+
+
+def test_subset_stats_degree_sum_is_exact():
+    # 1100 host degrees of 2**53 sum past 2**63, where an int64 sum wraps
+    n = 1100
+    g = Graph(n, [(x, x + 1) for x in range(n - 1)], host_degree=[2**53] * n)
+    st = subset_stats(g, None, range(n))
+    assert st.degree_sum == n * 2**53
+    assert st.boundary == n * 2**53 - 2 * (n - 1)
+
+
 def test_duplicate_edges_rejected():
     with pytest.raises(ValueError, match="duplicate"):
         Graph(3, [(0, 1), (1, 0)])

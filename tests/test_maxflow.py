@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sgs import maxflow
-from sgs.maxflow import Dinic, min_cut
+from sgs.maxflow import Dinic, cut_network, min_cut
 
 INT32_MAX = 2**31 - 1
 
@@ -144,14 +144,16 @@ def test_min_cut_backends_agree_across_int32_cutover(monkeypatch, kind,
         if n < 9:
             assert side == _smallest_min_cut_side(n, tails, heads, caps)
         del solved[:]
-        assert rounds_cut(n, tails, heads, caps, s, t) == (flow, side)
+        net = cut_network(n, tails, heads, s, t)
+        assert rounds_cut(net, np.array(caps, dtype=object)) == (flow, side)
         if narrow:  # a network that fits int32 takes one round
             assert len(solved) == 1
         del compiled[:]
-        assert min_cut(n, tails, heads, caps, s, t) == side
-        large = len(caps) >= maxflow._SCIPY_MIN_ARCS
+        assert min_cut(net, caps) == side
+        # the floor counts the arcs of nonzero capacity only
+        large = np.count_nonzero(caps) >= maxflow._SCIPY_MIN_ARCS
         assert len(compiled) == large
-        assert large == (n > 8)
+        assert (len(caps) >= maxflow._SCIPY_MIN_ARCS) == (n > 8)
 
 
 def _star(k, source_cap, sink_cap):
@@ -179,7 +181,8 @@ def test_rounds_cut_at_narrow_width(monkeypatch):
 
     def check(n, tails, heads, caps):
         del solved[:], handed_off[:]
-        got = maxflow._rounds_cut(n, tails, heads, caps, 0, n - 1)
+        got = maxflow._rounds_cut(cut_network(n, tails, heads, 0, n - 1),
+                                  np.array(caps, dtype=object))
         assert got == dinic_cut(n, tails, heads, caps, 0, n - 1)
         assert got[1] == _smallest_min_cut_side(n, tails, heads, caps)
         for matrix in solved:
@@ -225,6 +228,57 @@ def test_min_cut_rejects_negative_capacity():
         ((2, many + [-2], many + [1], [1] * 600, 0, 1),
          "^arc tail -2 is not a node"),
     ]
-    for args, message in cases:
+    for (n, tails, heads, caps, s, t), message in cases:
         with pytest.raises(ValueError, match=message):
-            min_cut(*args)
+            min_cut(cut_network(n, tails, heads, s, t), caps)
+
+
+def test_scipy_returns_the_flow_on_a_symmetric_pattern():
+    # _rounds_cut reads scipy's flow data in place when the flow comes
+    # back on the input's own pattern; scipy does so for a symmetric
+    # pattern, explicit zeros included, and a scipy that stops doing so
+    # fails here (the rounds then fall back to aligning by key)
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import maximum_flow
+    rng = np.random.default_rng(61)
+    for kind in ("small", "int32_max"):
+        n = 200
+        tails, heads, caps = _network(rng, kind, n)
+        p = maxflow._pattern(n, np.array(tails), np.array(heads), 0, n - 1)
+        data = np.zeros(len(p.indices), dtype=np.int32)
+        np.add.at(data, p.slot, caps)
+        assert p.parallel and (data == 0).sum() > n  # explicit zeros
+        flow = maximum_flow(csr_array((data, p.indices, p.indptr),
+                                      shape=(n, n)), 0, n - 1,
+                            method="dinic").flow
+        assert np.array_equal(flow.indptr, p.indptr)
+        assert np.array_equal(flow.indices, p.indices)
+        assert maxflow._flow_on_pattern(flow, n, p) is flow.data
+
+
+def test_rounds_align_a_flow_on_another_pattern(monkeypatch):
+    # force the keyed fallback: hand the rounds every flow with its zero
+    # entries dropped, which changes the pattern but not the flow
+    import scipy.sparse.csgraph as csgraph
+    from types import SimpleNamespace
+    maximum_flow = csgraph.maximum_flow
+    pruned = []
+
+    def spy(matrix, s, t, method):
+        result = maximum_flow(matrix, s, t, method=method)
+        flow = result.flow.copy()
+        flow.eliminate_zeros()
+        pruned.append(flow.nnz < matrix.nnz)
+        return SimpleNamespace(flow_value=result.flow_value, flow=flow)
+
+    monkeypatch.setattr(csgraph, "maximum_flow", spy)
+    for kind in ("small", "wide_arc", "wide_pair"):
+        rng = np.random.default_rng(sum(map(ord, kind)) + 1)
+        for n in rng.integers(4, 9, 5).tolist() + [200]:
+            tails, heads, caps = _network(rng, kind, n)
+            expected = maxflow._dinic_cut(n, tails, heads, caps, 0, n - 1)
+            net = cut_network(n, tails, heads, 0, n - 1)
+            assert maxflow._rounds_cut(
+                net, np.array(caps, dtype=object)) == expected
+    # a round in which every entry carries flow keeps its pattern
+    assert len(pruned) >= 18 and sum(pruned) > len(pruned) // 2

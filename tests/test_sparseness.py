@@ -394,3 +394,81 @@ def test_compiled_cuts_match_dinic_on_wide_capacities(monkeypatch):
     del cuts[:]
     assert certificates() == compiled
     assert not cuts
+
+
+def test_one_network_per_ratio_driver(monkeypatch):
+    # every Dinkelbach step of one ratio driver solves the network that
+    # the driver built once; only the capacities change
+    from sgs import grid_graph, sparseness
+    g = grid_graph(16)
+    q = Potential(np.random.default_rng(53).uniform(0.0, 3.0, g.vertex_count))
+    top = g.internal_degree.max()
+    inner = tuple(x for x in range(g.vertex_count)
+                  if g.internal_degree[x] == top)
+    events = []
+    drive, build, solve = (sparseness._dinkelbach, sparseness.cut_network,
+                           sparseness.min_cut)
+
+    def spy_drive(graph, region, q, ratio, linearized, start):
+        events.append(("drive", None))
+
+        def step(r):
+            events.append(("step", None))
+            return linearized(r)
+        return drive(graph, region, q, ratio, step, start)
+
+    def spy_build(*args):
+        network = build(*args)
+        events.append(("network", network))
+        return network
+
+    def spy_solve(network, caps):
+        events.append(("cut", network))
+        return solve(network, caps)
+
+    monkeypatch.setattr(sparseness, "_dinkelbach", spy_drive)
+    monkeypatch.setattr(sparseness, "cut_network", spy_build)
+    monkeypatch.setattr(sparseness, "min_cut", spy_solve)
+    counts = []
+    for certify in (lambda: kmin_flow(g, q, Fraction(1, 2)),
+                    lambda: amin_zero_k(g, q),
+                    lambda: cheeger(g, q, inner, method="flow")):
+        del events[:]
+        certify()
+        kinds = [kind for kind, _ in events]
+        steps = kinds.count("step")
+        counts.append(steps)
+        assert kinds == ["drive", "network"] + ["step", "cut"] * steps
+        network = events[1][1]
+        assert network.pattern is not None  # large enough for scipy
+        assert all(net is network for kind, net in events if kind == "cut")
+    assert min(counts) >= 1 and max(counts) >= 3
+
+
+def test_oracle_sized_networks_stay_off_scipy(monkeypatch):
+    # K20 is the densest 20-vertex graph: 380 inner arcs and 40 terminal
+    # arcs stay below the 512-arc floor, so no network of the brute-force
+    # range builds a CSR pattern or reaches scipy
+    import scipy.sparse.csgraph as csgraph
+
+    from sgs import maxflow, sparseness
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a 20-vertex network reached scipy")
+
+    networks = []
+    build = sparseness.cut_network
+    monkeypatch.setattr(csgraph, "maximum_flow", refuse)
+    monkeypatch.setattr(sparseness, "cut_network",
+                        lambda *a: networks.append(build(*a)) or networks[-1])
+    g = complete_graph(20)
+    q = Potential(np.random.default_rng(59).uniform(0.0, 3.0, 20))
+    for a in (0, Fraction(1, 2), 1, 2):
+        assert kmin_flow(g, q, a).k == pytest.approx(
+            kmin_bruteforce(g, q, a).k, abs=1e-9)
+    amin_zero_k(g, q)
+    cheeger(g, q, range(12), method="both")
+    assert len(networks) == 6
+    assert all(net.pattern is None for net in networks)
+    assert max(len(net.tails) for net in networks) == 420
+    assert maxflow._SCIPY_MIN_ARCS > 420
