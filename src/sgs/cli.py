@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
 import sys
 import time
@@ -34,6 +35,7 @@ def _int_list(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok != ""]
 
 
+@functools.cache  # one parser per process; parse_args leaves it as is
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sgs",

@@ -87,6 +87,9 @@ def document_to_graph(doc: dict) -> tuple[Graph, Potential, PhaseField | None, l
     """Parse a graph document; errors name the offending entry."""
     if not isinstance(doc, dict) or "vertices" not in doc or "edges" not in doc:
         raise ValueError("graph document needs 'vertices' and 'edges'")
+    for key in ("vertices", "edges"):
+        if not isinstance(doc[key], list):
+            raise ValueError(f"{key} must be a list, got {doc[key]!r}")
     ids: list[str] = []
     q: list[float] = []
     host: list[int | None] = []

@@ -1,12 +1,13 @@
 """Exact maximum flow / minimum cut on integer capacities.
 
-A network is built once by :func:`cut_network` from its arc lists, and
-:func:`min_cut` solves it for one capacity vector, so a family of cuts
-that differ only in their capacities (the Dinkelbach steps of
-:mod:`sgs.sparseness`) shares one build.  :func:`min_cut` returns the
-smallest minimum-cut source side: the nodes reachable from the source in
-the residual graph of a maximum flow.  That side is the same for every
-maximum flow, so it does not depend on the backend or on arc order.
+A network is built once by :func:`cut_network` as its symmetric CSR
+pattern, and :func:`min_cut` solves it for one capacity vector, so a
+family of cuts that differ only in their capacities (the Dinkelbach
+steps of :mod:`sgs.sparseness`) shares one build.  :func:`min_cut`
+loads the exact residual capacities on the pattern and returns the
+smallest minimum-cut source side: the nodes reachable from the source
+in the residual graph of a maximum flow.  That side is the same for
+every maximum flow, so it does not depend on the path or on arc order.
 There are two exact paths, chosen by the number of arcs of nonzero
 capacity alone:
 
@@ -18,7 +19,7 @@ capacity alone:
   flow exactly; a network that fits int32 takes one round.
 * :class:`Dinic`, Dinic's blocking-flow algorithm over adjacency lists
   with plain Python integers, takes the smaller networks, and the
-  residual of the rare round that makes no progress.
+  residual of the rare round that cannot go on (:func:`_dinic_cut`).
 """
 from __future__ import annotations
 
@@ -49,20 +50,9 @@ _INT64_SAFE = 2**62
 
 
 class CutNetwork(NamedTuple):
-    """The arcs ``tails[i] -> heads[i]`` of a network on nodes ``0 ..
-    n-1`` with source ``s`` and sink ``t``, and their CSR ``pattern``
-    when the network is large enough to reach scipy."""
-    n: int
-    s: int
-    t: int
-    tails: np.ndarray
-    heads: np.ndarray
-    pattern: "_Pattern | None"
-
-
-class _Pattern(NamedTuple):
-    """The symmetric CSR pattern of a network: every arc and its reverse
-    once, in (tail, head) order.
+    """A network on nodes ``0 .. n-1`` with source ``s`` and sink ``t``,
+    held as its symmetric CSR pattern: every arc and its reverse once,
+    in (tail, head) order.
 
     ``indptr`` and ``indices`` are int32, as scipy takes them, ``rows``
     holds the tail of each entry, ``rev`` the entry of each entry's
@@ -71,6 +61,9 @@ class _Pattern(NamedTuple):
     ``sink_in`` are the entries of the arcs leaving the source and
     entering the sink.
     """
+    n: int
+    s: int
+    t: int
     slot: np.ndarray
     parallel: bool
     indptr: np.ndarray
@@ -86,10 +79,7 @@ def cut_network(n: int, tails: Sequence[int], heads: Sequence[int],
     """The network on nodes ``0 .. n-1`` with arcs ``tails[i] ->
     heads[i]``, source ``s`` and sink ``t``.
 
-    Its CSR pattern is built here when it has at least
-    ``_SCIPY_MIN_ARCS`` arcs; a smaller network always runs on the
-    Python :class:`Dinic`.  A node outside ``0 .. n-1`` or ``s == t``
-    raises ``ValueError``.
+    A node outside ``0 .. n-1`` or ``s == t`` raises ``ValueError``.
     """
     tail = np.asarray(tails, dtype=np.int64)
     head = np.asarray(heads, dtype=np.int64)
@@ -102,25 +92,19 @@ def cut_network(n: int, tails: Sequence[int], heads: Sequence[int],
                 raise ValueError(f"{name} {node} is not a node (n = {n})")
     if s == t:
         raise ValueError(f"source and sink are the same node {s}")
-    pattern = (_pattern(n, tail, head, s, t)
-               if len(tail) >= _SCIPY_MIN_ARCS else None)
-    return CutNetwork(n, s, t, tail, head, pattern)
-
-
-def _pattern(n: int, tail: np.ndarray, head: np.ndarray, s: int,
-             t: int) -> _Pattern:
     keys = tail * n + head
+    # sort and mask: np.unique (numpy 2.4) takes 14 times as long here
     pattern = np.sort(np.concatenate((keys, head * n + tail)))
-    pattern = pattern[np.concatenate(([True], pattern[1:] != pattern[:-1]))]
+    pattern = pattern[np.diff(pattern, prepend=-1) != 0]
     rows, cols = np.divmod(pattern, n)
     indptr = np.searchsorted(rows, np.arange(n + 1))
     slot = np.searchsorted(pattern, keys)
     rev = np.argsort(cols * n + rows, kind="stable")  # pattern[rev] reversed
-    return _Pattern(slot, np.bincount(slot).max(initial=0) > 1,
-                    indptr.astype(np.int32), cols.astype(np.int32),
-                    rows.astype(np.int32), rev,
-                    np.arange(indptr[s], indptr[s + 1]),
-                    rev[indptr[t]:indptr[t + 1]])
+    return CutNetwork(n, s, t, slot, np.bincount(slot).max(initial=0) > 1,
+                      indptr.astype(np.int32), cols.astype(np.int32),
+                      rows.astype(np.int32), rev,
+                      np.arange(indptr[s], indptr[s + 1]),
+                      rev[indptr[t]:indptr[t + 1]])
 
 
 def min_cut(network: CutNetwork, caps: Sequence[int]) -> list[int]:
@@ -135,29 +119,32 @@ def min_cut(network: CutNetwork, caps: Sequence[int]) -> list[int]:
     caps = np.asarray(caps)
     if caps.dtype != np.int64:
         caps = caps.astype(object)  # Python integers of any width
-    if len(caps) != len(network.tails):
+    if len(caps) != len(network.slot):
         raise ValueError(f"{len(caps)} capacities for "
-                         f"{len(network.tails)} arcs")
+                         f"{len(network.slot)} arcs")
     if len(caps) and caps.min() < 0:
         raise ValueError("capacities must be non-negative")
-    used = np.flatnonzero(caps)
-    if len(used) >= _SCIPY_MIN_ARCS:
-        return _rounds_cut(network, caps)[1]
-    return _dinic_cut(network.n, network.tails[used].tolist(),
-                      network.heads[used].tolist(), caps[used].tolist(),
-                      network.s, network.t)[1]
+    # the exact residual capacities on the pattern
+    total = caps.sum() if caps.dtype == object else _total(caps)
+    r = np.zeros(len(network.indices),
+                 dtype=object if total >= _INT64_SAFE else np.int64)
+    if network.parallel:
+        np.add.at(r, network.slot, caps.astype(r.dtype))
+    else:
+        r[network.slot] = caps
+    if np.count_nonzero(caps) >= _SCIPY_MIN_ARCS:
+        return _rounds_cut(network, r)[1]
+    return _dinic_cut(network, r)[1]
 
 
-def _rounds_cut(network: CutNetwork,
-                caps: np.ndarray) -> tuple[int, list[int]]:
+def _rounds_cut(network: CutNetwork, r: np.ndarray) -> tuple[int, list[int]]:
     """Flow value and smallest source side by scipy's Dinic in exact
     bit-scaling rounds (Edmonds-Karp 1972; Gabow 1985).
 
-    ``caps`` is an int64 or object array of non-negative capacities, one
-    per arc.  ``r`` holds the exact residual capacities on the network's
-    symmetric pattern, and ``U`` (``bound``) bounds the flow still
-    missing, at first the smaller of the source and sink totals.  Each
-    round
+    ``r`` holds the exact residual capacities on the network's pattern,
+    an int64 or object array, and ``U`` (``bound``) bounds the flow
+    still missing, at first the smaller of the source and sink totals.
+    Each round
 
     1. clamps ``r`` to ``U + 1``, which changes neither the maximum-flow
        value nor any minimum cut: a cut through a clamped arc exceeds
@@ -181,24 +168,16 @@ def _rounds_cut(network: CutNetwork,
     to lower it hands the residual to the exact Python :class:`Dinic`
     instead, so the loop ends after finitely many rounds (2-6 on the
     55-119-bit networks of the benchmark corpora, one for a network
-    that fits int32).
+    that fits int32).  scipy returns the flow on the input's own
+    pattern, which is symmetric, so its data is read in place; a flow
+    on any other pattern takes the same hand-off.
     """
     # imported on first use: a process whose networks all stay below
     # _SCIPY_MIN_ARCS never loads scipy's graph routines (about 1 MB)
     from scipy.sparse.csgraph import breadth_first_order, maximum_flow
     n, s, t = network.n, network.s, network.t
-    p = network.pattern
-    if p is None:
-        p = _pattern(n, network.tails, network.heads, s, t)
-    indptr, indices, rows = p.indptr, p.indices, p.rows
-    rev, source_out, sink_in = p.rev, p.source_out, p.sink_in
-    total = caps.sum() if caps.dtype == object else _total(caps)
-    r = np.zeros(len(indices),
-                 dtype=object if total >= _INT64_SAFE else np.int64)
-    if p.parallel:
-        np.add.at(r, p.slot, caps.astype(r.dtype))
-    else:
-        r[p.slot] = caps
+    indptr, indices, rows = network.indptr, network.indices, network.rows
+    rev, source_out, sink_in = network.rev, network.source_out, network.sink_in
     bound = min(_total(r[source_out]), _total(r[sink_in]))
     flow = 0
     while True:
@@ -211,8 +190,11 @@ def _rounds_cut(network: CutNetwork,
         scaled = (r >> shift).astype(np.int32)
         result = maximum_flow(csr_array((scaled, indices, indptr),
                                         shape=(n, n)), s, t, method="dinic")
+        if not (np.array_equal(result.flow.indptr, indptr)
+                and np.array_equal(result.flow.indices, indices)):
+            break
+        moved = result.flow.data
         flow += int(result.flow_value) << shift
-        moved = _flow_on_pattern(result.flow, n, p)
         r = r - (moved.astype(r.dtype) << shift)
         # csgraph treats explicit zeros as arcs: keep only residual > 0
         keep = scaled > moved
@@ -226,27 +208,10 @@ def _rounds_cut(network: CutNetwork,
             return flow, np.flatnonzero(side).tolist()
         left = _total(r[side[rows] & ~side[indices]])
         if left >= bound:
-            rest, witness = _dinic_cut(n, rows.tolist(), indices.tolist(),
-                                       r.tolist(), s, t)
-            return flow + rest, witness
+            break
         bound = left
-
-
-def _flow_on_pattern(flow: csr_array, n: int, p: _Pattern) -> np.ndarray:
-    """The entries of scipy's ``flow`` matrix on the pattern ``p``.
-
-    scipy returns the flow on the input's own pattern when that pattern
-    is symmetric, as here, so its data is read in place; a flow on any
-    other pattern is aligned by (row, column) instead.
-    """
-    if (np.array_equal(flow.indptr, p.indptr)
-            and np.array_equal(flow.indices, p.indices)):
-        return flow.data
-    keys = p.rows.astype(np.int64) * n + p.indices
-    flow_rows = np.repeat(np.arange(n), np.diff(flow.indptr))
-    moved = np.zeros(len(keys), dtype=flow.data.dtype)
-    moved[np.searchsorted(keys, flow_rows * n + flow.indices)] = flow.data
-    return moved
+    rest, witness = _dinic_cut(network, r)
+    return flow + rest, witness
 
 
 def _total(x: np.ndarray) -> int:
@@ -255,24 +220,25 @@ def _total(x: np.ndarray) -> int:
     return (int((x >> 31).sum()) << 31) + int((x & 0x7FFFFFFF).sum())
 
 
-def _dinic_cut(n: int, tails, heads, caps, s: int,
-               t: int) -> tuple[int, list[int]]:
-    """Flow value and smallest source side by the Python :class:`Dinic`.
+def _dinic_cut(network: CutNetwork,
+               r: np.ndarray) -> tuple[int, list[int]]:
+    """Flow value and smallest source side by the Python :class:`Dinic`
+    on the residual capacities ``r`` of the network's pattern.
 
-    An arc whose reverse came earlier becomes that arc's reverse
-    capacity, so a bidirected arc is one arc pair as with
-    :meth:`Dinic.add_edge`'s ``rcap``.
+    Each entry and its reverse (``rev``) become one arc pair, as with
+    :meth:`Dinic.add_edge`'s ``rcap``; pairs without capacity are left
+    out.
     """
-    net = Dinic(n)
-    reverse: dict[tuple[int, int], int] = {}  # (v, u) -> reverse of u->v
-    for u, v, cap in zip(tails, heads, caps):
-        a = reverse.pop((u, v), None)
-        if a is None:
-            reverse[v, u] = len(net.to) + 1
-            net.add_edge(u, v, cap)
-        else:
-            net.cap[a] += cap
-    return net.max_flow(s, t), net.min_cut_source_side(s)
+    rev = network.rev
+    pairs = np.flatnonzero((np.arange(len(rev)) < rev)
+                           & ((r != 0) | (r[rev] != 0)))
+    net = Dinic(network.n)
+    for u, v, cap, rcap in zip(network.rows[pairs].tolist(),
+                               network.indices[pairs].tolist(),
+                               r[pairs].tolist(), r[rev[pairs]].tolist()):
+        net.add_edge(u, v, cap, rcap)
+    s = network.s
+    return net.max_flow(s, network.t), net.min_cut_source_side(s)
 
 
 class Dinic:

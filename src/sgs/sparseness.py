@@ -23,14 +23,15 @@ converted losslessly to fractions, capacities are rescaled to integers,
 subset sums are taken in Python integers, and the iteration terminates
 because the achievable ratios form a finite set.
 
-Each cut goes through :func:`sgs.maxflow.min_cut`.  Networks of at
-least 512 arcs of nonzero capacity run on scipy's compiled Dinic in
-exact bit-scaling rounds, one round when the capacities fit int32 (as
-for most networks of integer potentials) and a few for the wide
-capacities of float potentials; smaller networks run on the exact
-Python Dinic.  Both give
-the same witness: the vertices the source reaches in the residual graph
-of a maximum flow, which form the smallest minimum cut.
+Each cut goes through :func:`sgs.maxflow.min_cut`, which holds every
+network as one symmetric CSR pattern.  Networks of at least 512 arcs
+of nonzero capacity run on scipy's compiled Dinic in exact bit-scaling
+rounds, one round when the capacities fit int32 (as for most networks
+of integer potentials) and a few for the wide capacities of float
+potentials; smaller networks run on the exact Python Dinic, built from
+the same pattern.  Both give the same witness: the vertices the source
+reaches in the residual graph of a maximum flow, which form the
+smallest minimum cut.
 """
 from __future__ import annotations
 
@@ -223,14 +224,14 @@ def _dinkelbach(graph: Graph, region: tuple[int, ...],
     step finds the smallest W that maximizes it by one minimum s-t cut
     on capacities scaled to integers (:func:`sgs.maxflow.min_cut`, which
     picks scipy's Dinic in exact bit-scaling rounds or the Python one by
-    network size, whatever the capacity width).  The network is built
-    once per call: edges inside the region are bidirected arcs of
-    capacity ``cost``, each vertex's outside boundary (deficit plus
-    edges leaving the region) is netted into its terminal weight, and
-    every vertex has both terminal arcs, the one its weight does not
-    use at capacity 0.  So a step only recomputes the terminal weights,
-    as one array expression: in int64 when a bound on the coefficients
-    allows it, in Python integers otherwise.  The vertices the source
+    network size, whatever the capacity width).  The network, one CSR
+    pattern for both, is built once per call: edges inside the region
+    are bidirected arcs of capacity ``cost``, each vertex's outside
+    boundary (deficit plus edges leaving the region) is netted into its
+    terminal weight, and every vertex has both terminal arcs, the one
+    its weight does not use at capacity 0.  So a step only recomputes
+    the terminal weights, as one array expression: in int64 when a
+    bound on the coefficients allows it, in Python integers otherwise.  The vertices the source
     reaches in the residual graph form the smallest minimum cut, so the
     side is empty exactly when no W beats the empty set.
 

@@ -161,16 +161,37 @@ def test_bruteforce_guard(tmp_path):
     assert run(["analyze", "sparsity", gfile, "--method", "bruteforce"]) == 2
 
 
-def test_malformed_file(tmp_path):
+def test_malformed_file(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"vertices": [{"id": "x"}],
                                "edges": [{"u": "x", "v": "zzz"}]}))
     assert run(["analyze", "sparsity", bad]) == 2
+    # a non-array vertices or edges used to exit 1 with a TypeError
+    for doc, key in (({"vertices": 5, "edges": []}, "vertices"),
+                     ({"vertices": [{"id": "x"}], "edges": None}, "edges")):
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["analyze", "sparsity", bad]) == 2
+        assert f"{key} must be a list" in capsys.readouterr().err
     # a fractional host degree used to load truncated, and exit 0
     bad.write_text(json.dumps({"vertices": [{"id": "x"},
                                             {"id": "y", "host_degree": 2.7}],
                                "edges": [{"u": "x", "v": "y"}]}))
     assert run(["analyze", "spectrum", bad]) == 2
+
+
+def test_parser_keeps_no_state_between_calls(tmp_path):
+    # main reuses one parser per process: the settings of one call must
+    # not reach the next
+    gfile, rfile = tmp_path / "p3.json", tmp_path / "rep.json"
+    assert run(["gen", "path", "--n", 3, "--out", gfile]) == 0
+    assert run(["analyze", "sparsity", gfile, "--a-grid", "0,1",
+                "--method", "both", "--out", rfile]) == 0
+    settings = json.loads(rfile.read_text())["settings"]
+    assert settings["a_grid"] == [0.0, 1.0] and settings["method"] == "both"
+    assert run(["analyze", "sparsity", gfile, "--out", rfile]) == 0
+    settings = json.loads(rfile.read_text())["settings"]
+    assert settings["a_grid"] == [0.0] and settings["method"] == "flow"
 
 
 def test_oversized_host_degree_exits_two(tmp_path, capsys):

@@ -45,6 +45,11 @@ def test_save_load_byte_stable(tmp_path):
 
 
 def test_parse_errors_are_positioned():
+    # a non-array entry used to end in "TypeError: ... not iterable"
+    with pytest.raises(ValueError, match=r"^vertices must be a list, got 5$"):
+        document_to_graph({"vertices": 5, "edges": []})
+    with pytest.raises(ValueError, match=r"^edges must be a list, got None$"):
+        document_to_graph({"vertices": [{"id": "x"}], "edges": None})
     with pytest.raises(ValueError, match=r"vertices\[1\]: duplicate id"):
         document_to_graph({"vertices": [{"id": "x"}, {"id": "x"}],
                            "edges": []})

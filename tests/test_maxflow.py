@@ -104,6 +104,36 @@ def _smallest_min_cut_side(n, tails, heads, caps):
     return sorted(set.intersection(*sides))
 
 
+def _dinic(n, tails, heads, caps):
+    """Flow value and smallest source side by the public :class:`Dinic`,
+    one arc pair per arc, source 0 and sink n-1."""
+    net = Dinic(n)
+    for u, v, c in zip(tails, heads, caps):
+        net.add_edge(u, v, c)
+    return net.max_flow(0, n - 1), net.min_cut_source_side(0)
+
+
+def _load(network, caps):
+    """The capacities ``caps`` as residuals on the network's pattern,
+    parallel arcs added up, as :func:`min_cut` loads them."""
+    r = np.zeros(len(network.indices), dtype=object)
+    np.add.at(r, network.slot, np.array(caps, dtype=object))
+    return r
+
+
+def _spy(monkeypatch, name):
+    """Record the arguments of every call to ``maxflow.<name>``."""
+    calls = []
+    original = getattr(maxflow, name)
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(maxflow, name, spy)
+    return calls
+
+
 def _spy_scipy(monkeypatch):
     """Record every matrix min_cut hands to scipy's maximum_flow."""
     import scipy.sparse.csgraph as csgraph
@@ -125,13 +155,7 @@ def test_min_cut_backends_agree_across_int32_cutover(monkeypatch, kind,
                                                      narrow):
     solved = _spy_scipy(monkeypatch)
     rounds_cut = maxflow._rounds_cut
-    compiled = []
-
-    def spy(*args):
-        compiled.append(args)
-        return rounds_cut(*args)
-
-    monkeypatch.setattr(maxflow, "_rounds_cut", spy)
+    compiled = _spy(monkeypatch, "_rounds_cut")
     rng = np.random.default_rng(sum(map(ord, kind)))
     # 4-8 nodes are checked against enumeration; 170-230 nodes give
     # enough arcs for min_cut to take the compiled path
@@ -139,13 +163,13 @@ def test_min_cut_backends_agree_across_int32_cutover(monkeypatch, kind,
         n = int(n)
         tails, heads, caps = _network(rng, kind, n)
         s, t = 0, n - 1
-        flow, side = maxflow._dinic_cut(n, tails, heads, caps, s, t)
+        flow, side = _dinic(n, tails, heads, caps)
         assert _cut_value(tails, heads, caps, side) == flow
         if n < 9:
             assert side == _smallest_min_cut_side(n, tails, heads, caps)
         del solved[:]
         net = cut_network(n, tails, heads, s, t)
-        assert rounds_cut(net, np.array(caps, dtype=object)) == (flow, side)
+        assert rounds_cut(net, _load(net, caps)) == (flow, side)
         if narrow:  # a network that fits int32 takes one round
             assert len(solved) == 1
         del compiled[:]
@@ -170,20 +194,13 @@ def test_rounds_cut_at_narrow_width(monkeypatch):
     bits = 8
     monkeypatch.setattr(maxflow, "_ROUND_BITS", bits)
     solved = _spy_scipy(monkeypatch)
-    dinic_cut = maxflow._dinic_cut
-    handed_off = []
-
-    def spy(*args):
-        handed_off.append(args)
-        return dinic_cut(*args)
-
-    monkeypatch.setattr(maxflow, "_dinic_cut", spy)
+    handed_off = _spy(monkeypatch, "_dinic_cut")
 
     def check(n, tails, heads, caps):
         del solved[:], handed_off[:]
-        got = maxflow._rounds_cut(cut_network(n, tails, heads, 0, n - 1),
-                                  np.array(caps, dtype=object))
-        assert got == dinic_cut(n, tails, heads, caps, 0, n - 1)
+        net = cut_network(n, tails, heads, 0, n - 1)
+        got = maxflow._rounds_cut(net, _load(net, caps))
+        assert got == _dinic(n, tails, heads, caps)
         assert got[1] == _smallest_min_cut_side(n, tails, heads, caps)
         for matrix in solved:
             c = matrix.toarray().astype(np.int64)
@@ -233,32 +250,36 @@ def test_min_cut_rejects_negative_capacity():
             min_cut(cut_network(n, tails, heads, s, t), caps)
 
 
-def test_scipy_returns_the_flow_on_a_symmetric_pattern():
+def test_scipy_returns_the_flow_on_a_symmetric_pattern(monkeypatch):
     # _rounds_cut reads scipy's flow data in place when the flow comes
     # back on the input's own pattern; scipy does so for a symmetric
     # pattern, explicit zeros included, and a scipy that stops doing so
-    # fails here (the rounds then fall back to aligning by key)
+    # fails here (every cut of the rounds would then end on Dinic)
     from scipy.sparse import csr_array
     from scipy.sparse.csgraph import maximum_flow
+    handed_off = _spy(monkeypatch, "_dinic_cut")
     rng = np.random.default_rng(61)
     for kind in ("small", "int32_max"):
         n = 200
         tails, heads, caps = _network(rng, kind, n)
-        p = maxflow._pattern(n, np.array(tails), np.array(heads), 0, n - 1)
-        data = np.zeros(len(p.indices), dtype=np.int32)
-        np.add.at(data, p.slot, caps)
-        assert p.parallel and (data == 0).sum() > n  # explicit zeros
-        flow = maximum_flow(csr_array((data, p.indices, p.indptr),
+        net = cut_network(n, tails, heads, 0, n - 1)
+        data = np.zeros(len(net.indices), dtype=np.int32)
+        np.add.at(data, net.slot, caps)
+        assert net.parallel and (data == 0).sum() > n  # explicit zeros
+        flow = maximum_flow(csr_array((data, net.indices, net.indptr),
                                       shape=(n, n)), 0, n - 1,
                             method="dinic").flow
-        assert np.array_equal(flow.indptr, p.indptr)
-        assert np.array_equal(flow.indices, p.indices)
-        assert maxflow._flow_on_pattern(flow, n, p) is flow.data
+        assert np.array_equal(flow.indptr, net.indptr)
+        assert np.array_equal(flow.indices, net.indices)
+        assert np.count_nonzero(caps) >= maxflow._SCIPY_MIN_ARCS
+        assert min_cut(net, caps) == _dinic(n, tails, heads, caps)[1]
+        assert not handed_off
 
 
-def test_rounds_align_a_flow_on_another_pattern(monkeypatch):
-    # force the keyed fallback: hand the rounds every flow with its zero
-    # entries dropped, which changes the pattern but not the flow
+def test_rounds_hand_off_a_flow_on_another_pattern(monkeypatch):
+    # hand the rounds every flow with its zero entries dropped, which
+    # changes the pattern but not the flow: the round that gets one
+    # hands its residual to the Python Dinic, whose result stands
     import scipy.sparse.csgraph as csgraph
     from types import SimpleNamespace
     maximum_flow = csgraph.maximum_flow
@@ -272,13 +293,21 @@ def test_rounds_align_a_flow_on_another_pattern(monkeypatch):
         return SimpleNamespace(flow_value=result.flow_value, flow=flow)
 
     monkeypatch.setattr(csgraph, "maximum_flow", spy)
+    handed_off = _spy(monkeypatch, "_dinic_cut")
+    cuts = 0
     for kind in ("small", "wide_arc", "wide_pair"):
         rng = np.random.default_rng(sum(map(ord, kind)) + 1)
         for n in rng.integers(4, 9, 5).tolist() + [200]:
             tails, heads, caps = _network(rng, kind, n)
-            expected = maxflow._dinic_cut(n, tails, heads, caps, 0, n - 1)
             net = cut_network(n, tails, heads, 0, n - 1)
+            del handed_off[:]
+            rounds = len(pruned)
             assert maxflow._rounds_cut(
-                net, np.array(caps, dtype=object)) == expected
+                net, _load(net, caps)) == _dinic(n, tails, heads, caps)
+            # the rounds end at the first flow on another pattern
+            assert pruned[rounds:-1].count(True) == 0
+            if pruned[-1]:
+                assert len(handed_off) == 1
+            cuts += 1
     # a round in which every entry carries flow keeps its pattern
-    assert len(pruned) >= 18 and sum(pruned) > len(pruned) // 2
+    assert len(pruned) >= cuts == 18 and sum(pruned) > cuts // 2

@@ -399,7 +399,7 @@ def test_compiled_cuts_match_dinic_on_wide_capacities(monkeypatch):
 def test_one_network_per_ratio_driver(monkeypatch):
     # every Dinkelbach step of one ratio driver solves the network that
     # the driver built once; only the capacities change
-    from sgs import grid_graph, sparseness
+    from sgs import grid_graph, maxflow, sparseness
     g = grid_graph(16)
     q = Potential(np.random.default_rng(53).uniform(0.0, 3.0, g.vertex_count))
     top = g.internal_degree.max()
@@ -440,7 +440,7 @@ def test_one_network_per_ratio_driver(monkeypatch):
         counts.append(steps)
         assert kinds == ["drive", "network"] + ["step", "cut"] * steps
         network = events[1][1]
-        assert network.pattern is not None  # large enough for scipy
+        assert len(network.slot) >= maxflow._SCIPY_MIN_ARCS  # for scipy
         assert all(net is network for kind, net in events if kind == "cut")
     assert min(counts) >= 1 and max(counts) >= 3
 
@@ -448,7 +448,7 @@ def test_one_network_per_ratio_driver(monkeypatch):
 def test_oracle_sized_networks_stay_off_scipy(monkeypatch):
     # K20 is the densest 20-vertex graph: 380 inner arcs and 40 terminal
     # arcs stay below the 512-arc floor, so no network of the brute-force
-    # range builds a CSR pattern or reaches scipy
+    # range reaches scipy
     import scipy.sparse.csgraph as csgraph
 
     from sgs import maxflow, sparseness
@@ -469,6 +469,5 @@ def test_oracle_sized_networks_stay_off_scipy(monkeypatch):
     amin_zero_k(g, q)
     cheeger(g, q, range(12), method="both")
     assert len(networks) == 6
-    assert all(net.pattern is None for net in networks)
-    assert max(len(net.tails) for net in networks) == 420
+    assert max(len(net.slot) for net in networks) == 420
     assert maxflow._SCIPY_MIN_ARCS > 420
