@@ -98,7 +98,9 @@ def document_to_graph(doc: dict) -> tuple[Graph, Potential, PhaseField | None, l
         where = f"vertices[{i}]"
         if not isinstance(entry, dict) or "id" not in entry:
             raise ValueError(f"{where}: missing id")
-        vid = str(entry["id"])
+        vid = entry["id"]
+        if not isinstance(vid, str):
+            raise ValueError(f"{where}: id must be a string, got {vid!r}")
         if vid in index:
             raise ValueError(f"{where}: duplicate id {vid!r}")
         index[vid] = i
@@ -119,9 +121,12 @@ def document_to_graph(doc: dict) -> tuple[Graph, Potential, PhaseField | None, l
         where = f"edges[{j}]"
         if not isinstance(entry, dict) or "u" not in entry or "v" not in entry:
             raise ValueError(f"{where}: missing endpoint")
+        u, v = entry["u"], entry["v"]
+        if not (isinstance(u, str) and isinstance(v, str)):
+            key, bad = ("v", v) if isinstance(u, str) else ("u", u)
+            raise ValueError(f"{where}: {key} must be a string, got {bad!r}")
         try:
-            u = index[str(entry["u"])]
-            v = index[str(entry["v"])]
+            u, v = index[u], index[v]
         except KeyError as exc:
             raise ValueError(f"{where}: unknown id {exc.args[0]!r}") from None
         if u == v:

@@ -10,8 +10,12 @@ Boundaries are host-aware throughout (cut edges plus deficits), so the
 constants computed on a truncation certify the infinite host.
 
 k_min and the Cheeger constant have two routes: a brute-force oracle
-that enumerates all subsets (``_best_by_enumeration``, guarded to 22
-vertices) and a production path.  The (a, 0) threshold has the
+that enumerates all subsets (guarded to 22 vertices) and a production
+path.  The oracle builds its tables over all subsets once
+(``_subset_tables``: 2|E_W|, |W| and the degree and potential sums,
+none of which depend on a), computes the objective in place in those
+buffers and picks the witness by a fixed tie-break (``_best_subset``);
+one build serves every a of a grid.  The (a, 0) threshold has the
 production path only.  The production path of k_min, of the (a, 0)
 threshold and of the Cheeger constant is one driver, ``_dinkelbach``:
 Dinkelbach's ratio iteration with each linearized subproblem solved
@@ -124,17 +128,17 @@ def _float(x: Fraction) -> float:
 
 # -- subset enumeration -------------------------------------------------------
 
-def _best_by_enumeration(graph: Graph, region: Sequence[int],
-                         sums: Sequence[np.ndarray],
-                         objective) -> tuple[int, ...]:
-    """The nonempty subset of ``region`` (sorted, at most 22 vertices)
-    that maximizes ``objective``.
+def _subset_tables(graph: Graph, region: Sequence[int],
+                   sums: Sequence[np.ndarray]
+                   ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """Tables over all subsets W of ``region`` (sorted, at most 22
+    vertices): 2|E_W| and |W|, and per array in ``sums`` (indexed by
+    vertex) its sum over W.
 
-    ``objective(twice_edges, size, *tables)`` maps tables over all
-    subsets W to their values: 2|E_W|, |W| and, per array in ``sums``
-    (indexed by vertex), its sum over W.  Ties go to the fewest
-    vertices, then the lexicographically smallest vertex list, so the
-    result does not depend on how table indices map to vertices.
+    Table index c holds the subset whose bit b is set for the vertex
+    ``region[m - 1 - b]``; :func:`_best_subset` reads an objective
+    computed on these tables back into a vertex tuple.  The tables do
+    not depend on ``a``, so one build serves every ``a`` of a grid.
     """
     m = len(region)
     if m > ENUMERATION_LIMIT:
@@ -146,19 +150,30 @@ def _best_by_enumeration(graph: Graph, region: Sequence[int],
     bit = {x: m - 1 - i for i, x in enumerate(region)}
     twice_edges, size = np.zeros(1 << m), np.zeros(1 << m, dtype=np.uint8)
     tables = [np.zeros(1 << m) for _ in sums]
-    lower = np.arange((1 << m) // 2, dtype=np.uint64)
+    # 22 vertices fit 32-bit masks
+    lower = np.arange((1 << m) // 2, dtype=np.uint32)
     for b in range(m):
         x, h = region[m - 1 - b], 1 << b
-        adj = np.uint64(sum(1 << bit[y] for y in graph.neighbors(x)
+        adj = np.uint32(sum(1 << bit[y] for y in graph.neighbors(x)
                             if y in bit))
         np.add(twice_edges[:h], 2 * np.bitwise_count(lower[:h] & adj),
                out=twice_edges[h:2 * h])
         np.add(size[:h], 1, out=size[h:2 * h])
         for t, w in zip(tables, sums):
             np.add(t[:h], w[x], out=t[h:2 * h])
-    del lower
-    with np.errstate(divide="ignore", invalid="ignore"):
-        values = objective(twice_edges, size, *tables)
+    return twice_edges, size, tables
+
+
+def _best_subset(region: Sequence[int], size: np.ndarray,
+                 values: np.ndarray) -> tuple[int, ...]:
+    """The nonempty subset of ``region`` with the largest entry of
+    ``values``, an objective over :func:`_subset_tables`' indices.
+
+    Ties go to the fewest vertices, then the lexicographically smallest
+    vertex list, so the result does not depend on how table indices map
+    to vertices.  Overwrites ``values[0]``, the empty set's entry.
+    """
+    m = len(region)
     values[0] = -np.inf
     cand = np.flatnonzero(values == values.max())
     sizes = size[cand]
@@ -177,25 +192,47 @@ def _check_potential(graph: Graph, potential: Potential | None) -> Potential:
 
 # -- k_min ------------------------------------------------------------------
 
-def kmin_bruteforce(graph: Graph, potential: Potential | None,
-                    a) -> SparsenessCertificate:
+def kmin_bruteforce(graph: Graph, potential: Potential | None, a
+                    ) -> SparsenessCertificate | list[SparsenessCertificate]:
     """Exact k_min(a) by enumerating every nonempty subset (|V| <= 22).
+
+    ``a`` is a number, which gives one certificate, or a sequence of
+    numbers, which gives one certificate per entry, in order.  The
+    subset tables are built once, when the first valid entry is
+    reached, and serve every entry; each ``a`` is checked in turn
+    before it is used, so the errors, and their order, are those of one
+    call per entry.  An empty sequence builds nothing.
 
     Ties are broken by smallest witness size, then lexicographically
     smallest vertex list.
     """
+    single = np.ndim(a) == 0
+    grid = [a] if single else list(a)
+    if not grid:
+        return []
     potential = _check_potential(graph, potential)
-    a_fr = _as_fraction(a, "a")
-    if a_fr < 0:
-        raise ValueError("a must be non-negative")
-    af = _float(a_fr)
-
-    def ratio(twice_edges, size, deg, qplus):
-        return (twice_edges - af * ((deg - twice_edges) + qplus)) / size
-
-    witness = _best_by_enumeration(graph, range(graph.vertex_count),
-                                   (graph.host_degree, potential.plus), ratio)
-    return _kmin_certificate(graph, potential, af, witness)
+    region = range(graph.vertex_count)
+    certs, mass = [], None
+    for value in grid:
+        a_fr = _as_fraction(value, "a")
+        if a_fr < 0:
+            raise ValueError("a must be non-negative")
+        af = _float(a_fr)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if mass is None:
+                twice_edges, size, (mass, qplus) = _subset_tables(
+                    graph, region, (graph.host_degree, potential.plus))
+                # |dW| + q_+(W), summed as the ratio always summed it
+                np.subtract(mass, twice_edges, out=mass)
+                mass += qplus
+                values = qplus  # its buffer holds each a's objective
+            # (2|E_W| - a (|dW| + q_+(W))) / |W|, in one buffer
+            np.multiply(mass, af, out=values)
+            np.subtract(twice_edges, values, out=values)
+            np.divide(values, size, out=values)
+        certs.append(_kmin_certificate(graph, potential, af,
+                                       _best_subset(region, size, values)))
+    return certs[0] if single else certs
 
 
 def _kmin_certificate(graph: Graph, potential: Potential, a: float,
@@ -374,13 +411,18 @@ def _cheeger_certificate(graph: Graph, potential: Potential,
 
 def _cheeger_bruteforce(graph: Graph, potential: Potential,
                         region: tuple[int, ...]) -> CheegerCertificate:
-    # the least quotient is the greatest negated one (negation is exact)
-    def minus_quotient(twice_edges, size, deg, q):
-        den = deg + q
-        return np.where(den == 0.0, 0.0, -((deg - twice_edges) + q) / den)
-
-    witness = _best_by_enumeration(
-        graph, region, (graph.host_degree, potential.values), minus_quotient)
+    twice_edges, size, (deg, q) = _subset_tables(
+        graph, region, (graph.host_degree, potential.values))
+    # the least quotient is the greatest negated one (negation is
+    # exact): -(|dW| + q(W)) / (deg W + q(W)), in the tables' buffers
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = np.subtract(deg, twice_edges, out=twice_edges)
+        values += q
+        np.negative(values, out=values)
+        den = np.add(deg, q, out=deg)
+        np.divide(values, den, out=values)
+    values[den == 0.0] = 0.0
+    witness = _best_subset(region, size, values)
     return _cheeger_certificate(graph, potential, witness, region)
 
 

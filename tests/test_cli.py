@@ -119,14 +119,35 @@ def test_method_agreement_fails_above_tol(tmp_path, monkeypatch, shift, code):
     brute = sgs.cli.kmin_bruteforce
 
     def shifted(*args, **kwargs):
-        cert = brute(*args, **kwargs)
-        return dataclasses.replace(cert, k=cert.k + shift * 1e-9)
+        # the CLI asks for the whole grid at once: shift every certificate
+        certs = brute(*args, **kwargs)
+        return [dataclasses.replace(cert, k=cert.k + shift * 1e-9)
+                for cert in certs]
 
     monkeypatch.setattr(sgs.cli, "kmin_bruteforce", shifted)
     gfile = tmp_path / "c5.json"
     run(["gen", "cycle", "--n", 5, "--out", gfile])
     assert run(["analyze", "sparsity", gfile, "--method", "both",
                 "--tol", "1e-9", "--out", tmp_path / "r.json"]) == code
+
+
+def test_bruteforce_grid_errors_come_in_grid_order(tmp_path, capsys):
+    # the brute force runs once for the whole grid; exit codes and
+    # messages stay those of one call per a, flow first
+    gfile, rfile = tmp_path / "c30.json", tmp_path / "r.json"
+    run(["gen", "cycle", "--n", 30, "--out", gfile])
+    # an empty grid enumerates nothing, so 30 vertices are fine
+    assert run(["analyze", "sparsity", gfile, "--method", "bruteforce",
+                "--a-grid", "", "--out", rfile]) == 0
+    assert json.loads(rfile.read_text())["results"]["kmin"] == []
+    capsys.readouterr()
+    assert run(["analyze", "sparsity", gfile, "--method", "both",
+                "--a-grid=-1,0", "--out", rfile]) == 2
+    assert capsys.readouterr().err == "sgs: error: a must be non-negative\n"
+    assert run(["analyze", "sparsity", gfile, "--method", "both",
+                "--a-grid=0,-1", "--out", rfile]) == 2
+    assert capsys.readouterr().err == (
+        "sgs: error: 30 vertices are too many for enumeration (limit 22)\n")
 
 
 def test_analyze_cheeger_region(tmp_path):
@@ -173,6 +194,21 @@ def test_malformed_file(tmp_path, capsys):
         capsys.readouterr()
         assert run(["analyze", "sparsity", bad]) == 2
         assert f"{key} must be a list" in capsys.readouterr().err
+    # ids that are not JSON strings used to load through str(), and a
+    # witness then read ["None", "1.5"]
+    for doc, where in (
+            ({"vertices": [{"id": "x"}, {"id": None}], "edges": []},
+             "vertices[1]: id"),
+            ({"vertices": [{"id": 1.5}], "edges": []}, "vertices[0]: id"),
+            ({"vertices": [{"id": ["a"]}], "edges": []}, "vertices[0]: id"),
+            ({"vertices": [{"id": "1"}, {"id": "x"}],
+              "edges": [{"u": 1, "v": "x"}]}, "edges[0]: u"),
+            ({"vertices": [{"id": "x"}, {"id": "None"}],
+              "edges": [{"u": "x", "v": None}]}, "edges[0]: v")):
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["analyze", "sparsity", bad]) == 2
+        assert f"{where} must be a string" in capsys.readouterr().err
     # a fractional host degree used to load truncated, and exit 0
     bad.write_text(json.dumps({"vertices": [{"id": "x"},
                                             {"id": "y", "host_degree": 2.7}],

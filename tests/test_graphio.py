@@ -50,6 +50,20 @@ def test_parse_errors_are_positioned():
         document_to_graph({"vertices": 5, "edges": []})
     with pytest.raises(ValueError, match=r"^edges must be a list, got None$"):
         document_to_graph({"vertices": [{"id": "x"}], "edges": None})
+    # ids are JSON strings only; str() used to load these as "None",
+    # "1.5" and "['a']"
+    for bad in (None, 1.5, ["a"], 7, True, {"a": 1}):
+        with pytest.raises(ValueError,
+                           match=r"^vertices\[1\]: id must be a string, got "):
+            document_to_graph({"vertices": [{"id": "x"}, {"id": bad}],
+                               "edges": []})
+        for key in ("u", "v"):
+            edge = {"u": "x", "v": "y", key: bad}
+            with pytest.raises(ValueError,
+                               match=rf"^edges\[1\]: {key} must be a string"):
+                document_to_graph({"vertices": [{"id": "x"}, {"id": "y"},
+                                                {"id": "None"}, {"id": "1.5"}],
+                                   "edges": [{"u": "x", "v": "None"}, edge]})
     with pytest.raises(ValueError, match=r"vertices\[1\]: duplicate id"):
         document_to_graph({"vertices": [{"id": "x"}, {"id": "x"}],
                            "edges": []})

@@ -53,6 +53,18 @@ def test_kmin_cycle_any_a():
 def test_kmin_enumeration_guard():
     with pytest.raises(ValueError, match="enumeration"):
         kmin_bruteforce(cycle_graph(23), None, 0.0)
+    # a grid checks each a in order and enumerates at the first valid
+    # one, so it fails where the first failing per-a call would; an
+    # empty grid enumerates nothing
+    assert kmin_bruteforce(cycle_graph(23), None, []) == []
+    with pytest.raises(ValueError, match="a must be non-negative"):
+        kmin_bruteforce(cycle_graph(23), None, [-1.0, 0.0])
+    with pytest.raises(ValueError, match="a must be finite"):
+        kmin_bruteforce(cycle_graph(23), None, (math.nan, -1.0))
+    with pytest.raises(ValueError, match="enumeration"):
+        kmin_bruteforce(cycle_graph(23), None, [0.0, -1.0])
+    with pytest.raises(ValueError, match="a must be non-negative"):
+        kmin_bruteforce(path_graph(4), None, [0.0, 1.0, -1.0])
     with pytest.raises(ValueError, match="enumeration"):
         cheeger(cycle_graph(23), None, method="bruteforce")
 
@@ -471,3 +483,77 @@ def test_oracle_sized_networks_stay_off_scipy(monkeypatch):
     assert len(networks) == 6
     assert max(len(net.slot) for net in networks) == 420
     assert maxflow._SCIPY_MIN_ARCS > 420
+
+
+def test_bruteforce_grid_equals_per_a_calls(monkeypatch):
+    # one table build serves the whole grid; every field of every
+    # certificate is the per-a call's, bit for bit (repr tells -0.0 and
+    # every float apart), ties included
+    from sgs import sparseness
+
+    builds = []
+    build = sparseness._subset_tables
+    monkeypatch.setattr(sparseness, "_subset_tables",
+                        lambda *args: builds.append(1) or build(*args))
+    rng = np.random.default_rng(71)
+    triangles = Graph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
+    cases = [(triangles, None), (Graph(3, []), None)]
+    for _ in range(30):
+        base = random_graph(rng, n_max=12)
+        g = Graph(base.vertex_count, base.edges,
+                  host_degree=base.internal_degree
+                  + rng.integers(0, 4, base.vertex_count))
+        cases.append((g, uniform_potential(rng, g.vertex_count, -2, 3)))
+    grid = (0.0, 0.5, Fraction(1, 3), 2, 0.5, np.float64(7.25), 0)
+    for g, q in cases:
+        builds.clear()
+        certs = kmin_bruteforce(g, q, grid)
+        assert len(builds) == 1
+        singles = [kmin_bruteforce(g, q, a) for a in grid]
+        assert isinstance(certs, list) and len(certs) == len(grid)
+        assert certs == singles
+        assert [repr(c) for c in certs] == [repr(c) for c in singles]
+    assert kmin_bruteforce(triangles, None, [0.0])[0].witness == (0, 1, 2)
+    assert kmin_bruteforce(triangles, None, np.array([0.0, 1.0]))[1] == \
+        kmin_bruteforce(triangles, None, 1.0)
+
+
+def test_in_place_objectives_equal_their_expressions(monkeypatch):
+    # the objectives run in preallocated buffers; their values must be
+    # the plain expressions' bit for bit, since float ties decide
+    # witnesses (the empty set's entry 0 is the pick's to overwrite)
+    from sgs import sparseness
+
+    seen = []
+    pick = sparseness._best_subset
+    monkeypatch.setattr(sparseness, "_best_subset",
+                        lambda region, size, values:
+                        seen.append(values[1:].copy()) or
+                        pick(region, size, values))
+    rng = np.random.default_rng(73)
+    zero_dens = 0
+    for _ in range(20):
+        base = random_graph(rng, n_max=11)
+        n = base.vertex_count
+        g = Graph(n, base.edges,
+                  host_degree=base.internal_degree + rng.integers(0, 3, n))
+        # integer q of both signs makes zero Cheeger denominators common
+        for q in (Potential(rng.integers(-3, 3, n).astype(float)),
+                  uniform_potential(rng, n, -2, 3)):
+            te, size, (deg, qp, qv) = sparseness._subset_tables(
+                g, range(n), (g.host_degree, q.plus, q.values))
+            seen.clear()
+            kmin_bruteforce(g, q, (0.0, 0.3, 2.0))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                for af, got in zip((0.0, 0.3, 2.0), seen):
+                    want = (te - af * ((deg - te) + qp)) / size
+                    assert np.array_equal(got.view(np.uint64),
+                                          want[1:].view(np.uint64))
+                seen.clear()
+                cheeger(g, q, method="bruteforce")
+                den = deg + qv
+                want = np.where(den == 0.0, 0.0, -((deg - te) + qv) / den)
+            zero_dens += np.count_nonzero(den[1:] == 0.0)
+            assert np.array_equal(seen[0].view(np.uint64),
+                                  want[1:].view(np.uint64))
+    assert zero_dens > 0
