@@ -36,13 +36,18 @@ __all__ = [
 
 DENSE_EIGEN_LIMIT = 4000
 # Extremal eigenvalues (the offsets k_tilde) are taken with dense eigvalsh
-# up to this dimension and with eigsh(k=1) above it.  Measured on the
-# offset matrices +-A - at*D of random graphs, regular-tree balls and
-# grids, real and magnetic (2-core x86-64, OpenBLAS, best of 5): dense
-# wins below about 200-250 vertices (random graph n=60: 0.27 ms dense,
-# 2.5 ms eigsh; ball r=6, n=190: 1.8 ms both), eigsh wins above (grid
-# m=20, n=400: 9.8 ms dense, 5.1 ms eigsh, magnetic 36 ms and 16 ms; ball
-# r=8, n=766: 44 ms and 3.4 ms).  Both agree to 2.2e-15 (1 + ||M||).
+# up to this dimension and with eigsh(k=1) above it; a complex Hermitian
+# matrix goes to eigsh as its real symmetric embedding (_lambda_extreme).
+# Measured on the offset matrices +-A - at*D (2-core x86-64, OpenBLAS,
+# best of 5-9 runs).  Real: dense wins below about 200-250 vertices
+# (random graph n=60: 0.27 ms dense, 2.5 ms eigsh; ball r=6, n=190:
+# 1.8 ms both), eigsh wins above (grid m=20, n=400: 8.3-9.8 ms dense,
+# 4.0-5.6 ms eigsh; ball r=8, n=766: 44 ms and 3.4 ms).  Magnetic, with
+# the embedding: random n=200: 4.6-4.8 ms dense, 7.8-10 ms eigsh; n=250:
+# 7.9-10 ms and 6.0-8.5 ms; grid m=16, n=256: 8.1-11 ms and 4.8-7.7 ms;
+# grid m=20: 25-34 ms and 7.8-11 ms.  So both crossovers lie at 200-256
+# vertices.  On balls r=8 and grids m=17, 25, real and magnetic, with and
+# without float q, eigsh agrees with dense eigvalsh to 4.1e-15 (1 + ||M||).
 EXTREMAL_DENSE_LIMIT = 256
 # Seed of the eigsh start vector.  A fixed vector keeps reports
 # byte-deterministic; it must be generic, because a structured one can be
@@ -97,13 +102,23 @@ def eigenvalues(op: HermitianOperator) -> np.ndarray:
 
 
 def _lambda_extreme(matrix, which: str) -> float:
-    """Extreme eigenvalue of a Hermitian matrix, sparse or dense."""
+    """Extreme eigenvalue of a Hermitian matrix, sparse or dense.
+
+    Above the dense limit a complex ``X + iY`` is solved as its real
+    symmetric embedding ``[[X, -Y], [Y, X]]``, which has the same
+    eigenvalues, each twice: eigsh then runs symmetric Lanczos, where a
+    complex matrix would take ARPACK's general Arnoldi routine.
+    """
     n = matrix.shape[0]
     if n <= EXTREMAL_DENSE_LIMIT:
         if sp.issparse(matrix):
             matrix = matrix.toarray()
         vals = np.linalg.eigvalsh(matrix)
         return float(vals[-1] if which == "max" else vals[0])
+    if np.iscomplexobj(matrix):
+        x, y = matrix.real, matrix.imag
+        matrix = sp.block_array([[x, -y], [y, x]], format="csr")
+        n = matrix.shape[0]
     v0 = np.random.default_rng(_START_SEED).uniform(-1.0, 1.0, n)
     vals = spla.eigsh(matrix, k=1, which="LA" if which == "max" else "SA",
                       v0=v0, rng=_START_SEED, maxiter=50 * n,
@@ -318,6 +333,13 @@ def ratio_report(graph: Graph, potential: Potential | None,
     the optimal offsets are computed; the bracket attached to the
     report is [(1-at) - kt_low/m, (1+at) + kt_up/m] with m the smallest
     reported denominator, for the grid slope minimizing its width.
+    Widths within 1e-9 (1 + ||M||) / m of the least one count as tied,
+    with ||M|| the operator's row-sum norm bound, and the smallest tied
+    slope wins.  The tolerance sits far above the rounding of a width,
+    about 1e-15 (1 + ||M||) / m, so noise cannot choose among slopes
+    whose widths are equal in exact arithmetic (every slope on a q = 0
+    regular host); every grid slope's bracket is valid, so any tied
+    choice is safe.  An empty grid gives no bracket.
     """
     if top_m < 1:
         raise ValueError("top_m must be positive")
@@ -336,16 +358,15 @@ def ratio_report(graph: Graph, potential: Potential | None,
     bracket = None
     bracket_at = None
     verified: list[tuple[str, float]] = []
-    if indices:
+    if indices and rows:
         m_min = min(mu[i] for i in indices)
-        best_width = math.inf
-        for at, klow, kup in rows:
-            lo = (1.0 - at) - klow / m_min
-            hi = (1.0 + at) + kup / m_min
-            if hi - lo < best_width:
-                best_width = hi - lo
-                bracket = (lo, hi)
-                bracket_at = at
+        brackets = {at: ((1.0 - at) - klow / m_min, (1.0 + at) + kup / m_min)
+                    for at, klow, kup in rows}
+        widths = {at: hi - lo for at, (lo, hi) in brackets.items()}
+        tie = 1e-9 * (1.0 + plan.operator.norm_bound()) / m_min
+        bracket_at = min(at for at, w in widths.items()
+                         if w <= min(widths.values()) + tie)
+        bracket = brackets[bracket_at]
         margin = min(min(r - bracket[0] for r in ratios),
                      min(bracket[1] - r for r in ratios))
         verified.append(("ratios_within_bracket", float(margin)))

@@ -3,11 +3,13 @@ import json
 import math
 import re
 
+import numpy as np
 import pytest
 
 import sgs.cli
+from sgs import PhaseField, Potential, grid_graph
 from sgs.cli import main
-from sgs.graphio import load_graph, verify_report_certificates
+from sgs.graphio import load_graph, save_graph, verify_report_certificates
 
 
 def run(args):
@@ -93,6 +95,25 @@ def test_verify_reports_above_dense_cutover_are_deterministic(tmp_path):
         texts.append(re.sub(r'"wall_clock_seconds": [^,}\n]*', "",
                             rfile.read_text()))
     assert texts[0] == texts[1]
+
+
+def test_magnetic_verify_reports_above_dense_cutover_are_deterministic(
+        tmp_path):
+    # 400 vertices: the magnetic offsets and bottoms go through eigsh
+    graph = grid_graph(20)
+    rng = np.random.default_rng(39)
+    gfile = tmp_path / "grid20-mag.json"
+    save_graph(gfile, graph, Potential(rng.uniform(0, 1, graph.vertex_count)),
+               PhaseField.random(graph, rng))
+    texts = []
+    for name in ("r1.json", "r2.json"):
+        rfile = tmp_path / name
+        assert run(["analyze", "verify", gfile, "--out", rfile]) == 0
+        texts.append(re.sub(r'"wall_clock_seconds": [^,}\n]*', "",
+                            rfile.read_text()))
+    assert texts[0] == texts[1]
+    checks = json.loads(rfile.read_text())["results"]["checks"]
+    assert "upside_down_magnetic@a_tilde=0.5" in {c["id"] for c in checks}
 
 
 def test_verify_tiny_tolerance_fails(tmp_path):

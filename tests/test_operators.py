@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from sgs import (Graph, PhaseField, Potential, assemble, kato_gap, path_graph,
-                 quad_form, regular_tree_ball, subset_stats,
-                 upside_down_identity)
+from sgs import (Graph, HermitianOperator, PhaseField, Potential, assemble,
+                 kato_gap, path_graph, quad_form, regular_tree_ball,
+                 subset_stats, upside_down_identity)
 
 from helpers import random_graph, uniform_potential
 
@@ -75,6 +76,18 @@ def test_quad_form_indicator_is_boundary():
         ind[w] = 1.0
         assert quad_form(op, ind) == pytest.approx(
             subset_stats(g, None, w).boundary, abs=1e-9)
+
+
+def test_quad_form_rejects_a_matrix_that_disagrees_with_its_edge_sum():
+    g = path_graph(3)
+    op = assemble(g, Potential([0.5, 0.0, 1.0]))
+    f = np.array([1.0, -2.0, 0.5])
+    # edges: 3^2 + 2.5^2; mass: 0.5 * 1 + 1 * 0.25
+    assert quad_form(op, f) == pytest.approx(16.0, rel=1e-15)
+    perturbed = HermitianOperator(
+        op.kind, (op.matrix + 1e-6 * sp.eye(3)).tocsr(), g, op.potential)
+    with pytest.raises(RuntimeError, match="quadratic form mismatch"):
+        quad_form(perturbed, f)
 
 
 def test_laplacian_between_zero_and_twice_degree():

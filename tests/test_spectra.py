@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from sgs import (Graph, PhaseField, Potential, assemble, cheeger,
                  cheeger_form_slopes, complete_graph,
@@ -10,7 +11,8 @@ from sgs import (Graph, PhaseField, Potential, assemble, cheeger,
                  regular_tree_ball, sparse_to_form, spectral_edge_bound,
                  verify_sandwich, FormConstants, make_radial_family,
                  RadialFamilySpec)
-from sgs.spectra import DEFAULT_ATILDE_GRID, EXTREMAL_DENSE_LIMIT
+from sgs.spectra import (DEFAULT_ATILDE_GRID, EXTREMAL_DENSE_LIMIT,
+                         SpectralPlan, _lambda_extreme)
 
 from helpers import random_graph, uniform_potential
 
@@ -244,6 +246,70 @@ def test_offsets_above_dense_cutover_match_dense(name):
             norm = float(np.abs(m).sum(axis=1).max())
             assert abs(first - dense) <= 1e-9 * (1.0 + norm), (side, at)
             assert first == again
+
+
+@pytest.mark.parametrize("whole", [True, False])
+def test_magnetic_compressed_bottoms_above_dense_cutover_match_dense(whole):
+    g, q, ph = _offset_case("magnetic_grid")
+    region = (np.arange(g.vertex_count) if whole
+              else np.arange(0, g.vertex_count - 20))
+    assert len(region) > EXTREMAL_DENSE_LIMIT
+    plan = SpectralPlan(g, q, ph)
+    got = plan.compressed_bottoms(region, 0.4, 1.6)
+    h = assemble(g, q, ph, kind="magnetic").toarray()[np.ix_(region, region)]
+    d = np.diag(np.real(np.diag(h)))
+    for value, m in zip(got, (h - 0.4 * d, 1.6 * d - h)):
+        norm = float(np.abs(m).sum(axis=1).max())
+        dense = float(np.linalg.eigvalsh(m)[0])
+        assert abs(value - dense) <= 1e-9 * (1.0 + norm)
+
+
+def test_eigsh_sees_the_real_embedding_of_a_complex_matrix(monkeypatch):
+    seen = []
+    real_eigsh = spla.eigsh
+
+    def spy(matrix, *args, **kwargs):
+        seen.append(matrix)
+        return real_eigsh(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "eigsh", spy)
+    g, q, ph = _offset_case("magnetic_grid")
+    n = g.vertex_count
+    SpectralPlan(g, q, ph).offset(0.5, "lower")
+    assert [(m.dtype, m.shape) for m in seen] == [(np.float64, (2 * n, 2 * n))]
+    seen.clear()
+    SpectralPlan(g, q).offset(0.5, "lower")
+    assert [(m.dtype, m.shape) for m in seen] == [(np.float64, (n, n))]
+    seen.clear()
+    plain = assemble(g, q).matrix
+    _lambda_extreme(plain, "min")
+    assert len(seen) == 1 and seen[0] is plain
+
+
+def test_bracket_slope_ties_go_to_the_smallest():
+    # q = 0 on a 3-regular host: D = 3 I, so every grid slope gives the
+    # bracket [1 - l/3, 1 + l/3] with l = lambda_max(A), and only
+    # rounding separates the widths
+    g = regular_tree_ball(3, 7)
+    assert g.vertex_count > EXTREMAL_DENSE_LIMIT
+    adjacency = 3.0 * np.eye(g.vertex_count) - assemble(g, None).toarray()
+    top = float(np.linalg.eigvalsh(adjacency)[-1])
+    for seed in (1, 3):
+        p = np.random.default_rng(seed).permutation(g.vertex_count)
+        host = np.empty(g.vertex_count, dtype=np.int64)
+        host[p] = g.host_degree
+        relabelled = Graph(g.vertex_count,
+                           [(int(p[u]), int(p[v])) for u, v in g.edges], host)
+        rep = ratio_report(relabelled, None)
+        assert rep.bracket_a_tilde == min(DEFAULT_ATILDE_GRID)
+        assert rep.bracket == pytest.approx((1 - top / 3, 1 + top / 3),
+                                            rel=0, abs=1e-12)
+
+
+def test_empty_slope_grid_gives_no_bracket():
+    rep = ratio_report(path_graph(4), None, top_m=4, atilde_grid=())
+    assert rep.bracket is None and rep.bracket_a_tilde is None
+    assert rep.verified == ()
 
 
 def test_ratio_report_constant_denominator():
