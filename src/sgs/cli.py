@@ -3,9 +3,9 @@ runs the sparsity / cheeger / spectrum / verify pipelines and emits JSON
 reports.
 
 Reports are deterministic for identical inputs apart from their
-wall-clock field.  Exit codes: 0 on success, 1 when a verification
-margin (scaled by its tolerance) falls below -tol or flow and brute
-force disagree by more than tol, 2 on input errors.
+wall-clock field.  Exit codes: 0 on success, 1 when a verify or
+spectrum margin (over its tolerance scale) falls below -tol or flow
+and brute force disagree by more than tol, 2 on input errors.
 """
 from __future__ import annotations
 
@@ -219,8 +219,9 @@ def _analyze_spectrum(args, graph, potential, phase, ids) -> dict:
                  for (at, kl, ku) in report.grid],
         "bracket": list(report.bracket) if report.bracket else None,
         "bracket_a_tilde": report.bracket_a_tilde,
-        "verified": [{"id": name, "margin": margin}
-                     for (name, margin) in report.verified],
+        "verified": [{"id": name, "status": "ok", "margin": margin,
+                      "tolerance_scale": scale}
+                     for (name, margin, scale) in report.verified],
     }
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
@@ -242,12 +243,13 @@ def _analyze_verify(args, graph, potential, phase, ids) -> dict:
 
 
 def _failed(results: dict, tol: float) -> bool:
-    """Flow and brute force apart by more than tol, or a verify check's
-    margin over its tolerance scale below -tol."""
+    """Flow and brute force apart by more than tol, or a verify or
+    spectrum check's margin over its tolerance scale below -tol."""
+    checks = results.get("checks", results.get("verified", []))
     return (any(e.get("method_agreement", 0.0) > tol
                 for e in results.get("kmin", [results]))
             or any(c["status"] == "ok" and c["margin"] / c["tolerance_scale"]
-                   < -tol for c in results.get("checks", [])))
+                   < -tol for c in checks))
 
 
 def _command_analyze(args) -> int:
@@ -255,6 +257,10 @@ def _command_analyze(args) -> int:
     if not (math.isfinite(args.tol) and args.tol >= 0):
         raise ValueError("--tol must be finite and non-negative, "
                          f"got {args.tol!r}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {args.seed}")
+    if args.top_m < 1:
+        raise ValueError(f"--top-m must be at least 1, got {args.top_m}")
     graph, potential, phase, ids = load_graph(args.graph)
     if args.csv and args.subcommand != "spectrum":
         raise ValueError("--csv applies to the spectrum subcommand only")

@@ -19,13 +19,15 @@ one build serves every a of a grid.  The (a, 0) threshold has the
 production path only.  The production path of k_min, of the (a, 0)
 threshold and of the Cheeger constant is one driver, ``_dinkelbach``:
 Dinkelbach's ratio iteration with each linearized subproblem solved
-exactly by one minimum s-t cut.  The cut network of a (graph, region)
-is built once per call (:func:`sgs.maxflow.cut_network`), and a step
-only recomputes its terminal capacities, as one numpy expression.  All
-flow arithmetic is exact: float inputs are dyadic rationals and are
-converted losslessly to fractions, capacities are rescaled to integers,
-subset sums are taken in Python integers, and the iteration terminates
-because the achievable ratios form a finite set.
+exactly by one minimum s-t cut.  Each constant maximizes a ratio N/D of
+affine subset functionals, which its route passes as exact coefficients.
+The cut network of a (graph, region) is built once per call
+(:func:`sgs.maxflow.cut_network`), and a step only recomputes its
+terminal capacities, as one numpy expression.  All flow arithmetic is
+exact: float inputs are dyadic rationals and are converted losslessly
+to fractions, capacities are rescaled to integers, subset sums are
+taken in Python integers, and the iteration terminates because the
+achievable ratios form a finite set.
 
 Each cut goes through :func:`sgs.maxflow.min_cut`, which holds every
 network as one symmetric CSR pattern.  Networks of at least 512 arcs
@@ -245,38 +247,42 @@ def _kmin_certificate(graph: Graph, potential: Potential, a: float,
                                  clamped=ratio < 0.0)
 
 
-def _dinkelbach(graph: Graph, region: tuple[int, ...],
-                q: tuple[list[int], int], ratio, linearized,
-                start: tuple[int, ...]
+def _dinkelbach(graph: Graph, potential: Potential, region: tuple[int, ...],
+                num, den, start: tuple[int, ...]
                 ) -> tuple[tuple[int, ...], Fraction | None]:
-    """Maximize ``ratio`` over nonempty subsets of ``region`` (Dinkelbach).
+    """Maximize N(W)/D(W) over nonempty subsets W of ``region`` (Dinkelbach).
 
-    ``ratio(size, induced, degsum, qsum)`` maps the exact counts |W|,
-    |E_W|, deg W and q W of a subset W (``qsum`` a Fraction; ``q`` as
-    from :func:`_exact_potential`) to its ratio, or to None when it is
-    infinite (which ends the search).  ``linearized(r)`` gives
-    coefficients (alpha, beta, gamma, cost) such that sum_{x in W}
-    (alpha deg(x) + beta q(x) + gamma) - cost |dW|, with the host-aware
-    boundary, is positive exactly on the subsets of ratio above r.  Each
-    step finds the smallest W that maximizes it by one minimum s-t cut
-    on capacities scaled to integers (:func:`sgs.maxflow.min_cut`, which
-    picks scipy's Dinic in exact bit-scaling rounds or the Python one by
-    network size, whatever the capacity width).  The network, one CSR
-    pattern for both, is built once per call: edges inside the region
-    are bidirected arcs of capacity ``cost``, each vertex's outside
+    ``num`` and ``den`` are the exact coefficients of N and D over
+    (deg W, q_+(W), |W|, |dW|), the boundary host-aware: N(W) =
+    num[0] deg W + num[1] q_+(W) + num[2] |W| + num[3] |dW|, and D
+    likewise.  D must be non-negative; D(W) = 0 makes the ratio infinite
+    (None), which ends the search.  At ratio r a step maximizes N - rD,
+    whose |dW| coefficient must not be positive: minus it is the
+    capacity of the inner arcs.  It finds the smallest maximizing W by
+    one minimum s-t cut (:func:`sgs.maxflow.min_cut`) on capacities
+    scaled to integers.  The network is built once per call: edges
+    inside the region are bidirected arcs, each vertex's outside
     boundary (deficit plus edges leaving the region) is netted into its
     terminal weight, and every vertex has both terminal arcs, the one
     its weight does not use at capacity 0.  So a step only recomputes
-    the terminal weights, as one array expression: in int64 when a
-    bound on the coefficients allows it, in Python integers otherwise.  The vertices the source
-    reaches in the residual graph form the smallest minimum cut, so the
-    side is empty exactly when no W beats the empty set.
+    the terminal weights, as one array expression: in int64 when a bound
+    on the coefficients allows it, in Python integers otherwise.  The
+    vertices the source reaches in the residual graph form the smallest
+    minimum cut, so the side is empty exactly when no W beats the empty
+    set.
 
     Returns the last improving subset and its ratio; the achievable
     ratios are finite, so the ratio climbs to the maximum in finitely
     many cuts.
     """
-    qn, qd = q
+    qn, qd = _exact_potential(potential.plus)
+    # N and D times one positive integer, qd times the coefficients' least
+    # common denominator, over the integer counts (deg W, qd q_+(W), |W|,
+    # |dW|): a subset's ratio is then one Fraction of two integers
+    lcd = lcm(*(c.denominator for c in (*num, *den)))
+    num_int, den_int = ([c.numerator * (lcd // c.denominator) * scale
+                         for c, scale in zip(part, (qd, 1, qd, qd))]
+                        for part in (num, den))
     m = len(region)
     vertices = np.asarray(region, dtype=np.int64)
     local = np.full(graph.vertex_count, -1, dtype=np.int64)
@@ -294,12 +300,15 @@ def _dinkelbach(graph: Graph, region: tuple[int, ...],
     narrow = ((deg, exact_q.astype(np.int64), outside) if qmax < 2**63
               else exact)
 
-    def counts(members: np.ndarray):  # summed in Python integers: exact
+    def ratio(members: np.ndarray) -> Fraction | None:
         inside = np.zeros(m, dtype=bool)
         inside[members] = True
-        return (len(members), int(np.count_nonzero(inside[iu] & inside[iv])),
-                sum(deg[members].tolist()),
-                Fraction(sum(exact_q[members].tolist()), qd))
+        degsum = sum(deg[members].tolist())  # Python integers: exact
+        counts = (degsum, sum(exact_q[members].tolist()), len(members),
+                  degsum - 2 * int(np.count_nonzero(inside[iu] & inside[iv])))
+        n, d = (sum(c * x for c, x in zip(part, counts) if c)
+                for part in (num_int, den_int))
+        return None if d == 0 else Fraction(n, d)
 
     s, t = m, m + 1
     net = cut_network(m + 2, np.concatenate((np.full(m, s), np.arange(m),
@@ -307,12 +316,14 @@ def _dinkelbach(graph: Graph, region: tuple[int, ...],
                       np.concatenate((np.arange(m), np.full(m, t), iv, iu)),
                       s, t)
     witness = start
-    r = ratio(*counts(local[np.asarray(start)]))
+    r = ratio(local[np.asarray(start)])
     for _ in range(_MAX_RATIO_ITERATIONS):
         if r is None:
             return witness, None
-        alpha, beta, gamma, cost = linearized(r)
-        (da, dq, c, unit), _ = _scaled_ints([alpha, beta / qd, gamma, cost])
+        alpha, beta, gamma, edge = (n - r * d if d else n
+                                    for n, d in zip(num, den))
+        (da, dq, c, unit), _ = _scaled_ints([alpha, Fraction(beta, qd), gamma,
+                                             -edge])
         # bounds every partial sum of the weights, and the inner capacity
         fits = (abs(da) * dmax + abs(dq) * qmax + abs(c)
                 + unit * (omax + 1)) < 2**63
@@ -323,7 +334,7 @@ def _dinkelbach(graph: Graph, region: tuple[int, ...],
         side = np.array(min_cut(net, caps), dtype=np.int64)[:-1]  # drop s
         if not len(side):
             return witness, r
-        witness, new_r = tuple(vertices[side].tolist()), ratio(*counts(side))
+        witness, new_r = tuple(vertices[side].tolist()), ratio(side)
         assert new_r is None or new_r > r
         r = new_r
     raise RuntimeError(
@@ -335,24 +346,16 @@ def kmin_flow(graph: Graph, potential: Potential | None,
     """Exact k_min(a) by ratio iteration with min-cut subproblems.
 
     Matches :func:`kmin_bruteforce` exactly on the optimal value; the
-    witness may differ when several subsets attain it.  For parameter k,
-    the subproblem max_W [sum_{x in W}(deg(x) - a q_+(x) - k) -
-    (1+a)|dW|] is a minimum cut; k increases to the attained ratio until
-    no strictly improving subset remains.
+    witness may differ when several subsets attain it.  The ratio is
+    (deg W - a q_+(W) - (1+a)|dW|) / |W|, since 2|E_W| = deg W - |dW|.
     """
     potential = _check_potential(graph, potential)
     a_fr = _as_fraction(a, "a")
     if a_fr < 0:
         raise ValueError("a must be non-negative")
-    qplus = _exact_potential(potential.plus)
-
-    def ratio(size, induced, degsum, qp):
-        return (2 * induced - a_fr * (degsum - 2 * induced + qp)) / size
-
-    # sum_W (deg - a q_+ - k) - (1+a)|dW| = 2|E_W| - a(|dW| + q_+(W)) - k|W|
     everything = tuple(range(graph.vertex_count))
-    witness, _ = _dinkelbach(graph, everything, qplus, ratio,
-                             lambda k: (1, -a_fr, -k, 1 + a_fr), everything)
+    witness, _ = _dinkelbach(graph, potential, everything,
+                             (1, -a_fr, 0, -1 - a_fr), (0, 0, 1, 0), everything)
     return _kmin_certificate(graph, potential, _float(a_fr), witness)
 
 
@@ -368,16 +371,9 @@ def amin_zero_k(graph: Graph, potential: Potential | None) -> SparsityThreshold:
     potential = _check_potential(graph, potential)
     if graph.edge_count == 0:
         return SparsityThreshold(0.0, (0,), subset_stats(graph, potential, (0,)))
-    qplus = _exact_potential(potential.plus)
-
-    def ratio(size, induced, degsum, qp):
-        den = degsum - 2 * induced + qp
-        return None if den == 0 else 2 * induced / den
-
-    # sum_W (deg - a q_+) - (1+a)|dW| = 2|E_W| - a(|dW| + q_+(W))
     everything = tuple(range(graph.vertex_count))
-    witness, a = _dinkelbach(graph, everything, qplus, ratio,
-                             lambda a: (1, -a, 0, 1 + a), everything)
+    witness, a = _dinkelbach(graph, potential, everything,
+                             (1, 0, 0, -1), (0, 1, 0, 1), everything)
     return SparsityThreshold(math.inf if a is None else _float(a), witness,
                              subset_stats(graph, potential, witness))
 
@@ -438,16 +434,10 @@ def _cheeger_flow(graph: Graph, potential: Potential,
     if len(isolated):
         return _cheeger_certificate(graph, potential,
                                     (region[isolated[0]],), region)
-    q = _exact_potential(potential.plus)  # equals q on the region
-
-    # maximize -(|dW| + q(W)) / (deg W + q(W)); every denominator is
-    # now positive, and every singleton has ratio exactly -1.  At ratio r
-    # the subproblem is sum_W (-r deg - (1+r) q) - |dW|.
-    def ratio(size, induced, degsum, qs):
-        return -(degsum - 2 * induced + qs) / (degsum + qs)
-
-    witness, _ = _dinkelbach(graph, region, q, ratio,
-                             lambda r: (-r, -1 - r, 0, 1), (region[0],))
+    # maximize -(|dW| + q(W)) / (deg W + q(W)), q = q_+ on the region;
+    # every denominator is now positive, and every singleton has ratio -1
+    witness, _ = _dinkelbach(graph, potential, region,
+                             (0, -1, 0, -1), (1, 1, 0, 0), (region[0],))
     return _cheeger_certificate(graph, potential, witness, region)
 
 

@@ -89,7 +89,7 @@ class SpectralReport:
     grid: tuple[tuple[float, float, float], ...]  # (a_tilde, k_lower, k_upper)
     bracket: tuple[float, float] | None
     bracket_a_tilde: float | None
-    verified: tuple[tuple[str, float], ...]
+    verified: tuple[tuple[str, float, float], ...]  # (id, margin, scale)
 
 
 def eigenvalues(op: HermitianOperator) -> np.ndarray:
@@ -339,7 +339,9 @@ def ratio_report(graph: Graph, potential: Potential | None,
     about 1e-15 (1 + ||M||) / m, so noise cannot choose among slopes
     whose widths are equal in exact arithmetic (every slope on a q = 0
     regular host); every grid slope's bracket is valid, so any tied
-    choice is safe.  An empty grid gives no bracket.
+    choice is safe.  An empty grid gives no bracket.  ``verified`` holds
+    (id, margin, tolerance scale) per check: the scale is 1 + ||M||, and
+    (1 + ||M||) / m, the tie rule's, for the bracket margin.
     """
     if top_m < 1:
         raise ValueError("top_m must be positive")
@@ -357,23 +359,27 @@ def ratio_report(graph: Graph, potential: Potential | None,
                  for at in grid)
     bracket = None
     bracket_at = None
-    verified: list[tuple[str, float]] = []
+    scale = 1.0 + plan.operator.norm_bound()
+    verified: list[tuple[str, float, float]] = []
     if indices and rows:
         m_min = min(mu[i] for i in indices)
         brackets = {at: ((1.0 - at) - klow / m_min, (1.0 + at) + kup / m_min)
                     for at, klow, kup in rows}
         widths = {at: hi - lo for at, (lo, hi) in brackets.items()}
-        tie = 1e-9 * (1.0 + plan.operator.norm_bound()) / m_min
+        tie = 1e-9 * scale / m_min
         bracket_at = min(at for at, w in widths.items()
                          if w <= min(widths.values()) + tie)
         bracket = brackets[bracket_at]
         margin = min(min(r - bracket[0] for r in ratios),
                      min(bracket[1] - r for r in ratios))
-        verified.append(("ratios_within_bracket", float(margin)))
+        verified.append(("ratios_within_bracket", float(margin),
+                         float(scale / m_min)))
     for at, klow, kup in rows:
         lower, upper = plan.sandwich(at, klow, kup)
-        verified.append((f"sandwich_lower@a_tilde={at:g}", float(lower.min())))
-        verified.append((f"sandwich_upper@a_tilde={at:g}", float(upper.min())))
+        verified.append((f"sandwich_lower@a_tilde={at:g}", float(lower.min()),
+                         scale))
+        verified.append((f"sandwich_upper@a_tilde={at:g}", float(upper.min()),
+                         scale))
     return SpectralReport(
         eigenvalues=lam, diag_eigenvalues=mu, indices=indices, ratios=ratios,
         skipped=skipped, grid=rows, bracket=bracket,

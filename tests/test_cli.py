@@ -134,6 +134,61 @@ def test_verify_rejects_bad_tolerance(tmp_path, capsys, tol):
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize("subcommand",
+                         ["sparsity", "cheeger", "spectrum", "verify"])
+@pytest.mark.parametrize("flag, value",
+                         [("--seed", "-1"), ("--top-m", "0"),
+                          ("--top-m", "-2")])
+def test_analyze_rejects_bad_seed_and_top_m(tmp_path, capsys, subcommand,
+                                            flag, value):
+    gfile = tmp_path / "c5.json"
+    run(["gen", "cycle", "--n", 5, "--out", gfile])
+    assert run(["analyze", subcommand, gfile, flag, value,
+                "--out", tmp_path / "r.json"]) == 2
+    assert flag in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("check", ["ratios_within_bracket",
+                                   "sandwich_upper@a_tilde=0.5"])
+@pytest.mark.parametrize("shift, code", [(0.5, 0), (1.5, 1)])
+def test_spectrum_margins_fail_below_tol(tmp_path, monkeypatch, check,
+                                         shift, code):
+    """A spectrum margin fails once it falls below -tol times its scale."""
+    report = sgs.cli.ratio_report
+
+    def pushed(*args, **kwargs):
+        rep = report(*args, **kwargs)
+        return dataclasses.replace(rep, verified=tuple(
+            (name, -shift * 1e-9 * scale if name == check else margin, scale)
+            for name, margin, scale in rep.verified))
+
+    monkeypatch.setattr(sgs.cli, "ratio_report", pushed)
+    gfile = tmp_path / "ball.json"
+    run(["gen", "ball", "--host", "regular-tree", "--d", 3, "--radius", 4,
+         "--out", gfile])
+    assert run(["analyze", "spectrum", gfile, "--tol", "1e-9",
+                "--out", tmp_path / "r.json"]) == code
+
+
+def test_spectrum_bracket_edge_exits_zero(tmp_path):
+    # on a q = 0 regular host the bracket is attained, so its margin is
+    # zero up to rounding (a few 1e-16, of either sign) and passes
+    gfile, rfile = tmp_path / "ball.json", tmp_path / "r.json"
+    run(["gen", "ball", "--host", "regular-tree", "--d", 3, "--radius", 4,
+         "--out", gfile])
+    assert run(["analyze", "spectrum", gfile, "--out", rfile]) == 0
+    verified = json.loads(rfile.read_text())["results"]["verified"]
+    edge = verified[0]
+    assert edge["id"] == "ratios_within_bracket"
+    assert abs(edge["margin"]) <= 1e-12 * edge["tolerance_scale"]
+    # ||M|| = 6 (host degree 3 plus three neighbours), and the smallest
+    # reported denominator is m = 3: the bracket's scale is (1 + 6)/3
+    assert edge["tolerance_scale"] == pytest.approx(7 / 3)
+    assert all(c["status"] == "ok" and c["tolerance_scale"] == 7.0
+               for c in verified[1:])
+
+
 @pytest.mark.parametrize("shift, code", [(0.5, 0), (1.5, 1)])
 def test_method_agreement_fails_above_tol(tmp_path, monkeypatch, shift, code):
     """Flow and brute force may differ by at most tol (not 2 tol)."""

@@ -353,6 +353,73 @@ def test_flow_witnesses_are_pinned():
     assert inner == tuple(range(22))
 
 
+def test_flow_routes_reach_the_exact_optima(monkeypatch):
+    # the ratio driver's value is the exact maximum over all subsets, a
+    # Fraction (None when infinite), not just within 1e-9 of it
+    from sgs import sparseness
+    values = []
+    drive = sparseness._dinkelbach
+
+    def spy_drive(*args):
+        witness, value = drive(*args)
+        values.append(value)
+        return witness, value
+
+    monkeypatch.setattr(sparseness, "_dinkelbach", spy_drive)
+
+    def optima(g, q, region, ratio):
+        # max of ratio(2|E_W|, |dW|, deg W, q_+(W), |W|) over nonempty W
+        # in region, exact; ratio gives None for an infinite value
+        best = None
+        for mask in range(1, 1 << len(region)):
+            w = [x for b, x in enumerate(region) if mask >> b & 1]
+            st = subset_stats(g, None, w)
+            qplus = sum((Fraction(q.plus[x]) for x in w), Fraction(0))
+            r = ratio(2 * st.induced_edges, st.boundary, st.degree_sum,
+                      qplus, st.size)
+            if r is None:
+                return None
+            best = r if best is None else max(best, r)
+        return best
+
+    def amin_ratio(twice, bd, deg, qp, size):
+        if bd + qp == 0:
+            return None if twice else Fraction(0)
+        return Fraction(twice) / (bd + qp)
+
+    rng = np.random.default_rng(59)
+    for _ in range(30):
+        base = random_graph(rng, n_max=10)
+        n = base.vertex_count
+        g = Graph(n, base.edges, host_degree=base.internal_degree
+                  + rng.integers(0, 4, n))
+        q = uniform_potential(rng, n, -2, 3)
+        everything = list(range(n))
+        for a in (0, Fraction(1, 3), 0.5, 2.5):
+            a_fr = Fraction(a)
+            del values[:]
+            kmin_flow(g, q, a)
+            assert type(values[0]) is Fraction
+            assert values == [optima(g, q, everything,
+                                     lambda twice, bd, deg, qp, size:
+                                     (twice - a_fr * (bd + qp)) / size)]
+        del values[:]
+        amin_zero_k(g, q)
+        if g.edge_count:
+            assert values[0] is None or type(values[0]) is Fraction
+            assert values == [optima(g, q, everything, amin_ratio)]
+        # the flow Cheeger constant needs q >= 0 on its region
+        q = uniform_potential(rng, n, 0, 3)
+        region = sorted(int(x) for x in rng.choice(
+            n, size=int(rng.integers(1, n + 1)), replace=False))
+        del values[:]
+        cheeger(g, q, region, method="flow")
+        assert type(values[0]) is Fraction
+        assert values == [optima(g, q, region,
+                                 lambda twice, bd, deg, qp, size:
+                                 -(bd + qp) / (deg + qp))]
+
+
 def test_exact_potential_matches_fractions():
     from sgs.sparseness import _exact_potential, _scaled_ints
     rng = np.random.default_rng(43)
@@ -421,13 +488,9 @@ def test_one_network_per_ratio_driver(monkeypatch):
     drive, build, solve = (sparseness._dinkelbach, sparseness.cut_network,
                            sparseness.min_cut)
 
-    def spy_drive(graph, region, q, ratio, linearized, start):
+    def spy_drive(*args):
         events.append(("drive", None))
-
-        def step(r):
-            events.append(("step", None))
-            return linearized(r)
-        return drive(graph, region, q, ratio, step, start)
+        return drive(*args)
 
     def spy_build(*args):
         network = build(*args)
@@ -448,9 +511,9 @@ def test_one_network_per_ratio_driver(monkeypatch):
         del events[:]
         certify()
         kinds = [kind for kind, _ in events]
-        steps = kinds.count("step")
-        counts.append(steps)
-        assert kinds == ["drive", "network"] + ["step", "cut"] * steps
+        cuts = kinds.count("cut")
+        counts.append(cuts)
+        assert kinds == ["drive", "network"] + ["cut"] * cuts
         network = events[1][1]
         assert len(network.slot) >= maxflow._SCIPY_MIN_ARCS  # for scipy
         assert all(net is network for kind, net in events if kind == "cut")

@@ -177,7 +177,7 @@ def test_ratio_report_basics():
     assert not rep.skipped
     lo, hi = rep.bracket
     assert all(lo - 1e-9 <= r <= hi + 1e-9 for r in rep.ratios)
-    assert all(margin >= -1e-9 for _, margin in rep.verified)
+    assert all(margin >= -1e-9 for _, margin, _ in rep.verified)
 
 
 def test_ratio_report_skips_zero_denominators():
