@@ -13,9 +13,11 @@ capacity alone:
 
 * networks of at least ``_SCIPY_MIN_ARCS`` such arcs run on scipy's
   compiled Dinic (``scipy.sparse.csgraph.maximum_flow``) in bit-scaling
-  rounds (:func:`_rounds_cut`), whatever their capacity width.  scipy
-  keeps capacities, flows and residuals in int32, so each round solves
-  the top 31 bits of the exact residual capacities and subtracts that
+  rounds (:func:`_rounds_cut`), whatever their capacity width.  The
+  rounds see only the pattern's live pairs, those with capacity in
+  either direction.  scipy keeps capacities, flows and residuals in
+  int32, so each round solves the top 31 bits of the exact residual
+  capacities, sized by a cut whose capacity is known, and subtracts that
   flow exactly; a network that fits int32 takes one round.
 * :class:`Dinic`, Dinic's blocking-flow algorithm over adjacency lists
   with plain Python integers, takes the smaller networks, and the
@@ -36,7 +38,8 @@ __all__ = ["CutNetwork", "Dinic", "cut_network", "min_cut"]
 # residual c(u, v) - f(u, v) reaches c(u, v) + c(v, u), which wraps
 # when that sum does not fit (it then returns less than the maximum
 # flow).  A round therefore keeps every capacity plus its reverse's,
-# the source total and the sink total below 2**_ROUND_BITS.
+# and the capacity of one known cut, which bounds the flow value, below
+# 2**_ROUND_BITS.
 _ROUND_BITS = 31
 # Below this many arcs of nonzero capacity the Python Dinic finishes
 # before scipy's fixed cost of about 1.5 ms per cut (matrix build,
@@ -113,8 +116,8 @@ def min_cut(network: CutNetwork, caps: Sequence[int]) -> list[int]:
     increasing node order.
 
     Parallel arcs add up, and an arc given in both directions is one
-    bidirected arc.  A negative capacity, or a capacity count other
-    than the arc count, raises ``ValueError``.
+    bidirected arc.  A capacity that is not an integer or is negative,
+    or a capacity count other than the arc count, raises ``ValueError``.
     """
     caps = np.asarray(caps)
     if caps.dtype != np.int64:
@@ -122,10 +125,16 @@ def min_cut(network: CutNetwork, caps: Sequence[int]) -> list[int]:
     if len(caps) != len(network.slot):
         raise ValueError(f"{len(caps)} capacities for "
                          f"{len(network.slot)} arcs")
+    try:  # a float, Fraction or string entry makes the sum no int
+        total = caps.sum() if caps.dtype == object else _total(caps)
+    except TypeError:
+        total = None
+    if not isinstance(total, int):
+        bad = next(c for c in caps.tolist() if not isinstance(c, int))
+        raise ValueError(f"capacities must be integers, got {bad!r}")
     if len(caps) and caps.min() < 0:
         raise ValueError("capacities must be non-negative")
     # the exact residual capacities on the pattern
-    total = caps.sum() if caps.dtype == object else _total(caps)
     r = np.zeros(len(network.indices),
                  dtype=object if total >= _INT64_SAFE else np.int64)
     if network.parallel:
@@ -142,20 +151,23 @@ def _rounds_cut(network: CutNetwork, r: np.ndarray) -> tuple[int, list[int]]:
     bit-scaling rounds (Edmonds-Karp 1972; Gabow 1985).
 
     ``r`` holds the exact residual capacities on the network's pattern,
-    an int64 or object array, and ``U`` (``bound``) bounds the flow
-    still missing, at first the smaller of the source and sink totals.
-    Each round
+    an int64 or object array.  The rounds and the hand-off run on its
+    live pairs only: a pair of capacity 0 both ways carries no flow, so
+    it stays 0 in every round.  ``U`` (``bound``) is the residual
+    capacity of a known cut ``S``, so it bounds the flow still missing:
+    at first the cut {s} or V - {t}, whichever is smaller.  Each round
 
     1. clamps ``r`` to ``U + 1``, which changes neither the maximum-flow
        value nor any minimum cut: a cut through a clamped arc exceeds
        the missing flow;
     2. takes ``shift`` so that, after ``r >> shift``, every capacity
-       plus its reverse's, the source total and the sink total are below
-       ``2**_ROUND_BITS`` (scipy's width rule, see above);
+       plus its reverse's and ``U`` are below ``2**_ROUND_BITS``
+       (scipy's width rule, see above): the scaled flow value is at most
+       the scaled capacity of ``S``, which is at most ``U >> shift``;
     3. runs scipy on ``r >> shift``, a network whose flows are feasible
        in ``r``, and subtracts that flow times ``2**shift`` from ``r``;
-    4. sets ``U`` to the exact residual capacity of the cut whose source
-       side ``S`` is what the source reaches in the scaled residual.
+    4. takes as the new ``S`` what the source reaches in the scaled
+       residual, and as ``U`` its exact residual capacity.
 
     The round with ``shift == 0`` solves the exact residual, so ``S`` is
     the witness (the residual graph of ``r`` and the scaled one then
@@ -163,29 +175,37 @@ def _rounds_cut(network: CutNetwork, r: np.ndarray) -> tuple[int, list[int]]:
     are saturated in the scaled network, so in ``r`` each keeps less
     than ``2**shift``, and the new ``U`` is below ``|arcs leaving S| *
     2**shift``.  Here ``2**shift`` is at most ``2**(1 - _ROUND_BITS)``
-    times the width, which after the clamp is at most ``max(2, n) *
-    (U + 1)``.  ``U`` is a non-negative integer, and a round that fails
-    to lower it hands the residual to the exact Python :class:`Dinic`
-    instead, so the loop ends after finitely many rounds (2-6 on the
-    55-119-bit networks of the benchmark corpora, one for a network
-    that fits int32).  scipy returns the flow on the input's own
-    pattern, which is symmetric, so its data is read in place; a flow
-    on any other pattern takes the same hand-off.
+    times the width, which after the clamp is at most ``2 * (U + 1)``.
+    ``U`` is a non-negative integer, and a round that fails to lower it
+    hands the residual to the exact Python :class:`Dinic` instead, so
+    the loop ends after finitely many rounds (2-6 on the 55-119-bit
+    networks of the benchmark corpora, one for a network that fits
+    int32).  scipy returns the flow on the input's own pattern, which is
+    symmetric, so its data is read in place; a flow on any other pattern
+    takes the same hand-off.
     """
     # imported on first use: a process whose networks all stay below
     # _SCIPY_MIN_ARCS never loads scipy's graph routines (about 1 MB)
     from scipy.sparse.csgraph import breadth_first_order, maximum_flow
     n, s, t = network.n, network.s, network.t
-    indptr, indices, rows = network.indptr, network.indices, network.rows
-    rev, source_out, sink_in = network.rev, network.source_out, network.sink_in
-    bound = min(_total(r[source_out]), _total(r[sink_in]))
+    # the live pairs, renumbered (slot and parallel are not read below)
+    live = (r != 0) | (r[network.rev] != 0)
+    at = np.concatenate(([0], np.cumsum(live, dtype=np.int32)))
+    keep = np.flatnonzero(live)
+    indptr, rev = at[network.indptr], at[network.rev[keep]]
+    network = network._replace(
+        indptr=indptr, indices=network.indices[keep],
+        rows=network.rows[keep], rev=rev,
+        source_out=np.arange(indptr[s], indptr[s + 1]),
+        sink_in=rev[indptr[t]:indptr[t + 1]])
+    indices, rows, r = network.indices, network.rows, r[keep]
+    bound = min(_total(r[network.source_out]), _total(r[network.sink_in]))
     flow = 0
     while True:
         r = np.minimum(r, bound + 1)
         if bound + 1 < _INT64_SAFE:
             r = r.astype(np.int64, copy=False)
-        width = max(int((r + r[rev]).max()), _total(r[source_out]),
-                    _total(r[sink_in]))
+        width = max(int((r + r[rev]).max(initial=0)), bound)
         shift = max(0, width.bit_length() - _ROUND_BITS)
         scaled = (r >> shift).astype(np.int32)
         result = maximum_flow(csr_array((scaled, indices, indptr),

@@ -89,7 +89,9 @@ def test_degree_identity_random():
                       host_degree=g.internal_degree
                       + rng.integers(0, 3, g.vertex_count))
         w = [x for x in range(g.vertex_count) if rng.random() < 0.5]
-        st = subset_stats(g, None, w)
+        st = subset_stats(g, None, w + w[:2])  # repeats count once
+        assert st.size == len(w)
+        assert st.induced_edges == sum(u in w and v in w for u, v in g.edges)
         assert st.degree_sum == 2 * st.induced_edges + st.boundary
 
 

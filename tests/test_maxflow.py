@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -187,25 +189,54 @@ def _star(k, source_cap, sink_cap):
     return k + 2, tails, heads, [source_cap] * k + [sink_cap] * k
 
 
+def _reach(arcs, s):
+    """The nodes reachable from ``s`` along the nonzero entries of the
+    dense matrix ``arcs``."""
+    seen, stack = {s}, [s]
+    while stack:
+        for v in np.flatnonzero(arcs[stack.pop()]).tolist():
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return sorted(seen)
+
+
 def test_rounds_cut_at_narrow_width(monkeypatch):
     """The rounds at a width of 8 bits: 4-8-node networks take several
     rounds, every scaled network obeys the width rule, and each side is
     the smallest minimum cut."""
     bits = 8
     monkeypatch.setattr(maxflow, "_ROUND_BITS", bits)
-    solved = _spy_scipy(monkeypatch)
+    import scipy.sparse.csgraph as csgraph
+    maximum_flow = csgraph.maximum_flow
+    solved = []  # (scaled capacities, flow) of each round, dense
+
+    def spy(matrix, s, t, method):
+        result = maximum_flow(matrix, s, t, method=method)
+        solved.append((matrix.toarray().astype(np.int64),
+                       result.flow.toarray().astype(np.int64)))
+        return result
+
+    monkeypatch.setattr(csgraph, "maximum_flow", spy)
     handed_off = _spy(monkeypatch, "_dinic_cut")
 
-    def check(n, tails, heads, caps):
+    def check(n, tails, heads, caps, enumerate_sides=True):
         del solved[:], handed_off[:]
         net = cut_network(n, tails, heads, 0, n - 1)
         got = maxflow._rounds_cut(net, _load(net, caps))
         assert got == _dinic(n, tails, heads, caps)
-        assert got[1] == _smallest_min_cut_side(n, tails, heads, caps)
-        for matrix in solved:
-            c = matrix.toarray().astype(np.int64)
+        if enumerate_sides:
+            assert got[1] == _smallest_min_cut_side(n, tails, heads, caps)
+        # each round's known cut: the smaller trivial cut, then the side
+        # the source reached in the previous round's scaled residual
+        source = sum(c for u, c in zip(tails, caps) if u == 0)
+        sink = sum(c for v, c in zip(heads, caps) if v == n - 1)
+        side = [0] if source <= sink else list(range(n - 1))
+        for c, f in solved:
             assert (c + c.T).max() < 2**bits
-            assert c[0].sum() < 2**bits and c[:, n - 1].sum() < 2**bits
+            outside = np.setdiff1d(np.arange(n), side)
+            assert c[np.ix_(side, outside)].sum() < 2**bits
+            side = _reach(c - f, 0)
         return len(solved), len(handed_off)
 
     rounds = []
@@ -219,14 +250,21 @@ def test_rounds_cut_at_narrow_width(monkeypatch):
     # width, and so the single round, to the flow of at most 5
     assert check(*_star(1, 2**60, 5)) == (1, 0)
     # a bidirected pair of 2**21 each way, clamped to 2**20 + 1: the
-    # pair, not the single capacities or the totals, sets the width
+    # pair, not the single capacities or the known cut, sets the width
     x = 2**20
     assert check(4, [0, 1, 2, 2], [1, 2, 1, 3], [x, 2 * x, 2 * x, x]) == (2, 0)
-    # 12 saturated paths: the clamped source total is 12 * (12c + 1),
-    # the shifted sink arcs are 0, the first round moves no flow and
-    # the residual goes to Dinic
+    # 4 paths of 100: every pair fits 8 bits, but the flow of 400 does
+    # not, so the known cut {s} sets the width
+    assert check(*_star(4, 100, 100)) == (2, 0)
+    # 12 saturated paths: the source arcs, clamped to 12c + 1, set the
+    # width, the shifted sink arcs keep 4 bits, and each round lowers
+    # the missing flow until the exact round
     c = 2**20 - 1
-    assert check(*_star(12, 2**40, c)) == (1, 1)
+    assert check(*_star(12, 2**40, c)) == (7, 0)
+    # 200 such paths: source arcs clamped to 200c + 1 shift the sink
+    # arcs to 0, so the first round moves no flow and the residual goes
+    # to Dinic
+    assert check(*_star(200, 2**40, c), enumerate_sides=False) == (1, 1)
 
 
 def test_min_cut_rejects_negative_capacity():
@@ -248,6 +286,25 @@ def test_min_cut_rejects_negative_capacity():
     for (n, tails, heads, caps, s, t), message in cases:
         with pytest.raises(ValueError, match=message):
             min_cut(cut_network(n, tails, heads, s, t), caps)
+
+
+def test_min_cut_rejects_non_integer_capacities():
+    # 1.5 used to load as 1, and the cut of [1, 1] came back
+    path = cut_network(3, [0, 1], [1, 2], 0, 2)
+    for caps, bad in [([1.5, 1], "1.5"), (np.array([1.0, 1.0]), "1.0"),
+                      ([Fraction(3, 2), 1], "Fraction"),
+                      ([Fraction(2), 1], "Fraction"),
+                      ([2**70, 0.5], "0.5"), (["4", "1"], "'4'"),
+                      ([None, 1], "None")]:
+        with pytest.raises(ValueError, match=f"integers, got .*{bad}"):
+            min_cut(path, caps)
+    many = cut_network(2, [0] * 600, [1] * 600, 0, 1)  # the compiled path
+    with pytest.raises(ValueError, match="integers, got 1.0"):
+        min_cut(many, [1] * 599 + [0.5])  # a float array, named by 1.0
+    # integers of every width and dtype still load
+    for caps in ([2, 1], np.array([2, 1], dtype=np.int32), [2**70, 1],
+                 np.array([2**70, 1], dtype=object), [True, True]):
+        assert min_cut(path, caps) == ([0] if caps[1] == caps[0] else [0, 1])
 
 
 def test_scipy_returns_the_flow_on_a_symmetric_pattern(monkeypatch):
@@ -274,6 +331,61 @@ def test_scipy_returns_the_flow_on_a_symmetric_pattern(monkeypatch):
         assert np.count_nonzero(caps) >= maxflow._SCIPY_MIN_ARCS
         assert min_cut(net, caps) == _dinic(n, tails, heads, caps)[1]
         assert not handed_off
+
+
+def test_scipy_flow_value_is_not_the_source_total():
+    # the rounds size scipy's int32 network by a known cut, not by the
+    # source and sink totals: here 16 source arcs of 2**31 - 1 sum past
+    # int32 while the maximum flow, 16 * 5, does not.  A scipy that sums
+    # the source capacities in int32 fails here
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import maximum_flow
+    n, tails, heads, caps = _star(16, INT32_MAX, 5)
+    net = cut_network(n, tails, heads, 0, n - 1)
+    data = np.zeros(len(net.indices), dtype=np.int32)
+    data[net.slot] = caps
+    assert data[net.source_out].astype(np.int64).sum() > INT32_MAX
+    result = maximum_flow(csr_array((data, net.indices, net.indptr),
+                                    shape=(n, n)), 0, n - 1, method="dinic")
+    assert result.flow_value == 80
+
+
+def test_rounds_run_on_the_live_pairs(monkeypatch):
+    # a k_min cut gives every vertex both terminal arcs, one of them at
+    # capacity 0 both ways with its reverse: scipy sees only the pairs
+    # with capacity in either direction, and each side is Dinic's
+    from sgs import Potential, grid_graph, kmin_flow, sparseness
+    solved = _spy_scipy(monkeypatch)
+    cuts = []
+
+    def spy(network, caps):
+        del solved[:]
+        side = min_cut(network, caps)
+        cuts.append((network, caps, side, list(solved)))
+        return side
+
+    monkeypatch.setattr(sparseness, "min_cut", spy)
+    graph = grid_graph(16)
+    q = np.random.default_rng(16).uniform(0, 8, graph.vertex_count)
+    kmin_flow(graph, Potential(q), 2.0)
+    compacted = 0
+    for network, caps, side, matrices in cuts:
+        tails = network.rows[network.slot].tolist()
+        heads = network.indices[network.slot].tolist()
+        pair = {}
+        for u, v, c in zip(tails, heads, caps.tolist()):
+            pair[u, v] = pair.get((u, v), 0) + c
+            pair[v, u] = pair.get((v, u), 0) + c
+        live = sum(c > 0 for c in pair.values())
+        for matrix in matrices:
+            assert matrix.nnz == live <= 2 * np.count_nonzero(caps)
+            compacted += matrix.nnz < len(network.indices)
+        net = Dinic(network.n)
+        for u, v, c in zip(tails, heads, caps.tolist()):
+            net.add_edge(u, v, c)
+        net.max_flow(network.s, network.t)
+        assert side == net.min_cut_source_side(network.s)
+    assert len(cuts) >= 3 and compacted >= len(cuts)
 
 
 def test_rounds_hand_off_a_flow_on_another_pattern(monkeypatch):
