@@ -12,13 +12,17 @@ diagonal, which makes the truncation a Dirichlet compression of the
 host: subset functionals and spectral bounds computed on the finite
 graph are valid certificates for the infinite object.
 
+A graph stores its edges once, as the read-only int64 array
+``Graph.edge_ends`` of sorted ``(u, v)`` rows with ``u < v``; every
+per-edge array (phases, operator entries, cut arcs) follows its rows.
+
 All objects in this module are immutable after construction and safe to
 share across threads; :func:`subset_stats` is a pure function.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -43,22 +47,27 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
 class Graph:
     """Finite undirected simple graph on vertices ``0 .. n-1``.
 
+    The edges live in the read-only ``(m, 2)`` int64 array
+    :attr:`edge_ends` of sorted rows ``(u, v)``, ``u < v``; the degrees,
+    ``neighbors``, ``edges`` and :meth:`edge_index` are read off it.
+
     Parameters
     ----------
     vertex_count:
         Number of vertices, positive.
     edges:
-        Iterable of pairs ``(u, v)``; orientation and duplicates with
-        swapped endpoints are normalized away, real duplicates and
-        self-loops are rejected.
+        Iterable of integer pairs ``(u, v)``; orientation and duplicates
+        with swapped endpoints are normalized away, real duplicates,
+        self-loops and non-integer endpoints are rejected, the first
+        offending pair in input order first.
     host_degree:
         Optional per-vertex degree in an infinite host graph.  Defaults
         to the internal degree (zero deficit everywhere).  Must dominate
         the internal degree pointwise.
     """
 
-    __slots__ = ("_n", "_edges", "_neighbors", "_internal_degree",
-                 "_host_degree", "_deficit")
+    __slots__ = ("_n", "_edge_ends", "_keys", "_edges", "_neighbors",
+                 "_internal_degree", "_host_degree", "_deficit")
 
     def __init__(self, vertex_count: int,
                  edges: Iterable[tuple[int, int]],
@@ -66,26 +75,33 @@ class Graph:
         n = int(vertex_count)
         if n <= 0:
             raise ValueError("vertex_count must be positive")
-        canon: set[tuple[int, int]] = set()
+        # edge {u, v} with u < v has the key u*n + v, so sorted keys are
+        # sorted edges
+        keys: set[int] = set()
         for u, v in edges:
-            u, v = int(u), int(v)
+            try:
+                u, v = operator.index(u), operator.index(v)
+            except TypeError:
+                raise ValueError(f"edge ({u!r},{v!r}) has a non-integer "
+                                 f"endpoint") from None
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for {n} vertices")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            pair = (u, v) if u < v else (v, u)
-            if pair in canon:
-                raise ValueError(f"duplicate edge ({pair[0]},{pair[1]})")
-            canon.add(pair)
-        edge_list = tuple(sorted(canon))
+            key = u * n + v if u < v else v * n + u
+            if key in keys:
+                raise ValueError(f"duplicate edge ({key // n},{key % n})")
+            keys.add(key)
+        self._n = n
+        self._keys = _readonly(np.sort(np.fromiter(keys, np.int64, len(keys))))
+        self._edge_ends = _readonly(np.stack(np.divmod(self._keys, n), axis=1))
+        self._edges = tuple(map(tuple, self._edge_ends.tolist()))
         nbrs: list[list[int]] = [[] for _ in range(n)]
-        for u, v in edge_list:
+        for u, v in self._edges:  # in sorted order, so each list is sorted
             nbrs[u].append(v)
             nbrs[v].append(u)
-        self._n = n
-        self._edges = edge_list
-        self._neighbors = tuple(tuple(sorted(a)) for a in nbrs)
-        deg = np.array([len(a) for a in self._neighbors], dtype=np.int64)
+        self._neighbors = tuple(map(tuple, nbrs))
+        deg = np.bincount(self._edge_ends.ravel(), minlength=n)
         self._internal_degree = _readonly(deg)
         if host_degree is None:
             host = deg.copy()
@@ -116,11 +132,16 @@ class Graph:
 
     @classmethod
     def from_matrix(cls, matrix, host_degree: Sequence[int] | None = None) -> "Graph":
-        """Build from a 0/1 edge relation, checking symmetry and zero diagonal."""
+        """Build from a 0/1 edge relation, checking entries, symmetry and diagonal."""
         m = np.asarray(matrix)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("edge relation must be a square matrix")
         n = m.shape[0]
+        weights = np.argwhere((m != 0) & (m != 1))
+        if weights.size:
+            u, v = (int(i) for i in weights[0])
+            raise ValueError(f"edge relation entry at ({u},{v}) is "
+                             f"{m[u, v].item()!r}, not 0 or 1")
         if np.any(np.diag(m) != 0):
             x = int(np.flatnonzero(np.diag(m) != 0)[0])
             raise ValueError(f"self-loop at vertex {x}")
@@ -128,8 +149,7 @@ class Graph:
         if asym.size:
             u, v = (int(i) for i in asym[0])
             raise ValueError(f"asymmetric edge relation at ({u},{v})")
-        us, vs = np.nonzero(np.triu(m, 1))
-        return cls(n, zip(us.tolist(), vs.tolist()), host_degree)
+        return cls(n, np.argwhere(np.triu(m, 1)), host_degree)
 
     # -- basic accessors -------------------------------------------------
     @property
@@ -141,9 +161,25 @@ class Graph:
         return len(self._edges)
 
     @property
+    def edge_ends(self) -> np.ndarray:
+        """Read-only ``(m, 2)`` int64 array of :attr:`edges`, row for row."""
+        return self._edge_ends
+
+    @property
     def edges(self) -> tuple[tuple[int, int], ...]:
         """Undirected edges as sorted ``(u, v)`` pairs with ``u < v``."""
         return self._edges
+
+    def edge_index(self, x: int, y: int) -> int:
+        """Row of the edge ``{x, y}`` in :attr:`edge_ends`, either
+        orientation; ``ValueError`` if the pair is not an edge."""
+        lo, hi = (x, y) if x < y else (y, x)
+        if 0 <= lo and hi < self._n:
+            key = lo * self._n + hi
+            i = int(np.searchsorted(self._keys, key))
+            if i < len(self._keys) and self._keys[i] == key:
+                return i
+        raise ValueError(f"({x},{y}) is not an edge")
 
     def neighbors(self, x: int) -> tuple[int, ...]:
         return self._neighbors[x]
@@ -210,7 +246,7 @@ class PhaseField:
     explicit directed data validates antisymmetry modulo 2*pi.
     """
 
-    __slots__ = ("_graph", "_values", "_index")
+    __slots__ = ("_graph", "_values")
 
     def __init__(self, graph: Graph, values: Sequence[float]):
         v = np.asarray(values, dtype=np.float64)
@@ -220,7 +256,6 @@ class PhaseField:
             raise ValueError("phase angles must be finite")
         self._graph = graph
         self._values = _readonly(v)
-        self._index = {e: i for i, e in enumerate(graph.edges)}
 
     @classmethod
     def zero(cls, graph: Graph) -> "PhaseField":
@@ -231,19 +266,15 @@ class PhaseField:
                       theta: Mapping[tuple[int, int], float]) -> "PhaseField":
         """Build from directed-pair angles, checking antisymmetry mod 2*pi."""
         vals = np.zeros(graph.edge_count)
-        index = {e: i for i, e in enumerate(graph.edges)}
         seen: dict[int, float] = {}
         for (x, y), t in theta.items():
-            key = (x, y) if x < y else (y, x)
-            if key not in index:
-                raise ValueError(f"({x},{y}) is not an edge")
+            i = graph.edge_index(x, y)
             signed = float(t) if x < y else -float(t)
-            i = index[key]
             if i in seen:
                 diff = (seen[i] - signed) % _TWO_PI
                 if min(diff, _TWO_PI - diff) > 1e-12:
-                    raise ValueError(
-                        f"phase violates antisymmetry on edge {key}")
+                    raise ValueError("phase violates antisymmetry on edge "
+                                     f"{graph.edges[i]}")
             else:
                 seen[i] = signed
                 vals[i] = signed
@@ -263,11 +294,7 @@ class PhaseField:
         return self._values
 
     def theta(self, x: int, y: int) -> float:
-        key = (x, y) if x < y else (y, x)
-        i = self._index.get(key)
-        if i is None:
-            raise ValueError(f"({x},{y}) is not an edge")
-        t = self._values[i]
+        t = self._values[self._graph.edge_index(x, y)]
         return float(t if x < y else -t)
 
     def shifted_by_pi(self) -> "PhaseField":
@@ -309,8 +336,7 @@ def subset_stats(graph: Graph, potential: Potential | None,
     idx = np.fromiter(members, dtype=np.int64)
     inside = np.zeros(n, dtype=bool)
     inside[idx] = True
-    ends = inside[np.fromiter(chain.from_iterable(graph.edges), np.int64,
-                              2 * graph.edge_count)].reshape(-1, 2)
+    ends = inside[graph.edge_ends]
     induced = int(np.count_nonzero(ends[:, 0] & ends[:, 1]))
     # Python integers: host degrees reach 2**53, so an int64 sum can wrap
     degree_sum = sum(graph.host_degree[idx].tolist())

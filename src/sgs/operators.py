@@ -10,7 +10,6 @@ functions transfers verbatim.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 import scipy.sparse as sp
@@ -80,7 +79,7 @@ def assemble(graph: Graph, potential: Potential | None,
         return HermitianOperator("degree", mat, graph, potential, None)
     # Both orientations of every edge, then the diagonal; zero diagonal
     # entries stay unstored.  The CSR conversion sorts each row.
-    ends = np.asarray(graph.edges, dtype=np.int64).reshape(-1, 2)
+    ends = graph.edge_ends
     on = np.flatnonzero(diag)
     rows = np.concatenate([ends[:, 1], ends[:, 0], on])
     cols = np.concatenate([ends[:, 0], ends[:, 1], on])
@@ -99,9 +98,7 @@ def _edge_sum_form(op: HermitianOperator, f: np.ndarray) -> float:
     """Half the summed |f(x)-f(y)|^2 over directed edges plus the
     (q + deficit)-weighted mass; equals the Laplacian form exactly."""
     g = op.graph
-    ends = np.fromiter(chain.from_iterable(g.edges), np.int64,
-                       count=2 * g.edge_count)
-    diff = f[ends[0::2]] - f[ends[1::2]]
+    diff = f[g.edge_ends[:, 0]] - f[g.edge_ends[:, 1]]
     weight = op.potential.values + g.deficit
     return float(np.real(np.vdot(diff, diff) + np.vdot(f, weight * f)))
 

@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 from fractions import Fraction
 from math import lcm
 from typing import Sequence
@@ -287,8 +286,7 @@ def _dinkelbach(graph: Graph, potential: Potential, region: tuple[int, ...],
     vertices = np.asarray(region, dtype=np.int64)
     local = np.full(graph.vertex_count, -1, dtype=np.int64)
     local[vertices] = np.arange(m)
-    ends = local[np.fromiter(chain.from_iterable(graph.edges), np.int64,
-                             2 * graph.edge_count).reshape(-1, 2)]
+    ends = local[graph.edge_ends]
     iu, iv = ends[(ends[:, 0] >= 0) & (ends[:, 1] >= 0)].T
     deg = graph.host_degree[vertices]
     outside = (deg - np.bincount(iu, minlength=m)

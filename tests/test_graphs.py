@@ -12,6 +12,15 @@ def test_asymmetric_relation_rejected():
     m[1, 2] = 1  # missing m[2, 1]
     with pytest.raises(ValueError, match="asymmetric"):
         Graph.from_matrix(m)
+    # symmetric weights used to load as edges; the relation is 0/1 only
+    for w in (2, 0.5, -1):
+        m = [[0, 0, 0], [0, 0, w], [0, w, 0]]
+        with pytest.raises(ValueError,
+                           match=rf"entry at \(1,2\) is {w}, not 0 or 1"):
+            Graph.from_matrix(m)
+    rel = np.array([[0, 1, 1], [1, 0, 0], [1, 0, 0]])
+    assert Graph.from_matrix(rel.astype(bool)).edges == ((0, 1), (0, 2))
+    assert Graph.from_matrix(rel.astype(float)).edges == ((0, 1), (0, 2))
 
 
 def test_self_loop_rejected():
@@ -39,6 +48,29 @@ def test_non_integer_host_degree_rejected():
     # integer values of any numeric type are fine
     g = Graph(3, [], host_degree=[2.0, np.float32(1), np.int8(0)])
     assert g.host_degree.tolist() == [2, 1, 0]
+
+
+def test_non_integer_endpoint_rejected():
+    # int() used to load (0, 1.5) as edge (0, 1), and "1" as vertex 1
+    for bad in (1.5, 1.0, np.float64(1.0), "1", None):
+        with pytest.raises(ValueError,
+                           match=r"edge \(0,.*\) has a non-integer endpoint"):
+            Graph(3, [(0, 2), (0, bad)])
+    # the first offending edge in input order wins, whatever its fault
+    for edges, message in (
+            ([(0, 1), (1, 1), (5, 0)], r"self-loop at vertex 1"),
+            ([(0, 1), (1, 1), (0, 1.5)], r"self-loop at vertex 1"),
+            ([(0, 1.5), (1, 1)], r"edge \(0,1.5\) has a non-integer"),
+            ([(0, 1), (1, 0), (0, "2")], r"duplicate edge \(0,1\)"),
+            ([(2, 0), (0, 2**63)], r"edge \(0,9223372036854775808\) out of "
+                                   r"range for 3 vertices"),
+            ([(0, -2**70)], r"out of range")):
+        with pytest.raises(ValueError, match=message):
+            Graph(3, edges)
+    # integers of any integral type are fine, and are stored as ints
+    g = Graph(3, [(np.int64(2), np.uint8(0)), (True, 2)])
+    assert g.edges == ((0, 2), (1, 2))
+    assert all(type(x) is int for e in g.edges for x in e)
 
 
 def test_subset_stats_degree_sum_is_exact():
@@ -93,6 +125,29 @@ def test_degree_identity_random():
         assert st.size == len(w)
         assert st.induced_edges == sum(u in w and v in w for u, v in g.edges)
         assert st.degree_sum == 2 * st.induced_edges + st.boundary
+        # the edge array is read-only and holds the edges row for row
+        ends = g.edge_ends
+        assert ends.dtype == np.int64 and ends.shape == (g.edge_count, 2)
+        assert [tuple(row) for row in ends.tolist()] == list(g.edges)
+        assert sorted(g.edges) == list(g.edges)
+        with pytest.raises(ValueError, match="read-only"):
+            ends[0:1, 0] = 0
+        # degrees and neighbours agree with a recount over the edges
+        nbrs = [sorted([v for u, v in g.edges if u == x]
+                       + [u for u, v in g.edges if v == x])
+                for x in range(g.vertex_count)]
+        assert g.internal_degree.tolist() == [len(a) for a in nbrs]
+        assert [list(g.neighbors(x)) for x in range(g.vertex_count)] == nbrs
+        for i, (u, v) in enumerate(g.edges):
+            assert g.edge_index(u, v) == g.edge_index(v, u) == i
+        missing = [(u, v) for u in range(g.vertex_count)
+                   for v in range(u + 1, g.vertex_count)
+                   if (u, v) not in g.edges]
+        # out-of-range pairs whose key u*n + v is an edge's key
+        aliases = [(u - 1, v + g.vertex_count) for u, v in g.edges if u > 0]
+        for u, v in missing[:3] + aliases[:3] + [(0, 0), (0, 2**64)]:
+            with pytest.raises(ValueError, match=r"is not an edge"):
+                g.edge_index(v, u)
 
 
 def test_boundary_complement_identity():
