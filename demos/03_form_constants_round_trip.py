@@ -17,6 +17,7 @@ edges = [(i, j) for i in range(n) for j in range(i + 1, n)
          if rng.random() < 0.12]
 g = sgs.Graph(n, edges)
 q = sgs.Potential(rng.uniform(0, 2.5, n))
+plan = sgs.SpectralPlan(g, q)  # one operator and spectrum for every check
 
 print(f"random graph: n={n}, m={g.edge_count}, q uniform in [0, 2.5]")
 print()
@@ -24,14 +25,15 @@ for a in (0.0, 0.5, 2.0):
     cert = sgs.kmin_flow(g, q, a)
     constants = (sgs.sparse_to_form(a, cert.k, a_tilde=0.5) if a == 0
                  else sgs.sparse_to_form(a, cert.k))
-    lower, upper = sgs.verify_sandwich(g, q, constants)
+    lower, upper = plan.sandwich(constants.a_tilde, constants.k_tilde,
+                                 constants.k_tilde)
     print(f"a={a:<4g} k_min={cert.k:8.4f} -> a_tilde={constants.a_tilde:.4f} "
           f"k_tilde={constants.k_tilde:8.4f}  sandwich margins "
           f">= {min(lower.min(), upper.min()):+.2e}")
 
 print()
 for at in (0.3, 0.5, 0.8):
-    k_low = sgs.optimal_ktilde(g, q, at, side="lower").k_tilde
+    k_low = plan.offset(at, "lower")
     a_back, k_back = sgs.form_to_sparse(at, k_low)
     kmin = sgs.kmin_flow(g, q, a_back).k
     print(f"a_tilde={at:<4g} optimal k_tilde={k_low:8.4f} -> "

@@ -25,12 +25,13 @@ print(f"\npi-shift identity residue: "
       f"{sgs.upside_down_identity(g, phase):.2e} (exact up to rounding)")
 
 print("\noptimal offsets at a_tilde = 0.5:")
-k_low = sgs.optimal_ktilde(g, q, 0.5, side="lower").k_tilde
-k_up = sgs.optimal_ktilde(g, q, 0.5, side="upper").k_tilde
+plain = sgs.SpectralPlan(g, q)
+k_low = plain.offset(0.5, "lower")
+k_up = plain.offset(0.5, "upper")
 print(f"  non-magnetic: lower {k_low:.4f}, upper {k_up:.4f} "
       f"(upper <= lower: the upside-down mechanism)")
 for trial in range(4):
     ph = sgs.PhaseField.random(g, rng)
-    k_mag = sgs.optimal_ktilde(g, q, 0.5, side="both", phase=ph).k_tilde
+    k_mag = sgs.SpectralPlan(g, q, ph).constants(0.5).k_tilde
     print(f"  random phase {trial}: two-sided magnetic offset {k_mag:.4f} "
           f"<= {k_low:.4f}")

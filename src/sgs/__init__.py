@@ -21,10 +21,9 @@ from .sparseness import (CheegerCertificate, SparsenessCertificate,
 from .operators import (HermitianOperator, assemble, kato_gap, quad_form,
                         upside_down_identity)
 from .spectra import (FormConstants, SpectralPlan, SpectralReport,
-                      cheeger_form_slopes, eigenvalues, extremal_eigenvalue,
-                      form_to_sparse, optimal_ktilde, perturb_constants,
-                      ratio_report, sparse_to_form, spectral_edge_bound,
-                      verify_sandwich)
+                      cheeger_form_slopes, eigenvalues, form_to_sparse,
+                      perturb_constants, ratio_report, sparse_to_form,
+                      spectral_edge_bound)
 from .verify import run_checks
 
 __version__ = "0.1.0"
@@ -41,9 +40,8 @@ __all__ = [
     "HermitianOperator", "assemble", "quad_form", "upside_down_identity",
     "kato_gap",
     "FormConstants", "SpectralPlan", "SpectralReport", "eigenvalues",
-    "extremal_eigenvalue",
-    "optimal_ktilde", "form_to_sparse", "sparse_to_form",
-    "perturb_constants", "cheeger_form_slopes", "spectral_edge_bound",
-    "verify_sandwich", "ratio_report", "run_checks",
+    "form_to_sparse", "sparse_to_form", "perturb_constants",
+    "cheeger_form_slopes", "spectral_edge_bound", "ratio_report",
+    "run_checks",
     "__version__",
 ]

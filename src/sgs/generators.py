@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .graphs import Graph
+from .graphs import Graph, _as_index
 
 __all__ = [
     "path_graph", "cycle_graph", "complete_graph", "grid_graph",
@@ -67,7 +67,8 @@ def star_graph(n: int) -> Graph:
 
 def antitree(sphere_sizes: Sequence[int]) -> Graph:
     """Complete joins between consecutive spheres of the given sizes."""
-    sizes = [int(s) for s in sphere_sizes]
+    sizes = [_as_index(s, "sphere_sizes", i)
+             for i, s in enumerate(sphere_sizes)]
     if not sizes or any(s < 1 for s in sizes):
         raise ValueError("sphere sizes must be positive")
     offsets = [0]
@@ -116,6 +117,7 @@ class RadialFamilySpec:
     depth: int
 
     def __post_init__(self):
+        object.__setattr__(self, "depth", _as_index(self.depth, "depth"))
         if self.depth < 0:
             raise ValueError("depth must be non-negative")
         beta = _extend(self.beta, self.depth, "beta")
@@ -152,7 +154,7 @@ class RadialFamilySpec:
 
 
 def _extend(seq: Sequence[int], depth: int, name: str) -> tuple[int, ...]:
-    vals = tuple(int(v) for v in seq)
+    vals = tuple(_as_index(v, name, i) for i, v in enumerate(seq))
     if not vals:
         raise ValueError(f"{name} must be non-empty")
     if len(vals) < depth + 1:

@@ -44,6 +44,17 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _as_index(value, name: str, position: int | None = None) -> int:
+    """``value`` as an int, where ``int()`` would truncate a float or
+    parse a string: anything but an integer raises ``ValueError`` naming
+    ``name`` (entry ``position`` of it, if given)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        what = name if position is None else f"{name}[{position}]"
+        raise ValueError(f"{what} is not an integer: {value!r}") from None
+
+
 class Graph:
     """Finite undirected simple graph on vertices ``0 .. n-1``.
 
@@ -54,7 +65,7 @@ class Graph:
     Parameters
     ----------
     vertex_count:
-        Number of vertices, positive.
+        Number of vertices, a positive integer.
     edges:
         Iterable of integer pairs ``(u, v)``; orientation and duplicates
         with swapped endpoints are normalized away, real duplicates,
@@ -72,7 +83,7 @@ class Graph:
     def __init__(self, vertex_count: int,
                  edges: Iterable[tuple[int, int]],
                  host_degree: Sequence[int] | None = None):
-        n = int(vertex_count)
+        n = _as_index(vertex_count, "vertex_count")
         if n <= 0:
             raise ValueError("vertex_count must be positive")
         # edge {u, v} with u < v has the key u*n + v, so sorted keys are
@@ -216,7 +227,8 @@ class Potential:
 
     @classmethod
     def zero(cls, graph_or_n) -> "Potential":
-        n = graph_or_n.vertex_count if isinstance(graph_or_n, Graph) else int(graph_or_n)
+        n = (graph_or_n.vertex_count if isinstance(graph_or_n, Graph)
+             else _as_index(graph_or_n, "vertex count"))
         return cls(np.zeros(n))
 
     @property
@@ -326,8 +338,8 @@ def subset_stats(graph: Graph, potential: Potential | None,
     """Count |W|, |E_W|, |dW|, deg(W) and potential sums for ``subset``."""
     n = graph.vertex_count
     members = set()
-    for x in subset:
-        x = int(x)
+    for i, x in enumerate(subset):
+        x = _as_index(x, "subset", i)
         if not (0 <= x < n):
             raise ValueError(f"vertex index {x} out of range")
         members.add(x)

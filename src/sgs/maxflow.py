@@ -60,9 +60,7 @@ class CutNetwork(NamedTuple):
     ``indptr`` and ``indices`` are int32, as scipy takes them, ``rows``
     holds the tail of each entry, ``rev`` the entry of each entry's
     reverse and ``slot`` the entry of each arc; parallel arcs share one,
-    and ``parallel`` says whether any do.  ``source_out`` and
-    ``sink_in`` are the entries of the arcs leaving the source and
-    entering the sink.
+    and ``parallel`` says whether any do.
     """
     n: int
     s: int
@@ -73,8 +71,6 @@ class CutNetwork(NamedTuple):
     indices: np.ndarray
     rows: np.ndarray
     rev: np.ndarray
-    source_out: np.ndarray
-    sink_in: np.ndarray
 
 
 def cut_network(n: int, tails: Sequence[int], heads: Sequence[int],
@@ -105,9 +101,7 @@ def cut_network(n: int, tails: Sequence[int], heads: Sequence[int],
     rev = np.argsort(cols * n + rows, kind="stable")  # pattern[rev] reversed
     return CutNetwork(n, s, t, slot, np.bincount(slot).max(initial=0) > 1,
                       indptr.astype(np.int32), cols.astype(np.int32),
-                      rows.astype(np.int32), rev,
-                      np.arange(indptr[s], indptr[s + 1]),
-                      rev[indptr[t]:indptr[t + 1]])
+                      rows.astype(np.int32), rev)
 
 
 def min_cut(network: CutNetwork, caps: Sequence[int]) -> list[int]:
@@ -193,13 +187,12 @@ def _rounds_cut(network: CutNetwork, r: np.ndarray) -> tuple[int, list[int]]:
     at = np.concatenate(([0], np.cumsum(live, dtype=np.int32)))
     keep = np.flatnonzero(live)
     indptr, rev = at[network.indptr], at[network.rev[keep]]
-    network = network._replace(
-        indptr=indptr, indices=network.indices[keep],
-        rows=network.rows[keep], rev=rev,
-        source_out=np.arange(indptr[s], indptr[s + 1]),
-        sink_in=rev[indptr[t]:indptr[t + 1]])
+    network = network._replace(indptr=indptr, indices=network.indices[keep],
+                               rows=network.rows[keep], rev=rev)
     indices, rows, r = network.indices, network.rows, r[keep]
-    bound = min(_total(r[network.source_out]), _total(r[network.sink_in]))
+    # the arcs leaving s, then those entering t
+    bound = min(_total(r[indptr[s]:indptr[s + 1]]),
+                _total(r[rev[indptr[t]:indptr[t + 1]]]))
     flow = 0
     while True:
         r = np.minimum(r, bound + 1)

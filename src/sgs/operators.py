@@ -1,5 +1,5 @@
-"""Finite Hermitian operators: graph Laplacian plus potential, the
-degree-potential diagonal, and their magnetic variants.
+"""Finite Hermitian operators: graph Laplacian plus potential, and its
+magnetic variant.
 
 The diagonal always uses host degrees, so assembling on a truncation
 yields the Dirichlet compression of the host operator: its lowest
@@ -19,23 +19,27 @@ from .graphs import Graph, PhaseField, Potential
 __all__ = ["HermitianOperator", "assemble", "quad_form",
            "upside_down_identity", "kato_form_gap", "kato_gap"]
 
-KINDS = ("schrodinger", "degree", "magnetic")
-
-
 @dataclass(frozen=True, eq=False)
 class HermitianOperator:
     """Immutable sparse Hermitian matrix with its provenance.
 
-    ``matrix`` is real symmetric for the non-magnetic kinds and complex
-    Hermitian otherwise; the graph, potential, and phase used to build
-    it are kept so that quadratic forms can be cross-checked against
-    their edge-sum formulas.
+    ``matrix`` is real symmetric without a phase and complex Hermitian
+    with one; the graph, potential, and phase used to build it are kept
+    so that quadratic forms can be cross-checked against their edge-sum
+    formulas.
     """
-    kind: str
     matrix: sp.csr_matrix = field(repr=False)
     graph: Graph = field(repr=False)
     potential: Potential = field(repr=False)
     phase: PhaseField | None = field(repr=False, default=None)
+
+    def __repr__(self) -> str:
+        return f"HermitianOperator(kind={self.kind!r})"
+
+    @property
+    def kind(self) -> str:
+        """``magnetic`` when built with a phase, else ``schrodinger``."""
+        return "schrodinger" if self.phase is None else "magnetic"
 
     @property
     def dimension(self) -> int:
@@ -49,49 +53,35 @@ class HermitianOperator:
         return float(np.abs(self.matrix).sum(axis=1).max())
 
 
-def _diagonal(graph: Graph, potential: Potential) -> np.ndarray:
-    return graph.host_degree.astype(np.float64) + potential.values
-
-
 def assemble(graph: Graph, potential: Potential | None,
-             phase: PhaseField | None = None,
-             kind: str = "schrodinger") -> HermitianOperator:
-    """Build the requested operator matrix.
+             phase: PhaseField | None = None) -> HermitianOperator:
+    """The matrix of Delta + q, magnetic exactly when ``phase`` is given.
 
-    ``schrodinger``: diagonal host_degree + q, off-diagonal -1 on edges.
-    ``magnetic``: off-diagonal -exp(i theta(x,y)); requires ``phase``.
-    ``degree``: the diagonal matrix of host_degree + q alone.
+    Diagonal host_degree + q; off-diagonal -1 on every edge, or
+    -exp(i theta(x,y)) with a phase.
     """
-    if kind not in KINDS:
-        raise ValueError(f"unknown operator kind {kind!r}")
     if potential is None:
         potential = Potential.zero(graph)
     if len(potential) != graph.vertex_count:
         raise ValueError("potential length does not match graph")
-    if (phase is not None) != (kind == "magnetic"):
-        raise ValueError("phase is required exactly for the magnetic kind")
     if phase is not None and phase.graph is not graph:
         raise ValueError("phase was built for a different graph")
     n = graph.vertex_count
-    diag = _diagonal(graph, potential)
-    if kind == "degree":
-        mat = sp.diags(diag, format="csr")
-        return HermitianOperator("degree", mat, graph, potential, None)
+    diag = graph.host_degree.astype(np.float64) + potential.values
     # Both orientations of every edge, then the diagonal; zero diagonal
     # entries stay unstored.  The CSR conversion sorts each row.
     ends = graph.edge_ends
     on = np.flatnonzero(diag)
     rows = np.concatenate([ends[:, 1], ends[:, 0], on])
     cols = np.concatenate([ends[:, 0], ends[:, 1], on])
-    if kind == "schrodinger":
+    if phase is None:
         off = np.full(2 * len(ends), -1.0)
     else:
         w = -np.exp(1j * phase.values)
         off = np.concatenate([np.conj(w), w])
     mat = sp.csr_matrix((np.concatenate([off, diag[on]]), (rows, cols)),
                         shape=(n, n))
-    return HermitianOperator(kind, mat, graph, potential,
-                             phase if kind == "magnetic" else None)
+    return HermitianOperator(mat, graph, potential, phase)
 
 
 def _edge_sum_form(op: HermitianOperator, f: np.ndarray) -> float:
@@ -106,8 +96,8 @@ def _edge_sum_form(op: HermitianOperator, f: np.ndarray) -> float:
 def quad_form(op: HermitianOperator, f) -> float:
     """The (real) quadratic form <f, M f>.
 
-    For the plain Laplacian-plus-potential kind the value is verified
-    against its edge-sum formula to 1e-10 relative accuracy.
+    Without a phase the value is verified against its edge-sum formula
+    to 1e-10 relative accuracy.
     """
     f = np.asarray(f)
     if f.shape != (op.dimension,):
@@ -129,8 +119,8 @@ def upside_down_identity(graph: Graph, phase: PhaseField) -> float:
     noise and is contracted to stay below 1e-12.
     """
     zero_q = Potential.zero(graph)
-    a = assemble(graph, zero_q, phase, kind="magnetic").matrix
-    b = assemble(graph, zero_q, phase.shifted_by_pi(), kind="magnetic").matrix
+    a = assemble(graph, zero_q, phase).matrix
+    b = assemble(graph, zero_q, phase.shifted_by_pi()).matrix
     two_deg = sp.diags(2.0 * graph.host_degree.astype(np.float64))
     residue = (a + b - two_deg).tocsr()
     if residue.nnz == 0:
@@ -156,5 +146,5 @@ def kato_gap(graph: Graph, potential: Potential | None, phase: PhaseField,
     f = np.asarray(f, dtype=np.complex128)
     if f.shape != (graph.vertex_count,):
         raise ValueError("vector length does not match graph")
-    return kato_form_gap(assemble(graph, potential, phase, kind="magnetic"),
-                         assemble(graph, potential, kind="schrodinger"), f)
+    return kato_form_gap(assemble(graph, potential, phase),
+                         assemble(graph, potential), f)

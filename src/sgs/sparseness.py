@@ -49,7 +49,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import Graph, Potential, SubsetStats, subset_stats
+from .graphs import Graph, Potential, SubsetStats, _as_index, subset_stats
 from .maxflow import cut_network, min_cut
 
 __all__ = [
@@ -382,8 +382,8 @@ def _region_indices(graph: Graph, region) -> tuple[int, ...]:
     if region is None:
         return tuple(range(graph.vertex_count))
     seen = set()
-    for x in region:
-        x = int(x)
+    for i, x in enumerate(region):
+        x = _as_index(x, "region", i)
         if not (0 <= x < graph.vertex_count):
             raise ValueError(f"region vertex {x} out of range")
         seen.add(x)

@@ -27,11 +27,9 @@ from .operators import HermitianOperator, assemble
 
 __all__ = [
     "FormConstants", "SpectralReport", "SpectralPlan", "DENSE_EIGEN_LIMIT",
-    "EXTREMAL_DENSE_LIMIT", "eigenvalues", "extremal_eigenvalue",
-    "optimal_ktilde",
-    "form_to_sparse", "sparse_to_form", "perturb_constants",
-    "cheeger_form_slopes", "spectral_edge_bound", "verify_sandwich",
-    "ratio_report", "DEFAULT_ATILDE_GRID",
+    "EXTREMAL_DENSE_LIMIT", "eigenvalues", "form_to_sparse",
+    "sparse_to_form", "perturb_constants", "cheeger_form_slopes",
+    "spectral_edge_bound", "ratio_report", "DEFAULT_ATILDE_GRID",
 ]
 
 DENSE_EIGEN_LIMIT = 4000
@@ -59,23 +57,15 @@ DEFAULT_ATILDE_GRID = tuple(round(0.1 * i, 1) for i in range(1, 10))
 
 @dataclass(frozen=True)
 class FormConstants:
-    """Slope/offset pair for the degree-control inequality.
-
-    ``side`` records which inequality the offset certifies: ``lower``
-    for (1-at)(deg+q) - kt <= Delta+q, ``upper`` for the reverse
-    comparison, ``both`` for the two-sided sandwich.
-    """
+    """Slope/offset pair for the degree-control inequality."""
     a_tilde: float
     k_tilde: float
-    side: str = "both"
 
     def __post_init__(self):
         if not 0.0 < self.a_tilde < 1.0:
             raise ValueError("a_tilde must lie in (0, 1)")
         if self.k_tilde < 0.0:
             raise ValueError("k_tilde must be non-negative")
-        if self.side not in ("lower", "upper", "both"):
-            raise ValueError(f"unknown side {self.side!r}")
 
 
 @dataclass(frozen=True)
@@ -97,7 +87,7 @@ def eigenvalues(op: HermitianOperator) -> np.ndarray:
     if op.dimension > DENSE_EIGEN_LIMIT:
         raise ValueError(
             f"dimension {op.dimension} exceeds the dense limit "
-            f"{DENSE_EIGEN_LIMIT}; use extremal_eigenvalue for the edges")
+            f"{DENSE_EIGEN_LIMIT}; SpectralPlan.offset has no such limit")
     return np.linalg.eigvalsh(op.toarray())
 
 
@@ -126,14 +116,6 @@ def _lambda_extreme(matrix, which: str) -> float:
     return float(vals[0])
 
 
-def extremal_eigenvalue(op: HermitianOperator, which: str = "min") -> float:
-    """Smallest or largest eigenvalue; iterative above
-    ``EXTREMAL_DENSE_LIMIT``."""
-    if which not in ("min", "max"):
-        raise ValueError("which must be 'min' or 'max'")
-    return _lambda_extreme(op.matrix, which)
-
-
 class SpectralPlan:
     """The spectral data of ``Delta + q`` (or of its magnetic variant) on
     one graph, each piece computed at most once.
@@ -149,8 +131,7 @@ class SpectralPlan:
 
     def __init__(self, graph: Graph, potential: Potential | None = None,
                  phase: PhaseField | None = None):
-        kind = "magnetic" if phase is not None else "schrodinger"
-        self.operator = assemble(graph, potential, phase, kind=kind)
+        self.operator = assemble(graph, potential, phase)
         self.diagonal = np.real(self.operator.matrix.diagonal())
         self.mu = np.sort(self.diagonal)
         # Offsets at most EXTREMAL_DENSE_LIMIT in size are solved densely,
@@ -174,7 +155,9 @@ class SpectralPlan:
         return self._spectrum
 
     def offset(self, a_tilde: float, side: str) -> float:
-        """Smallest k_tilde >= 0 for one side of the comparison."""
+        """Smallest k_tilde >= 0 for one side of the comparison: ``lower``
+        certifies (1-at)(deg+q) - kt <= Delta+q, ``upper`` certifies
+        Delta+q <= (1+at)(deg+q) + kt."""
         if not 0.0 < a_tilde < 1.0:
             raise ValueError("a_tilde must lie in (0, 1)")
         if side not in ("lower", "upper"):
@@ -193,7 +176,7 @@ class SpectralPlan:
             raise ValueError(f"unknown side {side!r}")
         sides = ("lower", "upper") if side == "both" else (side,)
         k = max(self.offset(a_tilde, s) for s in sides)
-        return FormConstants(a_tilde=a_tilde, k_tilde=k, side=side)
+        return FormConstants(a_tilde=a_tilde, k_tilde=k)
 
     def sandwich(self, a_tilde: float, k_lower: float,
                  k_upper: float) -> tuple[np.ndarray, np.ndarray]:
@@ -213,20 +196,6 @@ class SpectralPlan:
         d = sp.diags(self.diagonal[idx])
         return (_lambda_extreme((h - slope_lower * d).tocsr(), "min"),
                 _lambda_extreme((slope_upper * d - h).tocsr(), "min"))
-
-
-def optimal_ktilde(graph: Graph, potential: Potential | None, a_tilde: float,
-                   side: str = "both",
-                   phase: PhaseField | None = None) -> FormConstants:
-    """Smallest offsets making the degree comparison hold on this graph.
-
-    The lower offset is max(0, lambda_max((1-at)(deg+q) - (Delta+q))),
-    the upper one max(0, lambda_max((Delta+q) - (1+at)(deg+q))); the
-    extremes are taken of the explicitly formed difference matrices
-    (see :class:`SpectralPlan`), never of differences of eigenvalue
-    lists.
-    """
-    return SpectralPlan(graph, potential, phase).constants(a_tilde, side)
 
 
 # -- conversions between constant pairs ---------------------------------------
@@ -258,13 +227,13 @@ def sparse_to_form(a: float, k: float,
         if not 0.0 < a_tilde < 1.0:
             raise ValueError("a_tilde must lie in (0, 1)")
         k_tilde = 0.5 * k * (1.0 / a_tilde - a_tilde)
-        return FormConstants(a_tilde=a_tilde, k_tilde=k_tilde, side="both")
+        return FormConstants(a_tilde=a_tilde, k_tilde=k_tilde)
     if a_tilde is not None:
         raise ValueError("a_tilde is determined by the formula when a > 0")
     at = math.sqrt(min(0.25, a * a) + 2.0 * a + a * a) / (1.0 + a)
     kt = max(max(1.5, 1.0 / a - a) * k / (2.0 * (1.0 + a)),
              2.0 * k * (1.0 - at))
-    return FormConstants(a_tilde=at, k_tilde=kt, side="both")
+    return FormConstants(a_tilde=at, k_tilde=kt)
 
 
 def perturb_constants(a: float, k: float, alpha: float,
@@ -305,21 +274,6 @@ def spectral_edge_bound(d: float, k: float) -> float:
     if k < 0 or k > 2.0 * d:
         raise ValueError("k must lie in [0, 2d]")
     return max(0.0, d - 2.0 * math.sqrt((k / 2.0) * (d - k / 2.0)))
-
-
-# -- sandwich verification ----------------------------------------------------
-
-def verify_sandwich(graph: Graph, potential: Potential | None,
-                    constants: FormConstants) -> tuple[np.ndarray, np.ndarray]:
-    """Per-index margins of the eigenvalue sandwich implied by ``constants``.
-
-    Index n gets the pair (lam_n(Delta+q) - [(1-at) lam_n(deg+q) - kt],
-    [(1+at) lam_n(deg+q) + kt] - lam_n(Delta+q)).  Both arrays are
-    non-negative up to eigensolver noise whenever the constants certify
-    the corresponding form bound on this graph.
-    """
-    at, kt = constants.a_tilde, constants.k_tilde
-    return SpectralPlan(graph, potential).sandwich(at, kt, kt)
 
 
 def ratio_report(graph: Graph, potential: Potential | None,

@@ -104,7 +104,7 @@ def run_checks(graph: Graph, potential: Potential | None,
     gaps = []
     for _ in range(_KATO_SWEEPS):
         magnetic = op if phase is not None else operators.assemble(
-            graph, potential, PhaseField.random(graph, rng), kind="magnetic")
+            graph, potential, PhaseField.random(graph, rng))
         f = rng.standard_normal(graph.vertex_count) \
             + 1j * rng.standard_normal(graph.vertex_count)
         gaps.append(operators.kato_form_gap(magnetic, plain.operator, f))

@@ -11,11 +11,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from sgs import (PhaseField, Potential, RadialFamilySpec, amin_zero_k,
-                 assemble, cheeger, eigenvalues, form_to_sparse, grid_graph,
-                 kato_gap, kmin_bruteforce, kmin_flow, make_radial_family,
-                 optimal_ktilde, cheeger_form_slopes, regular_tree_ball,
-                 sparse_to_form, upside_down_identity, verify_sandwich)
+from sgs import (PhaseField, Potential, RadialFamilySpec, SpectralPlan,
+                 amin_zero_k, assemble, cheeger, eigenvalues, form_to_sparse,
+                 grid_graph, kato_gap, kmin_bruteforce, kmin_flow,
+                 make_radial_family, cheeger_form_slopes, regular_tree_ball,
+                 sparse_to_form, upside_down_identity)
 
 from helpers import random_graph, random_tree, uniform_potential
 
@@ -122,13 +122,15 @@ def test_criterion_6_upside_down_suites():
     for _ in range(50):
         g = random_graph(rng, n_min=2, n_max=60, p_low=0.05, p_high=0.5)
         q = uniform_potential(rng, g.vertex_count, -2, 3)
-        phases = [PhaseField.random(g, rng) for _ in range(20)]
+        plain = SpectralPlan(g, q)
+        magnetic = [SpectralPlan(g, q, PhaseField.random(g, rng))
+                    for _ in range(20)]
         for at in grid:
-            k_low = optimal_ktilde(g, q, at, side="lower").k_tilde
-            k_up = optimal_ktilde(g, q, at, side="upper").k_tilde
+            k_low = plain.offset(at, "lower")
+            k_up = plain.offset(at, "upper")
             worst_plain = min(worst_plain, k_low - k_up)
-            for ph in phases:
-                k_mag = optimal_ktilde(g, q, at, side="both", phase=ph).k_tilde
+            for plan in magnetic:
+                k_mag = plan.constants(at).k_tilde
                 worst_magnetic = min(worst_magnetic, k_low - k_mag)
     elapsed = time.monotonic() - start
     ok = worst_plain >= -TOL and worst_magnetic >= -TOL and elapsed < 120
@@ -163,14 +165,16 @@ def test_criterion_8_sparse_form_round_trip():
 
     def check(g, q, a_values):
         nonlocal worst_sandwich, worst_reverse
+        plan = SpectralPlan(g, q)
         for a in a_values:
             k = kmin_flow(g, q, a).k
             constants = (sparse_to_form(a, k, a_tilde=0.5) if a == 0
                          else sparse_to_form(a, k))
-            lower, upper = verify_sandwich(g, q, constants)
+            at, kt = constants.a_tilde, constants.k_tilde
+            lower, upper = plan.sandwich(at, kt, kt)
             worst_sandwich = min(worst_sandwich,
                                  float(lower.min()), float(upper.min()))
-        k_low = optimal_ktilde(g, q, 0.5, side="lower").k_tilde
+        k_low = plan.offset(0.5, "lower")
         a_out, k_out = form_to_sparse(0.5, k_low)
         worst_reverse = min(worst_reverse, k_out - kmin_flow(g, q, a_out).k)
 
@@ -210,7 +214,7 @@ def test_criterion_10_cheeger_form_bounds():
         lo, hi = cheeger_form_slopes(alpha)
         sub = np.ix_(region, region)
         lap = assemble(g, q).toarray()
-        deg = assemble(g, q, kind="degree").toarray()
+        deg = np.diag(np.diag(lap))
         worst = min(worst,
                     float(np.linalg.eigvalsh((lap - lo * deg)[sub])[0]),
                     float(np.linalg.eigvalsh((hi * deg - lap)[sub])[0]))

@@ -59,6 +59,23 @@ def test_radial_family_sphere_sizes():
     assert [len(s) for s in breadth_first_spheres(g, 0)] == [1, 3, 6, 12]
 
 
+def test_non_integer_sizes_rejected():
+    # int() used to give antitree([2.9, 1]) 3 vertices and beta (3.7,)
+    # the entries (3, 3, 3)
+    with pytest.raises(ValueError,
+                       match=r"sphere_sizes\[0\] is not an integer: 2\.9"):
+        antitree([2.9, 1])
+    with pytest.raises(ValueError, match=r"beta\[0\] is not an integer: 3\.7"):
+        RadialFamilySpec(beta=(3.7,), gamma=(0,), depth=2)
+    with pytest.raises(ValueError, match=r"gamma\[1\] is not an integer: '2'"):
+        RadialFamilySpec(beta=(3,), gamma=(0, "2"), depth=2)
+    with pytest.raises(ValueError, match=r"depth is not an integer: 2\.0"):
+        RadialFamilySpec(beta=(3,), gamma=(0,), depth=2.0)
+    spec = RadialFamilySpec(beta=(np.int64(3),), gamma=(0,), depth=np.int8(2))
+    assert spec.beta == (3, 3, 3) and spec.depth == 2
+    assert antitree(np.array([1, 2])).vertex_count == 3
+
+
 def test_radial_family_infeasible():
     with pytest.raises(ValueError, match="n=0"):
         make_radial_family(RadialFamilySpec(beta=(3,), gamma=(2,), depth=2))

@@ -110,6 +110,27 @@ def test_subset_stats_tree_ball():
 def test_subset_stats_out_of_range():
     with pytest.raises(ValueError, match="out of range"):
         subset_stats(path_graph(3), None, [5])
+    # int() used to count [1.5, "2"] as vertices 1 and 2
+    for subset, entry in (([1.5, "2"], r"subset\[0\] is not an integer: 1\.5"),
+                          ([1, "2"], r"subset\[1\] is not an integer: '2'"),
+                          ([np.float64(0.0)], r"subset\[0\]"), ([None], r"None")):
+        with pytest.raises(ValueError, match=entry):
+            subset_stats(path_graph(3), None, subset)
+    st = subset_stats(path_graph(3), None, np.array([1, 2]))
+    assert (st.size, st.induced_edges) == (2, 1)
+
+
+def test_non_integer_vertex_count_rejected():
+    # int() used to give Graph(2.7, ...) 2 vertices and Potential.zero(2.5)
+    # 2 entries
+    with pytest.raises(ValueError, match="vertex_count is not an integer: 2.7"):
+        Graph(2.7, [(0, 1)])
+    with pytest.raises(ValueError, match="not an integer: '3'"):
+        Graph("3", [])
+    with pytest.raises(ValueError, match="vertex count is not an integer: 2.5"):
+        Potential.zero(2.5)
+    assert Graph(np.int64(2), [(0, 1)]).vertex_count == 2
+    assert len(Potential.zero(np.uint8(3))) == 3
 
 
 def test_degree_identity_random():

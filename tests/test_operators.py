@@ -15,12 +15,16 @@ def test_assemble_path_laplacian():
     op = assemble(path_graph(2), None)
     assert np.allclose(op.toarray(), [[1, -1], [-1, 1]])
     assert op.kind == "schrodinger"
+    # host degree plus potential on the diagonal; a zero stays unstored
+    op = assemble(path_graph(3), Potential([0.5, 0.0, -1.0]))
+    assert np.array_equal(op.matrix.diagonal(), [1.5, 2.0, 0.0])
+    assert op.matrix.nnz == 6
 
 
 def test_assemble_magnetic_pi():
     g = path_graph(2)
     ph = PhaseField.from_directed(g, {(0, 1): math.pi})
-    op = assemble(g, None, ph, kind="magnetic")
+    op = assemble(g, None, ph)
     assert np.allclose(op.toarray(), [[1, 1], [1, 1]], atol=1e-15)
 
 
@@ -32,20 +36,21 @@ def test_assemble_tree_ball_host_diagonal():
     assert np.count_nonzero(m) - 4 == 6  # three undirected edges
 
 
-def test_assemble_degree_kind():
-    g = path_graph(3)
-    q = Potential([0.5, 0.0, -1.0])
-    op = assemble(g, q, kind="degree")
-    assert np.allclose(op.toarray(), np.diag([1.5, 2.0, 0.0]))
-
-
 def test_assemble_phase_requirements():
     g = path_graph(2)
     ph = PhaseField.zero(g)
-    with pytest.raises(ValueError, match="phase"):
-        assemble(g, None, kind="magnetic")
-    with pytest.raises(ValueError, match="phase"):
-        assemble(g, None, ph, kind="schrodinger")
+    plain, magnetic = assemble(g, None), assemble(g, None, ph)
+    assert plain.kind == "schrodinger" and plain.phase is None
+    assert magnetic.kind == "magnetic" and magnetic.phase is ph
+    assert repr(magnetic) == "HermitianOperator(kind='magnetic')"
+    with pytest.raises(ValueError, match="phase was built for a different graph"):
+        assemble(g, None, PhaseField.zero(path_graph(2)))
+    with pytest.raises(ValueError, match="potential length does not match graph"):
+        assemble(g, Potential([1.0, 2.0, 3.0]))
+    with pytest.raises(TypeError, match="kind"):  # the phase decides
+        assemble(g, None, ph, kind=None)
+    with pytest.raises(AttributeError):
+        magnetic.kind = "schrodinger"
 
 
 def test_quad_form_examples():
@@ -54,7 +59,7 @@ def test_quad_form_examples():
     assert quad_form(op, [1, 1]) == 0.0
     assert quad_form(op, [1, -1]) == pytest.approx(4.0)
     ph = PhaseField.from_directed(g, {(0, 1): math.pi})
-    mop = assemble(g, None, ph, kind="magnetic")
+    mop = assemble(g, None, ph)
     assert quad_form(mop, [1, -1]) == pytest.approx(0.0, abs=1e-14)
 
 
@@ -85,7 +90,7 @@ def test_quad_form_rejects_a_matrix_that_disagrees_with_its_edge_sum():
     # edges: 3^2 + 2.5^2; mass: 0.5 * 1 + 1 * 0.25
     assert quad_form(op, f) == pytest.approx(16.0, rel=1e-15)
     perturbed = HermitianOperator(
-        op.kind, (op.matrix + 1e-6 * sp.eye(3)).tocsr(), g, op.potential)
+        (op.matrix + 1e-6 * sp.eye(3)).tocsr(), g, op.potential)
     with pytest.raises(RuntimeError, match="quadratic form mismatch"):
         quad_form(perturbed, f)
 
@@ -95,12 +100,11 @@ def test_laplacian_between_zero_and_twice_degree():
     for _ in range(25):
         g = random_graph(rng)
         lap = assemble(g, None)
-        deg = assemble(g, None, kind="degree")
         f = rng.standard_normal(g.vertex_count) \
             + 1j * rng.standard_normal(g.vertex_count)
         val = quad_form(lap, f)
         assert val >= -1e-10
-        assert val <= 2 * quad_form(deg, f) + 1e-9
+        assert val <= 2 * np.vdot(f, g.host_degree * f).real + 1e-9
 
 
 def test_upside_down_identity_cases():
@@ -140,8 +144,8 @@ def test_gauge_sanity_conjugation():
         ph = PhaseField.random(g, rng)
         f = rng.standard_normal(g.vertex_count) \
             + 1j * rng.standard_normal(g.vertex_count)
-        plus = assemble(g, q, ph, kind="magnetic")
-        minus = assemble(g, q, ph.negated(), kind="magnetic")
+        plus = assemble(g, q, ph)
+        minus = assemble(g, q, ph.negated())
         assert quad_form(minus, np.conj(f)) == pytest.approx(
             quad_form(plus, f), rel=1e-12, abs=1e-12)
 
@@ -150,7 +154,7 @@ def test_forms_are_real_hermitian():
     rng = np.random.default_rng(26)
     g = random_graph(rng)
     ph = PhaseField.random(g, rng)
-    op = assemble(g, None, ph, kind="magnetic")
+    op = assemble(g, None, ph)
     m = op.toarray()
     assert np.allclose(m, m.conj().T)
     f = rng.standard_normal(g.vertex_count) + 1j * rng.standard_normal(g.vertex_count)

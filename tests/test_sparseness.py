@@ -206,6 +206,15 @@ def test_cheeger_zero_denominator_convention():
 def test_cheeger_empty_region_rejected():
     with pytest.raises(ValueError, match="nonempty"):
         cheeger(path_graph(3), None, region=())
+    # int() used to read region [0.9, 1.2] as (0, 1)
+    for method in ("flow", "bruteforce"):
+        with pytest.raises(ValueError,
+                           match=r"region\[0\] is not an integer: 0\.9"):
+            cheeger(path_graph(3), None, region=[0.9, 1.2], method=method)
+        with pytest.raises(ValueError, match=r"region\[1\]"):
+            cheeger(path_graph(3), None, region=[0, "1"], method=method)
+    assert cheeger(path_graph(3), None, region=np.array([0, 1]),
+                   method="bruteforce").region == (0, 1)
 
 
 def test_cheeger_oracle_agreement():

@@ -7,12 +7,12 @@ import scipy.sparse.linalg as spla
 from sgs import (Graph, PhaseField, Potential, assemble, cheeger,
                  cheeger_form_slopes, complete_graph,
                  eigenvalues, form_to_sparse, grid_graph, kmin_flow,
-                 optimal_ktilde, path_graph, perturb_constants, ratio_report,
+                 path_graph, perturb_constants, ratio_report,
                  regular_tree_ball, sparse_to_form, spectral_edge_bound,
-                 verify_sandwich, FormConstants, make_radial_family,
-                 RadialFamilySpec)
+                 FormConstants, make_radial_family, RadialFamilySpec,
+                 SpectralPlan)
 from sgs.spectra import (DEFAULT_ATILDE_GRID, EXTREMAL_DENSE_LIMIT,
-                         SpectralPlan, _lambda_extreme)
+                         _lambda_extreme)
 
 from helpers import random_graph, uniform_potential
 
@@ -22,8 +22,10 @@ def test_eigenvalues_examples():
     assert np.allclose(eigenvalues(assemble(complete_graph(3), None)),
                        [0, 3, 3], atol=1e-12)
     q = Potential([2.0, -1.0, 0.5])
-    diag = eigenvalues(assemble(Graph(3, []), q, kind="degree"))
+    diag = eigenvalues(assemble(Graph(3, []), q))
     assert np.allclose(diag, sorted([2.0, -1.0, 0.5]))
+    with pytest.raises(ValueError, match="SpectralPlan.offset"):
+        eigenvalues(assemble(path_graph(4001), None))
 
 
 def test_eigenvalue_accuracy_contract():
@@ -41,15 +43,19 @@ def test_eigenvalue_accuracy_contract():
         assert abs(vals.sum() - np.trace(m)) <= 1e-8 * max(norm, 1.0) * len(vals)
 
 
-def test_optimal_ktilde_examples():
-    g = path_graph(2)
-    assert optimal_ktilde(g, None, 0.5, side="lower").k_tilde == pytest.approx(0.5)
-    assert optimal_ktilde(g, None, 0.5, side="upper").k_tilde == pytest.approx(0.5)
+def test_plan_offset_examples():
+    plan = SpectralPlan(path_graph(2))
+    assert plan.offset(0.5, "lower") == pytest.approx(0.5)
+    assert plan.offset(0.5, "upper") == pytest.approx(0.5)
+    assert plan.constants(0.5).k_tilde == max(plan.offset(0.5, "lower"),
+                                              plan.offset(0.5, "upper"))
     # a_tilde near one: offsets collapse for non-negative potentials
-    near_one = optimal_ktilde(g, None, 0.99, side="lower").k_tilde
+    near_one = plan.offset(0.99, "lower")
     assert near_one <= 0.011
     with pytest.raises(ValueError):
-        optimal_ktilde(g, None, 1.0)
+        plan.constants(1.0)
+    with pytest.raises(ValueError, match="side"):
+        plan.constants(0.5, "left")
 
 
 def test_form_constants_validation():
@@ -100,11 +106,10 @@ def test_perturb_limits():
     assert offset == pytest.approx(2.0 + 0.3 * 5.0, abs=1e-6)
 
 
-def test_verify_sandwich_diagonal_graph():
+def test_plan_sandwich_diagonal_graph():
     q = Potential([0.5, 1.5, 3.0])
     g = Graph(3, [])
-    constants = FormConstants(a_tilde=0.4, k_tilde=0.0)
-    lower, upper = verify_sandwich(g, q, constants)
+    lower, upper = SpectralPlan(g, q).sandwich(0.4, 0.0, 0.0)
     mu = np.sort(q.values)
     assert np.allclose(lower, 0.4 * mu)
     assert np.allclose(upper, 0.4 * mu)
@@ -116,7 +121,8 @@ def test_roundtrip_sandwich_tree():
     g = random_tree(rng, 50)
     k = kmin_flow(g, None, 0.0).k
     constants = sparse_to_form(0, k, a_tilde=0.5)
-    lower, upper = verify_sandwich(g, None, constants)
+    at, kt = constants.a_tilde, constants.k_tilde
+    lower, upper = SpectralPlan(g).sandwich(at, kt, kt)
     assert lower.min() >= -1e-9
     assert upper.min() >= -1e-9
 
@@ -126,15 +132,14 @@ def test_roundtrip_optimal_constants():
     for _ in range(10):
         g = random_graph(rng, n_max=20)
         q = uniform_potential(rng, g.vertex_count, 0, 3)
+        plan = SpectralPlan(g, q)
         for at in (0.3, 0.6):
-            low = optimal_ktilde(g, q, at, side="lower")
-            up = optimal_ktilde(g, q, at, side="upper")
-            l_m, _ = verify_sandwich(g, q, FormConstants(at, low.k_tilde, "lower"))
-            _, u_m = verify_sandwich(g, q, FormConstants(at, up.k_tilde, "upper"))
+            low, up = plan.offset(at, "lower"), plan.offset(at, "upper")
+            l_m, u_m = plan.sandwich(at, low, up)
             assert l_m.min() >= -1e-9
             assert u_m.min() >= -1e-9
             # reverse direction: implied sparseness pair dominates kmin
-            a_out, k_out = form_to_sparse(at, low.k_tilde)
+            a_out, k_out = form_to_sparse(at, low)
             assert kmin_flow(g, q, a_out).k <= k_out + 1e-9
 
 
@@ -143,12 +148,13 @@ def test_upside_down_constants_small():
     for _ in range(10):
         g = random_graph(rng, n_max=25)
         q = uniform_potential(rng, g.vertex_count, -2, 3)
+        plain = SpectralPlan(g, q)
         for at in (0.2, 0.5, 0.8):
-            kl = optimal_ktilde(g, q, at, side="lower").k_tilde
-            ku = optimal_ktilde(g, q, at, side="upper").k_tilde
+            kl = plain.offset(at, "lower")
+            ku = plain.offset(at, "upper")
             assert ku <= kl + 1e-9
             ph = PhaseField.random(g, rng)
-            both = optimal_ktilde(g, q, at, side="both", phase=ph).k_tilde
+            both = SpectralPlan(g, q, ph).constants(at).k_tilde
             assert both <= kl + 1e-9
 
 
@@ -165,7 +171,7 @@ def test_cheeger_form_bound_compression():
         lo, hi = cheeger_form_slopes(alpha)
         sub = np.ix_(region, region)
         lap = assemble(g, q).toarray()
-        deg = assemble(g, q, kind="degree").toarray()
+        deg = np.diag(np.diag(lap))
         assert np.linalg.eigvalsh((lap - lo * deg)[sub])[0] >= -1e-9
         assert np.linalg.eigvalsh((hi * deg - lap)[sub])[0] >= -1e-9
 
@@ -234,14 +240,13 @@ def _offset_case(name):
 def test_offsets_above_dense_cutover_match_dense(name):
     g, q, ph = _offset_case(name)
     assert g.vertex_count > EXTREMAL_DENSE_LIMIT
-    kind = "schrodinger" if ph is None else "magnetic"
-    h = assemble(g, q, ph, kind=kind).toarray()
+    h = assemble(g, q, ph).toarray()
     d = np.diag(np.real(np.diag(h)))
     for at in DEFAULT_ATILDE_GRID:
         for side, m in (("lower", (1.0 - at) * d - h),
                         ("upper", h - (1.0 + at) * d)):
-            first = optimal_ktilde(g, q, at, side=side, phase=ph).k_tilde
-            again = optimal_ktilde(g, q, at, side=side, phase=ph).k_tilde
+            first = SpectralPlan(g, q, ph).offset(at, side)
+            again = SpectralPlan(g, q, ph).offset(at, side)
             dense = max(0.0, float(np.linalg.eigvalsh(m)[-1]))
             norm = float(np.abs(m).sum(axis=1).max())
             assert abs(first - dense) <= 1e-9 * (1.0 + norm), (side, at)
@@ -256,7 +261,7 @@ def test_magnetic_compressed_bottoms_above_dense_cutover_match_dense(whole):
     assert len(region) > EXTREMAL_DENSE_LIMIT
     plan = SpectralPlan(g, q, ph)
     got = plan.compressed_bottoms(region, 0.4, 1.6)
-    h = assemble(g, q, ph, kind="magnetic").toarray()[np.ix_(region, region)]
+    h = assemble(g, q, ph).toarray()[np.ix_(region, region)]
     d = np.diag(np.real(np.diag(h)))
     for value, m in zip(got, (h - 0.4 * d, 1.6 * d - h)):
         norm = float(np.abs(m).sum(axis=1).max())
@@ -321,12 +326,12 @@ def test_ratio_report_constant_denominator():
 
 
 def test_extremal_matches_dense_and_guard():
-    g = complete_graph(30)
-    op = assemble(g, None)
-    lam = eigenvalues(op)
-    from sgs import extremal_eigenvalue
-    assert extremal_eigenvalue(op, "min") == pytest.approx(float(lam[0]))
-    assert extremal_eigenvalue(op, "max") == pytest.approx(float(lam[-1]))
+    # both sides of the dense cutover, in both directions
+    for g in (complete_graph(30), grid_graph(17)):
+        op = assemble(g, None)
+        lam = eigenvalues(op)
+        assert _lambda_extreme(op.matrix, "min") == pytest.approx(float(lam[0]))
+        assert _lambda_extreme(op.matrix, "max") == pytest.approx(float(lam[-1]))
 
 
 def test_phase_shift_and_negation_preserve_constants():
@@ -338,11 +343,9 @@ def test_phase_shift_and_negation_preserve_constants():
         g = random_graph(rng, n_max=20)
         q = uniform_potential(rng, g.vertex_count, -1, 2)
         ph = PhaseField.random(g, rng)
+        plans = [SpectralPlan(g, q, p)
+                 for p in (ph, ph.negated(), ph.shifted_by_pi())]
         for at in (0.3, 0.7):
-            base = optimal_ktilde(g, q, at, side="both", phase=ph).k_tilde
-            neg = optimal_ktilde(g, q, at, side="both",
-                                 phase=ph.negated()).k_tilde
-            shift = optimal_ktilde(g, q, at, side="both",
-                                   phase=ph.shifted_by_pi()).k_tilde
+            base, neg, shift = (p.constants(at).k_tilde for p in plans)
             assert neg == pytest.approx(base, abs=1e-9)
             assert shift == pytest.approx(base, abs=1e-9)
