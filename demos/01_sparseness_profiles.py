@@ -20,7 +20,7 @@ graphs = {
 }
 
 for name, g in graphs.items():
-    profile = [sgs.kmin_flow(g, None, a) for a in A_GRID]
+    profile = sgs.kmin_flow(g, None, A_GRID)  # one cut network per graph
     row = "  ".join(f"a={a:<4g} k={c.k:7.4f}" for a, c in zip(A_GRID, profile))
     print(f"{name:28s} {row}")
     best = profile[0]

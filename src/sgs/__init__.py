@@ -17,7 +17,7 @@ from .generators import (RadialFamilySpec, antitree, ball_truncation,
 from .sparseness import (CheegerCertificate, SparsenessCertificate,
                          SparsityThreshold, amin_zero_k, cheeger,
                          cheeger_lower_bound, kmin_bruteforce, kmin_flow,
-                         potential_class_kappa)
+                         potential_class_kappa, sparsity_flow)
 from .operators import (HermitianOperator, assemble, kato_gap, quad_form,
                         upside_down_identity)
 from .spectra import (FormConstants, SpectralPlan, SpectralReport,
@@ -35,8 +35,8 @@ __all__ = [
     "star_graph", "antitree", "make_basic", "RadialFamilySpec",
     "make_radial_family", "combine", "ball_truncation", "regular_tree_ball",
     "SparsenessCertificate", "CheegerCertificate", "SparsityThreshold",
-    "kmin_bruteforce", "kmin_flow", "amin_zero_k", "cheeger",
-    "cheeger_lower_bound", "potential_class_kappa",
+    "kmin_bruteforce", "kmin_flow", "amin_zero_k", "sparsity_flow",
+    "cheeger", "cheeger_lower_bound", "potential_class_kappa",
     "HermitianOperator", "assemble", "quad_form", "upside_down_identity",
     "kato_gap",
     "FormConstants", "SpectralPlan", "SpectralReport", "eigenvalues",

@@ -22,7 +22,8 @@ from .generators import (RadialFamilySpec, ball_truncation, make_basic,
 from .graphio import (graph_digest, id_map_digest, load_graph, save_graph,
                       write_report)
 from .graphs import Graph
-from .sparseness import amin_zero_k, cheeger, kmin_bruteforce, kmin_flow
+from .sparseness import (amin_zero_k, cheeger, kmin_bruteforce,
+                         sparsity_flow)
 from .spectra import DEFAULT_ATILDE_GRID, ratio_report
 from .verify import run_checks
 
@@ -173,18 +174,22 @@ def _analyze_sparsity(args, graph, potential, ids) -> dict:
     # grid order first, so errors come as from one call per a
     brute = (kmin_bruteforce(graph, potential, args.a_grid)
              if args.method in ("bruteforce", "both") else None)
+    # one cut network serves the grid and the threshold
+    if args.method in ("flow", "both"):
+        flow, amin = sparsity_flow(graph, potential, args.a_grid)
+    else:
+        flow, amin = None, amin_zero_k(graph, potential)
     per_a = []
-    for i, a in enumerate(args.a_grid):
+    for i in range(len(args.a_grid)):
         entry: dict = {}
-        if args.method in ("flow", "both"):
-            entry["flow"] = _sparseness_entry(kmin_flow(graph, potential, a), ids)
+        if flow is not None:
+            entry["flow"] = _sparseness_entry(flow[i], ids)
         if brute is not None:
             entry["bruteforce"] = _sparseness_entry(brute[i], ids)
         if args.method == "both":
             gap = abs(entry["flow"]["k"] - entry["bruteforce"]["k"])
             entry["method_agreement"] = gap
         per_a.append(entry)
-    amin = amin_zero_k(graph, potential)
     amin_entry = {"value": "inf" if math.isinf(amin.value) else amin.value,
                   "witness": _witness_ids(amin.witness, ids)}
     return {"kmin": per_a, "amin": amin_entry}

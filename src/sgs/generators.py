@@ -26,18 +26,21 @@ __all__ = [
 
 
 def path_graph(n: int) -> Graph:
+    n = _as_index(n, "n")
     if n < 1:
         raise ValueError("path needs at least one vertex")
     return Graph(n, ((i, i + 1) for i in range(n - 1)))
 
 
 def cycle_graph(n: int) -> Graph:
+    n = _as_index(n, "n")
     if n < 3:
         raise ValueError("cycle needs at least three vertices")
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def complete_graph(n: int) -> Graph:
+    n = _as_index(n, "n")
     if n < 1:
         raise ValueError("complete graph needs at least one vertex")
     return Graph(n, ((i, j) for i in range(n) for j in range(i + 1, n)))
@@ -45,6 +48,7 @@ def complete_graph(n: int) -> Graph:
 
 def grid_graph(m: int) -> Graph:
     """The m-by-m planar square lattice."""
+    m = _as_index(m, "m")
     if m < 1:
         raise ValueError("grid needs positive side length")
     edges = []
@@ -60,6 +64,7 @@ def grid_graph(m: int) -> Graph:
 
 def star_graph(n: int) -> Graph:
     """Center vertex 0 joined to n-1 leaves."""
+    n = _as_index(n, "n")
     if n < 1:
         raise ValueError("star needs at least one vertex")
     return Graph(n, ((0, i) for i in range(1, n)))

@@ -177,7 +177,7 @@ def _graph_text(graph: Graph, potential: Potential | None,
               if phase is not None else [""] * graph.edge_count)
     edges = [f'    {{\n{theta}      "u": {names[u]},\n'
              f'      "v": {names[v]}\n    }}'
-             for theta, (u, v) in zip(thetas, graph.edges)]
+             for theta, (u, v) in zip(thetas, graph.edge_ends.tolist())]
     edge_list = "[\n" + ",\n".join(edges) + "\n  ]" if edges else "[]"
     return ('{\n  "edges": ' + edge_list + ',\n  "vertices": [\n'
             + ",\n".join(vertices) + "\n  ]\n}\n")

@@ -17,7 +17,9 @@ A graph stores its edges once, as the read-only int64 array
 per-edge array (phases, operator entries, cut arcs) follows its rows.
 
 All objects in this module are immutable after construction and safe to
-share across threads; :func:`subset_stats` is a pure function.
+share across threads (a ``Graph`` fills in its ``edges`` and
+``neighbors`` tuples on first use; threads that race there build equal
+tuples); :func:`subset_stats` is a pure function.
 """
 from __future__ import annotations
 
@@ -61,6 +63,8 @@ class Graph:
     The edges live in the read-only ``(m, 2)`` int64 array
     :attr:`edge_ends` of sorted rows ``(u, v)``, ``u < v``; the degrees,
     ``neighbors``, ``edges`` and :meth:`edge_index` are read off it.
+    The tuples of ``edges`` and ``neighbors`` hold Python ints, many
+    times the array's memory, so each is built on first use only.
 
     Parameters
     ----------
@@ -106,12 +110,7 @@ class Graph:
         self._n = n
         self._keys = _readonly(np.sort(np.fromiter(keys, np.int64, len(keys))))
         self._edge_ends = _readonly(np.stack(np.divmod(self._keys, n), axis=1))
-        self._edges = tuple(map(tuple, self._edge_ends.tolist()))
-        nbrs: list[list[int]] = [[] for _ in range(n)]
-        for u, v in self._edges:  # in sorted order, so each list is sorted
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        self._neighbors = tuple(map(tuple, nbrs))
+        self._edges = self._neighbors = None  # built on first use
         deg = np.bincount(self._edge_ends.ravel(), minlength=n)
         self._internal_degree = _readonly(deg)
         if host_degree is None:
@@ -169,7 +168,7 @@ class Graph:
 
     @property
     def edge_count(self) -> int:
-        return len(self._edges)
+        return len(self._edge_ends)
 
     @property
     def edge_ends(self) -> np.ndarray:
@@ -178,7 +177,10 @@ class Graph:
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
-        """Undirected edges as sorted ``(u, v)`` pairs with ``u < v``."""
+        """Undirected edges as sorted ``(u, v)`` pairs with ``u < v``,
+        the rows of :attr:`edge_ends` as Python ints, built on first use."""
+        if self._edges is None:
+            self._edges = tuple(map(tuple, self._edge_ends.tolist()))
         return self._edges
 
     def edge_index(self, x: int, y: int) -> int:
@@ -193,6 +195,14 @@ class Graph:
         raise ValueError(f"({x},{y}) is not an edge")
 
     def neighbors(self, x: int) -> tuple[int, ...]:
+        """The neighbours of ``x`` in increasing order; the tuples of all
+        vertices are built on the first call."""
+        if self._neighbors is None:
+            nbrs: list[list[int]] = [[] for _ in range(self._n)]
+            for u, v in self._edge_ends.tolist():  # sorted: so is each list
+                nbrs[u].append(v)
+                nbrs[v].append(u)
+            self._neighbors = tuple(map(tuple, nbrs))
         return self._neighbors[x]
 
     @property

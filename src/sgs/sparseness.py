@@ -17,17 +17,21 @@ none of which depend on a), computes the objective in place in those
 buffers and picks the witness by a fixed tie-break (``_best_subset``);
 one build serves every a of a grid.  The (a, 0) threshold has the
 production path only.  The production path of k_min, of the (a, 0)
-threshold and of the Cheeger constant is one driver, ``_dinkelbach``:
+threshold and of the Cheeger constant is one ratio search, ``_RatioSearch``:
 Dinkelbach's ratio iteration with each linearized subproblem solved
 exactly by one minimum s-t cut.  Each constant maximizes a ratio N/D of
 affine subset functionals, which its route passes as exact coefficients.
-The cut network of a (graph, region) is built once per call
-(:func:`sgs.maxflow.cut_network`), and a step only recomputes its
-terminal capacities, as one numpy expression.  All flow arithmetic is
-exact: float inputs are dyadic rationals and are converted losslessly
-to fractions, capacities are rescaled to integers, subset sums are
-taken in Python integers, and the iteration terminates because the
-achievable ratios form a finite set.
+A search builds the cut network of a (graph, region) once
+(:func:`sgs.maxflow.cut_network`) and serves every ratio asked of it: a
+step only recomputes the terminal capacities, as one numpy expression,
+and each ratio starts from the best of its route's start and the
+witnesses already found.  So the whole a-grid of :func:`kmin_flow`, and
+with :func:`sparsity_flow` the threshold too, share one network, and a
+previous a's optimum is often confirmed by one cut.  All flow
+arithmetic is exact: float inputs are dyadic rationals and are
+converted losslessly to fractions, capacities are rescaled to
+integers, subset sums are taken in Python integers, and the iteration
+terminates because the achievable ratios form a finite set.
 
 Each cut goes through :func:`sgs.maxflow.min_cut`, which holds every
 network as one symmetric CSR pattern.  Networks of at least 512 arcs
@@ -54,7 +58,7 @@ from .maxflow import cut_network, min_cut
 
 __all__ = [
     "SparsenessCertificate", "CheegerCertificate", "SparsityThreshold",
-    "kmin_bruteforce", "kmin_flow", "amin_zero_k",
+    "kmin_bruteforce", "kmin_flow", "amin_zero_k", "sparsity_flow",
     "cheeger", "cheeger_lower_bound", "potential_class_kappa",
     "ENUMERATION_LIMIT",
 ]
@@ -215,10 +219,7 @@ def kmin_bruteforce(graph: Graph, potential: Potential | None, a
     region = range(graph.vertex_count)
     certs, mass = [], None
     for value in grid:
-        a_fr = _as_fraction(value, "a")
-        if a_fr < 0:
-            raise ValueError("a must be non-negative")
-        af = _float(a_fr)
+        af = _float(_nonnegative_a(value))
         with np.errstate(divide="ignore", invalid="ignore"):
             if mass is None:
                 twice_edges, size, (mass, qplus) = _subset_tables(
@@ -246,118 +247,189 @@ def _kmin_certificate(graph: Graph, potential: Potential, a: float,
                                  clamped=ratio < 0.0)
 
 
-def _dinkelbach(graph: Graph, potential: Potential, region: tuple[int, ...],
-                num, den, start: tuple[int, ...]
-                ) -> tuple[tuple[int, ...], Fraction | None]:
-    """Maximize N(W)/D(W) over nonempty subsets W of ``region`` (Dinkelbach).
+class _RatioSearch:
+    """Dinkelbach's ratio iteration over the nonempty subsets W of one
+    region (by default every vertex), on one cut network built once for
+    every ratio it is asked for.
 
-    ``num`` and ``den`` are the exact coefficients of N and D over
-    (deg W, q_+(W), |W|, |dW|), the boundary host-aware: N(W) =
-    num[0] deg W + num[1] q_+(W) + num[2] |W| + num[3] |dW|, and D
-    likewise.  D must be non-negative; D(W) = 0 makes the ratio infinite
-    (None), which ends the search.  At ratio r a step maximizes N - rD,
-    whose |dW| coefficient must not be positive: minus it is the
-    capacity of the inner arcs.  It finds the smallest maximizing W by
-    one minimum s-t cut (:func:`sgs.maxflow.min_cut`) on capacities
-    scaled to integers.  The network is built once per call: edges
-    inside the region are bidirected arcs, each vertex's outside
-    boundary (deficit plus edges leaving the region) is netted into its
-    terminal weight, and every vertex has both terminal arcs, the one
-    its weight does not use at capacity 0.  So a step only recomputes
-    the terminal weights, as one array expression: in int64 when a bound
-    on the coefficients allows it, in Python integers otherwise.  The
-    vertices the source reaches in the residual graph form the smallest
-    minimum cut, so the side is empty exactly when no W beats the empty
-    set.
+    A ratio is N(W)/D(W), given by the exact coefficients ``num`` and
+    ``den`` of N and D over (deg W, q_+(W), |W|, |dW|), the boundary
+    host-aware: N(W) = num[0] deg W + num[1] q_+(W) + num[2] |W| +
+    num[3] |dW|, and D likewise.  D must be non-negative; D(W) = 0 makes
+    the ratio infinite (None), which ends the search.  At ratio r a step
+    maximizes N - rD, whose |dW| coefficient must not be positive: minus
+    it is the capacity of the inner arcs.  It finds the smallest
+    maximizing W by one minimum s-t cut (:func:`sgs.maxflow.min_cut`) on
+    capacities scaled to integers.
 
-    Returns the last improving subset and its ratio; the achievable
-    ratios are finite, so the ratio climbs to the maximum in finitely
-    many cuts.
+    The network does not depend on the ratio, so it is built once, with
+    the exact per-vertex arrays: edges inside the region are bidirected
+    arcs, each vertex's outside boundary (deficit plus edges leaving the
+    region) is netted into its terminal weight, and every vertex has
+    both terminal arcs, the one its weight does not use at capacity 0.
+    So a step only recomputes the terminal weights, as one array
+    expression: in int64 when a bound on the coefficients allows it, in
+    Python integers otherwise.  The vertices the source reaches in the
+    residual graph form the smallest minimum cut, so the side is empty
+    exactly when no W beats the empty set.
+
+    Every witness :meth:`maximize` returns is kept, and a later ratio
+    starts from the best, by its own exact ratio, of its ``start`` and
+    those witnesses with a positive denominator; ties go to ``start``.
+    On a grid of a the previous optimum is often optimal or nearly so,
+    and confirming an optimal start costs one cut.
     """
-    qn, qd = _exact_potential(potential.plus)
-    # N and D times one positive integer, qd times the coefficients' least
-    # common denominator, over the integer counts (deg W, qd q_+(W), |W|,
-    # |dW|): a subset's ratio is then one Fraction of two integers
-    lcd = lcm(*(c.denominator for c in (*num, *den)))
-    num_int, den_int = ([c.numerator * (lcd // c.denominator) * scale
-                         for c, scale in zip(part, (qd, 1, qd, qd))]
-                        for part in (num, den))
-    m = len(region)
-    vertices = np.asarray(region, dtype=np.int64)
-    local = np.full(graph.vertex_count, -1, dtype=np.int64)
-    local[vertices] = np.arange(m)
-    ends = local[graph.edge_ends]
-    iu, iv = ends[(ends[:, 0] >= 0) & (ends[:, 1] >= 0)].T
-    deg = graph.host_degree[vertices]
-    outside = (deg - np.bincount(iu, minlength=m)
-               - np.bincount(iv, minlength=m))
-    exact_q = np.array(qn, dtype=object)[vertices]
-    exact = deg.astype(object), exact_q, outside.astype(object)
-    dmax, omax = int(deg.max()), int(outside.max())
-    qmax = int(np.abs(exact_q).max())
-    narrow = ((deg, exact_q.astype(np.int64), outside) if qmax < 2**63
-              else exact)
 
-    def ratio(members: np.ndarray) -> Fraction | None:
-        inside = np.zeros(m, dtype=bool)
+    def __init__(self, graph: Graph, potential: Potential,
+                 region: tuple[int, ...] | None = None):
+        if region is None:
+            region = tuple(range(graph.vertex_count))
+        self._region = region
+        qn, self._qd = _exact_potential(potential.plus)
+        m = len(region)
+        self._vertices = np.asarray(region, dtype=np.int64)
+        self._local = np.full(graph.vertex_count, -1, dtype=np.int64)
+        self._local[self._vertices] = np.arange(m)
+        ends = self._local[graph.edge_ends]
+        self._iu, self._iv = iu, iv = ends[(ends[:, 0] >= 0)
+                                           & (ends[:, 1] >= 0)].T
+        self._deg = deg = graph.host_degree[self._vertices]
+        outside = (deg - np.bincount(iu, minlength=m)
+                   - np.bincount(iv, minlength=m))
+        self._exact_q = exact_q = np.array(qn, dtype=object)[self._vertices]
+        self._exact = deg.astype(object), exact_q, outside.astype(object)
+        self._bounds = (int(deg.max()), int(np.abs(exact_q).max()),
+                        int(outside.max()))
+        self._narrow = ((deg, exact_q.astype(np.int64), outside)
+                        if self._bounds[1] < 2**63 else self._exact)
+        s, t = m, m + 1
+        self._net = cut_network(
+            m + 2, np.concatenate((np.full(m, s), np.arange(m), iu, iv)),
+            np.concatenate((np.arange(m), np.full(m, t), iv, iu)), s, t)
+        # witness -> its counts (deg W, qd q_+(W), |W|, |dW|)
+        self._found: dict[tuple[int, ...], tuple[int, int, int, int]] = {}
+
+    def _counts(self, members: np.ndarray) -> tuple[int, int, int, int]:
+        """(deg W, qd q_+(W), |W|, |dW|) of the region positions
+        ``members``, in Python integers: exact."""
+        inside = np.zeros(len(self._deg), dtype=bool)
         inside[members] = True
-        degsum = sum(deg[members].tolist())  # Python integers: exact
-        counts = (degsum, sum(exact_q[members].tolist()), len(members),
-                  degsum - 2 * int(np.count_nonzero(inside[iu] & inside[iv])))
-        n, d = (sum(c * x for c, x in zip(part, counts) if c)
-                for part in (num_int, den_int))
-        return None if d == 0 else Fraction(n, d)
+        degsum = sum(self._deg[members].tolist())
+        inner = int(np.count_nonzero(inside[self._iu] & inside[self._iv]))
+        return (degsum, sum(self._exact_q[members].tolist()), len(members),
+                degsum - 2 * inner)
 
-    s, t = m, m + 1
-    net = cut_network(m + 2, np.concatenate((np.full(m, s), np.arange(m),
-                                            iu, iv)),
-                      np.concatenate((np.arange(m), np.full(m, t), iv, iu)),
-                      s, t)
-    witness = start
-    r = ratio(local[np.asarray(start)])
-    for _ in range(_MAX_RATIO_ITERATIONS):
-        if r is None:
-            return witness, None
-        alpha, beta, gamma, edge = (n - r * d if d else n
-                                    for n, d in zip(num, den))
-        (da, dq, c, unit), _ = _scaled_ints([alpha, Fraction(beta, qd), gamma,
-                                             -edge])
-        # bounds every partial sum of the weights, and the inner capacity
-        fits = (abs(da) * dmax + abs(dq) * qmax + abs(c)
-                + unit * (omax + 1)) < 2**63
-        d, qx, o = narrow if fits else exact
-        w = da * d + dq * qx + c - unit * o
-        caps = np.concatenate((np.maximum(w, 0), np.maximum(-w, 0),
-                               np.full(2 * len(iu), unit, dtype=w.dtype)))
-        side = np.array(min_cut(net, caps), dtype=np.int64)[:-1]  # drop s
-        if not len(side):
-            return witness, r
-        witness, new_r = tuple(vertices[side].tolist()), ratio(side)
-        assert new_r is None or new_r > r
-        r = new_r
-    raise RuntimeError(
-        f"ratio iteration exceeded {_MAX_RATIO_ITERATIONS} steps")
+    def maximize(self, num, den, start: tuple[int, ...] | None = None
+                 ) -> tuple[tuple[int, ...], Fraction | None]:
+        """Maximize N(W)/D(W) from the better of ``start`` (by default
+        the whole region) and the witnesses found so far; returns the
+        last improving subset and its ratio.  The achievable ratios are
+        finite, so the ratio climbs to the maximum in finitely many
+        cuts."""
+        if start is None:
+            start = self._region
+        qd = self._qd
+        # N and D times one positive integer, qd times the coefficients'
+        # least common denominator, over the integer counts: a subset's
+        # ratio is then one Fraction of two integers
+        lcd = lcm(*(c.denominator for c in (*num, *den)))
+        num_int, den_int = ([c.numerator * (lcd // c.denominator) * scale
+                             for c, scale in zip(part, (qd, 1, qd, qd))]
+                            for part in (num, den))
+
+        def ratio(counts) -> Fraction | None:
+            n, d = (sum(c * x for c, x in zip(part, counts) if c)
+                    for part in (num_int, den_int))
+            return None if d == 0 else Fraction(n, d)
+
+        witness = start
+        counts = self._counts(self._local[np.asarray(start, dtype=np.int64)])
+        r = ratio(counts)
+        for found, found_counts in self._found.items():
+            found_r = ratio(found_counts)
+            # D = 0 may be 0/0 here (no cut ever picks such a subset):
+            # only the iteration concludes that a ratio is infinite
+            if None not in (r, found_r) and found_r > r:
+                witness, counts, r = found, found_counts, found_r
+        (dmax, qmax, omax), iu = self._bounds, self._iu
+        for _ in range(_MAX_RATIO_ITERATIONS):
+            if r is None:
+                break
+            alpha, beta, gamma, edge = (n - r * d if d else n
+                                        for n, d in zip(num, den))
+            (da, dq, c, unit), _ = _scaled_ints(
+                [alpha, Fraction(beta, qd), gamma, -edge])
+            # bounds every partial sum of the weights, and the inner capacity
+            fits = (abs(da) * dmax + abs(dq) * qmax + abs(c)
+                    + unit * (omax + 1)) < 2**63
+            d, qx, o = self._narrow if fits else self._exact
+            w = da * d + dq * qx + c - unit * o
+            caps = np.concatenate((np.maximum(w, 0), np.maximum(-w, 0),
+                                   np.full(2 * len(iu), unit, dtype=w.dtype)))
+            side = np.array(min_cut(self._net, caps),
+                            dtype=np.int64)[:-1]  # drop s
+            if not len(side):
+                break
+            witness = tuple(self._vertices[side].tolist())
+            counts = self._counts(side)
+            new_r = ratio(counts)
+            assert new_r is None or new_r > r
+            r = new_r
+        else:
+            raise RuntimeError(
+                f"ratio iteration exceeded {_MAX_RATIO_ITERATIONS} steps")
+        self._found.setdefault(witness, counts)
+        return witness, r
 
 
-def kmin_flow(graph: Graph, potential: Potential | None,
-              a) -> SparsenessCertificate:
+def _nonnegative_a(value) -> Fraction:
+    a = _as_fraction(value, "a")
+    if a < 0:
+        raise ValueError("a must be non-negative")
+    return a
+
+
+def _kmin_grid(search: _RatioSearch, graph: Graph, potential: Potential,
+               grid: Sequence[Fraction]) -> list[SparsenessCertificate]:
+    return [_kmin_certificate(graph, potential, _float(a), search.maximize(
+                (1, -a, 0, -1 - a), (0, 0, 1, 0))[0]) for a in grid]
+
+
+def kmin_flow(graph: Graph, potential: Potential | None, a
+              ) -> SparsenessCertificate | list[SparsenessCertificate]:
     """Exact k_min(a) by ratio iteration with min-cut subproblems.
+
+    ``a`` is a number, which gives one certificate, or a sequence of
+    numbers, which gives one certificate per entry, in order; every
+    entry is checked before any cut.  One cut network serves the whole
+    sequence, and each entry's iteration starts from the best of the
+    full vertex set and the earlier entries' witnesses
+    (:class:`_RatioSearch`); the values are those of one call per entry,
+    exactly.
 
     Matches :func:`kmin_bruteforce` exactly on the optimal value; the
     witness may differ when several subsets attain it.  The ratio is
     (deg W - a q_+(W) - (1+a)|dW|) / |W|, since 2|E_W| = deg W - |dW|.
     """
+    single = np.ndim(a) == 0
     potential = _check_potential(graph, potential)
-    a_fr = _as_fraction(a, "a")
-    if a_fr < 0:
-        raise ValueError("a must be non-negative")
-    everything = tuple(range(graph.vertex_count))
-    witness, _ = _dinkelbach(graph, potential, everything,
-                             (1, -a_fr, 0, -1 - a_fr), (0, 0, 1, 0), everything)
-    return _kmin_certificate(graph, potential, _float(a_fr), witness)
+    grid = [_nonnegative_a(value) for value in ([a] if single else a)]
+    if not grid:
+        return []
+    certs = _kmin_grid(_RatioSearch(graph, potential), graph, potential, grid)
+    return certs[0] if single else certs
 
 
 # -- (a, 0) threshold ---------------------------------------------------------
+
+def _threshold(search: _RatioSearch, graph: Graph,
+               potential: Potential) -> SparsityThreshold:
+    if graph.edge_count == 0:
+        return SparsityThreshold(0.0, (0,), subset_stats(graph, potential, (0,)))
+    witness, a = search.maximize((1, 0, 0, -1), (0, 1, 0, 1))
+    return SparsityThreshold(math.inf if a is None else _float(a), witness,
+                             subset_stats(graph, potential, witness))
+
 
 def amin_zero_k(graph: Graph, potential: Potential | None) -> SparsityThreshold:
     """Least a for which the pair is (a, 0)-sparse.
@@ -367,13 +439,24 @@ def amin_zero_k(graph: Graph, potential: Potential | None) -> SparsityThreshold:
     positive potential mass.
     """
     potential = _check_potential(graph, potential)
-    if graph.edge_count == 0:
-        return SparsityThreshold(0.0, (0,), subset_stats(graph, potential, (0,)))
-    everything = tuple(range(graph.vertex_count))
-    witness, a = _dinkelbach(graph, potential, everything,
-                             (1, 0, 0, -1), (0, 1, 0, 1), everything)
-    return SparsityThreshold(math.inf if a is None else _float(a), witness,
-                             subset_stats(graph, potential, witness))
+    return _threshold(_RatioSearch(graph, potential), graph, potential)
+
+
+def sparsity_flow(graph: Graph, potential: Potential | None,
+                  a_grid: Sequence) -> tuple[list[SparsenessCertificate],
+                                             SparsityThreshold]:
+    """``kmin_flow(graph, potential, a_grid)`` and ``amin_zero_k(graph,
+    potential)`` from one cut network: the threshold's iteration starts
+    from the best of the full vertex set and the grid's witnesses.
+
+    The values are those of the separate calls, exactly; a witness may
+    differ when several subsets attain the optimum.
+    """
+    potential = _check_potential(graph, potential)
+    grid = [_nonnegative_a(value) for value in a_grid]
+    search = _RatioSearch(graph, potential)
+    return (_kmin_grid(search, graph, potential, grid),
+            _threshold(search, graph, potential))
 
 
 # -- Cheeger constants --------------------------------------------------------
@@ -434,8 +517,8 @@ def _cheeger_flow(graph: Graph, potential: Potential,
                                     (region[isolated[0]],), region)
     # maximize -(|dW| + q(W)) / (deg W + q(W)), q = q_+ on the region;
     # every denominator is now positive, and every singleton has ratio -1
-    witness, _ = _dinkelbach(graph, potential, region,
-                             (0, -1, 0, -1), (1, 1, 0, 0), (region[0],))
+    witness, _ = _RatioSearch(graph, potential, region).maximize(
+        (0, -1, 0, -1), (1, 1, 0, 0), (region[0],))
     return _cheeger_certificate(graph, potential, witness, region)
 
 

@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .graphs import Graph, PhaseField, Potential
+from .graphs import Graph, PhaseField, Potential, _as_index
 from .operators import HermitianOperator, assemble
 
 __all__ = [
@@ -297,6 +297,7 @@ def ratio_report(graph: Graph, potential: Potential | None,
     (id, margin, tolerance scale) per check: the scale is 1 + ||M||, and
     (1 + ||M||) / m, the tie rule's, for the bracket margin.
     """
+    top_m = _as_index(top_m, "top_m")
     if top_m < 1:
         raise ValueError("top_m must be positive")
     n = graph.vertex_count

@@ -71,6 +71,14 @@ def test_non_integer_sizes_rejected():
         RadialFamilySpec(beta=(3,), gamma=(0, "2"), depth=2)
     with pytest.raises(ValueError, match=r"depth is not an integer: 2\.0"):
         RadialFamilySpec(beta=(3,), gamma=(0,), depth=2.0)
+    # range() used to raise TypeError for these
+    for build, size, name in ((path_graph, 2.5, "n"), (cycle_graph, 4.0, "n"),
+                              (complete_graph, "3", "n"),
+                              (grid_graph, 2.0, "m"), (star_graph, 3.0, "n")):
+        with pytest.raises(ValueError,
+                           match=rf"^{name} is not an integer: {size!r}$"):
+            build(size)
+    assert grid_graph(np.int64(2)).vertex_count == 4
     spec = RadialFamilySpec(beta=(np.int64(3),), gamma=(0,), depth=np.int8(2))
     assert spec.beta == (3, 3, 3) and spec.depth == 2
     assert antitree(np.array([1, 2])).vertex_count == 3

@@ -171,6 +171,18 @@ def test_degree_identity_random():
                 g.edge_index(v, u)
 
 
+def test_edge_tuples_built_on_first_use():
+    # the tuples of Python ints take many times the edge array's memory,
+    # so code that reads only edge_ends never builds them
+    g = Graph(4, [(2, 3), (1, 0), (1, 2)])
+    assert g._edges is None and g._neighbors is None
+    assert g.edge_count == 3 and g._edges is None
+    assert g.neighbors(1) == (0, 2) and g._edges is None
+    assert g.neighbors(3) == (2,) and g.neighbors(0) == (1,)
+    assert g.edges == ((0, 1), (1, 2), (2, 3)) and g.edges is g.edges
+    assert not hasattr(g, "__dict__")
+
+
 def test_boundary_complement_identity():
     rng = np.random.default_rng(1)
     for _ in range(30):

@@ -7,7 +7,8 @@ import pytest
 from sgs import (Graph, Potential, RadialFamilySpec, amin_zero_k, cheeger,
                  cheeger_lower_bound, combine, complete_graph, cycle_graph,
                  kmin_bruteforce, kmin_flow, make_radial_family, path_graph,
-                 potential_class_kappa, regular_tree_ball, subset_stats)
+                 potential_class_kappa, regular_tree_ball, sparsity_flow,
+                 subset_stats)
 
 from helpers import random_graph, uniform_potential
 
@@ -367,14 +368,14 @@ def test_flow_routes_reach_the_exact_optima(monkeypatch):
     # Fraction (None when infinite), not just within 1e-9 of it
     from sgs import sparseness
     values = []
-    drive = sparseness._dinkelbach
+    drive = sparseness._RatioSearch.maximize
 
-    def spy_drive(*args):
-        witness, value = drive(*args)
+    def spy_drive(search, *args):
+        witness, value = drive(search, *args)
         values.append(value)
         return witness, value
 
-    monkeypatch.setattr(sparseness, "_dinkelbach", spy_drive)
+    monkeypatch.setattr(sparseness._RatioSearch, "maximize", spy_drive)
 
     def optima(g, q, region, ratio):
         # max of ratio(2|E_W|, |dW|, deg W, q_+(W), |W|) over nonempty W
@@ -494,12 +495,12 @@ def test_one_network_per_ratio_driver(monkeypatch):
     inner = tuple(x for x in range(g.vertex_count)
                   if g.internal_degree[x] == top)
     events = []
-    drive, build, solve = (sparseness._dinkelbach, sparseness.cut_network,
-                           sparseness.min_cut)
+    drive, build, solve = (sparseness._RatioSearch.__init__,
+                           sparseness.cut_network, sparseness.min_cut)
 
-    def spy_drive(*args):
+    def spy_drive(search, *args):
         events.append(("drive", None))
-        return drive(*args)
+        return drive(search, *args)
 
     def spy_build(*args):
         network = build(*args)
@@ -510,7 +511,7 @@ def test_one_network_per_ratio_driver(monkeypatch):
         events.append(("cut", network))
         return solve(network, caps)
 
-    monkeypatch.setattr(sparseness, "_dinkelbach", spy_drive)
+    monkeypatch.setattr(sparseness._RatioSearch, "__init__", spy_drive)
     monkeypatch.setattr(sparseness, "cut_network", spy_build)
     monkeypatch.setattr(sparseness, "min_cut", spy_solve)
     counts = []
@@ -588,6 +589,82 @@ def test_bruteforce_grid_equals_per_a_calls(monkeypatch):
     assert kmin_bruteforce(triangles, None, [0.0])[0].witness == (0, 1, 2)
     assert kmin_bruteforce(triangles, None, np.array([0.0, 1.0]))[1] == \
         kmin_bruteforce(triangles, None, 1.0)
+
+
+def test_flow_grid_equals_per_a_calls(monkeypatch):
+    # one cut network serves the whole grid, and with sparsity_flow the
+    # threshold too; each entry starts from the best earlier witness,
+    # yet every certificate is the per-a call's, witness included, and
+    # the threshold is amin_zero_k's.  Isolated vertices without
+    # deficit or positive q (0/0 in the threshold's ratio) occur here,
+    # and are never taken as an infinite start.
+    from sgs import sparseness
+
+    networks = []
+    build = sparseness.cut_network
+    monkeypatch.setattr(sparseness, "cut_network",
+                        lambda *args: networks.append(1) or build(*args))
+    rng = np.random.default_rng(79)
+    triangles = Graph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
+    cases = [(triangles, None), (Graph(3, []), None)]
+    for _ in range(40):
+        base = random_graph(rng, n_max=12)
+        g = Graph(base.vertex_count, base.edges,
+                  host_degree=base.internal_degree
+                  + rng.integers(0, 4, base.vertex_count))
+        cases.append((g, uniform_potential(rng, g.vertex_count, -2, 3)))
+    grid = (0.0, 0.5, Fraction(1, 3), 2, 0.5, np.float64(7.25), 0)
+    for g, q in cases:
+        networks.clear()
+        certs = kmin_flow(g, q, grid)
+        assert len(networks) == 1
+        singles = [kmin_flow(g, q, a) for a in grid]
+        assert isinstance(certs, list) and certs == singles
+        assert [repr(c) for c in certs] == [repr(c) for c in singles]
+        for cert, brute in zip(certs, kmin_bruteforce(g, q, grid)):
+            assert abs(cert.k - brute.k) <= 1e-9
+        networks.clear()
+        shared, threshold = sparsity_flow(g, q, grid)
+        assert len(networks) == 1
+        assert shared == certs
+        assert threshold == amin_zero_k(g, q)
+    assert kmin_flow(triangles, None, np.array([0.0, 1.0]))[1] == \
+        kmin_flow(triangles, None, 1.0)
+    # every a is checked before any network is built
+    networks.clear()
+    with pytest.raises(ValueError, match="non-negative"):
+        kmin_flow(triangles, None, [0.0, 1.0, -1.0])
+    with pytest.raises(ValueError, match="finite"):
+        sparsity_flow(triangles, None, [0.0, math.nan])
+    assert kmin_flow(triangles, None, []) == [] and not networks
+    assert sparsity_flow(triangles, None, ()) == ([],
+                                                  amin_zero_k(triangles, None))
+
+
+def test_shared_search_takes_fewer_cuts(monkeypatch):
+    # on float q the a-grid's optima sit close together, so starting
+    # each a, and then the threshold, from the best earlier witness
+    # saves most of the per-a calls' cuts
+    from sgs import sparseness
+
+    cuts = []
+    solve = sparseness.min_cut
+    monkeypatch.setattr(sparseness, "min_cut",
+                        lambda net, caps: cuts.append(1) or solve(net, caps))
+    g = regular_tree_ball(3, 6)
+    q = Potential(np.random.default_rng(83).uniform(0.0, 3.0,
+                                                    g.vertex_count))
+    grid = (0, 0.5, 1, 2)
+    singles = [kmin_flow(g, q, a) for a in grid]
+    assert len(cuts) == 14
+    threshold = amin_zero_k(g, q)
+    assert len(cuts) == 19
+    cuts.clear()
+    assert kmin_flow(g, q, grid) == singles
+    assert len(cuts) == 8
+    cuts.clear()
+    assert sparsity_flow(g, q, grid) == (singles, threshold)
+    assert len(cuts) == 9
 
 
 def test_in_place_objectives_equal_their_expressions(monkeypatch):

@@ -214,6 +214,10 @@ def test_ratio_report_rejects_bad_top_m():
         ratio_report(g, None, top_m=4)
     with pytest.raises(ValueError, match="top_m"):
         ratio_report(g, None, top_m=0)
+    # range() used to raise TypeError for a float
+    with pytest.raises(ValueError, match=r"^top_m is not an integer: 2\.5$"):
+        ratio_report(g, None, top_m=2.5)
+    assert ratio_report(g, None, top_m=np.int64(2)).indices == (1, 2)
 
 
 def test_ratio_report_is_deterministic():
