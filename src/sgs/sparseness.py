@@ -11,11 +11,13 @@ constants computed on a truncation certify the infinite host.
 
 k_min and the Cheeger constant have two routes: a brute-force oracle
 that enumerates all subsets (guarded to 22 vertices) and a production
-path.  The oracle builds its tables over all subsets once
-(``_subset_tables``: 2|E_W|, |W| and the degree and potential sums,
-none of which depend on a), computes the objective in place in those
-buffers and picks the witness by a fixed tie-break (``_best_subset``);
-one build serves every a of a grid.  The (a, 0) threshold has the
+path.  The oracle sweeps the subsets in blocks of 2^13 consecutive
+indices (``_sweep``): per block it builds 2|E_W|, |W| and the degree
+and potential sums, none of which depend on a, from the parent block
+on a stack, computes the objectives in place and folds them into a
+running witness pick with a fixed tie-break (``_pick``).  So memory
+grows with the number of vertices, not with 2^n, and one sweep serves
+every a of a grid.  The (a, 0) threshold has the
 production path only.  The production path of k_min, of the (a, 0)
 threshold and of the Cheeger constant is one ratio search, ``_RatioSearch``:
 Dinkelbach's ratio iteration with each linearized subproblem solved
@@ -133,58 +135,123 @@ def _float(x: Fraction) -> float:
 
 # -- subset enumeration -------------------------------------------------------
 
-def _subset_tables(graph: Graph, region: Sequence[int],
-                   sums: Sequence[np.ndarray]
-                   ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-    """Tables over all subsets W of ``region`` (sorted, at most 22
-    vertices): 2|E_W| and |W|, and per array in ``sums`` (indexed by
-    vertex) its sum over W.
+# log2 of the entries per block of the sweep: 2^13 and 2^14 were the
+# fastest at 20 and 22 vertices (2-core x86-64); 2^16 was slower, and
+# 2^11 and 2^12 were slower for the per-block overhead
+_BLOCK_BITS = 13
 
-    Table index c holds the subset whose bit b is set for the vertex
-    ``region[m - 1 - b]``; :func:`_best_subset` reads an objective
-    computed on these tables back into a vertex tuple.  The tables do
-    not depend on ``a``, so one build serves every ``a`` of a grid.
-    """
-    m = len(region)
+
+def _check_enumerable(m: int) -> None:
     if m > ENUMERATION_LIMIT:
         raise ValueError(f"{m} vertices are too many for enumeration "
                          f"(limit {ENUMERATION_LIMIT})")
-    # bit b of a table index is region[m - 1 - b]: adding vertices from
-    # the last down to the first makes every float sum add its lowest
-    # member last, and which float values tie decides the witness
-    bit = {x: m - 1 - i for i, x in enumerate(region)}
-    twice_edges, size = np.zeros(1 << m), np.zeros(1 << m, dtype=np.uint8)
-    tables = [np.zeros(1 << m) for _ in sums]
-    # 22 vertices fit 32-bit masks
-    lower = np.arange((1 << m) // 2, dtype=np.uint32)
-    for b in range(m):
-        x, h = region[m - 1 - b], 1 << b
-        adj = np.uint32(sum(1 << bit[y] for y in graph.neighbors(x)
-                            if y in bit))
-        np.add(twice_edges[:h], 2 * np.bitwise_count(lower[:h] & adj),
-               out=twice_edges[h:2 * h])
-        np.add(size[:h], 1, out=size[h:2 * h])
-        for t, w in zip(tables, sums):
-            np.add(t[:h], w[x], out=t[h:2 * h])
-    return twice_edges, size, tables
 
 
-def _best_subset(region: Sequence[int], size: np.ndarray,
-                 values: np.ndarray) -> tuple[int, ...]:
-    """The nonempty subset of ``region`` with the largest entry of
-    ``values``, an objective over :func:`_subset_tables`' indices.
+def _block_length(m: int) -> int:
+    """Entries per block of :func:`_sweep` over m vertices."""
+    return 1 << min(m, _BLOCK_BITS)
 
-    Ties go to the fewest vertices, then the lexicographically smallest
-    vertex list, so the result does not depend on how table indices map
-    to vertices.  Overwrites ``values[0]``, the empty set's entry.
+
+def _sweep(graph: Graph, region: Sequence[int], sums: Sequence[np.ndarray],
+           objective, count: int) -> list[tuple[int, ...]]:
+    """The witnesses of ``count`` objectives over the nonempty subsets W
+    of ``region`` (sorted, at most 22 vertices), one per objective.
+
+    Subset index c holds the W whose bit b is set for the vertex
+    ``region[m - 1 - b]``.  The sweep builds the tables 2|E_W|, |W| and,
+    per array in ``sums`` (indexed by vertex), its sum over W, one block
+    of 2^k consecutive indices at a time, k = min(m, ``_BLOCK_BITS``).
+    ``objective(twice_edges, size, tables, values)`` writes the block's
+    objectives into the rows of ``values``; :func:`_pick` folds each row
+    into its objective's running witness.
+
+    The low k bits are one block, built by doubling: adding vertices
+    from the last down to the first makes every float sum add its
+    lowest member last, and which float values tie decides the witness.
+    The blocks of the high bits are visited depth first, each built
+    from its parent block, the block without its highest bit, by adding
+    that bit's vertex last, so every entry is the full doubling's bit
+    for bit.  The stack holds one block per level, m - k + 1 in all, and
+    building a block allocates nothing.
     """
     m = len(region)
-    values[0] = -np.inf
-    cand = np.flatnonzero(values == values.max())
+    _check_enumerable(m)
+    k = min(m, _BLOCK_BITS)
+    block, depth = _block_length(m), m - k
+    bit = {x: m - 1 - i for i, x in enumerate(region)}
+    adj = [sum(1 << bit[y] for y in graph.neighbors(x) if y in bit)
+           for x in reversed(region)]  # by bit
+    vertex = list(reversed(region))  # by bit
+    # level d of the stack holds the block of a d-bit high part, whose
+    # sizes are the low part's popcounts plus d, as floats (a float
+    # divisor is faster than uint8, and small integers are exact)
+    twice_edges, size, *tables = stack = np.empty(
+        (2 + len(sums), depth + 1, block))
+    stack[:, 0, 0] = 0.0  # the empty set; doubling writes the rest
+    low = np.arange(block, dtype=np.uint32)  # 22 vertices fit 32-bit masks
+    np.add(np.bitwise_count(low), np.arange(depth + 1)[:, None], out=size)
+    te0 = twice_edges[0]
+    for b in range(k):
+        h = 1 << b
+        np.add(te0[:h], 2 * np.bitwise_count(low[:h] & np.uint32(adj[b])),
+               out=te0[h:2 * h])
+        for t, w in zip(tables, sums):
+            np.add(t[0, :h], w[vertex[b]], out=t[0, h:2 * h])
+    # 2|E_W| gains, per high bit, twice its edges into the low part
+    rows = np.empty((depth, block))
+    for j in range(depth):
+        np.multiply(np.bitwise_count(low & np.uint32(adj[k + j])), 2,
+                    out=rows[j])
+    levels = [(twice_edges[d], size[d], [t[d] for t in tables])
+              for d in range(depth + 1)]
+    values = np.empty((count, block))
+    best = [[-np.inf, np.inf, 0] for _ in range(count)]
+
+    path, high, nxt = [], 0, k  # high bits of the block, ascending
+    objective(*levels[0], values)
+    values[:, 0] = -np.inf  # the empty set
+    while True:
+        for row, pick in zip(values, best):
+            _pick(pick, high, levels[len(path)][1], row)
+        while nxt == m and path:  # back up to the next sibling
+            last = path.pop()
+            high ^= 1 << last
+            nxt = last + 1
+        if nxt == m:
+            break
+        (te_up, _, up), (te, sz, cur) = levels[len(path):len(path) + 2]
+        np.add(te_up, rows[nxt - k], out=te)
+        inner = 2 * (high & adj[nxt]).bit_count()
+        if inner:
+            te += inner
+        for t_up, t, w in zip(up, cur, sums):
+            np.add(t_up, w[vertex[nxt]], out=t)
+        path.append(nxt)
+        high |= 1 << nxt
+        nxt += 1
+        objective(te, sz, cur, values)
+    return [tuple(vertex[b] for b in reversed(range(m)) if c >> b & 1)
+            for _, _, c in best]
+
+
+def _pick(best: list, base: int, size: np.ndarray,
+          values: np.ndarray) -> None:
+    """Fold one block of an objective, whose entry j is subset index
+    ``base + j``, into the running pick ``best`` = [value, size, index].
+
+    The largest value wins; ties go to the fewest vertices, then to the
+    lexicographically smallest vertex list, which among subsets of one
+    size is the largest index (a higher bit is an earlier vertex).
+    """
+    top = values.max()
+    if top < best[0]:
+        return
+    cand = np.flatnonzero(values == top)
     sizes = size[cand]
-    cand = cand[sizes == sizes.min()]
-    return min(tuple(region[m - 1 - b] for b in reversed(range(m))
-                     if c >> b & 1) for c in cand.tolist())
+    least = sizes.min()
+    index = base + int(cand[sizes == least][-1])
+    if (top, -least, index) > (best[0], -best[1], best[2]):
+        best[:] = top, least, index
 
 
 def _check_potential(graph: Graph, potential: Potential | None) -> Potential:
@@ -202,11 +269,12 @@ def kmin_bruteforce(graph: Graph, potential: Potential | None, a
     """Exact k_min(a) by enumerating every nonempty subset (|V| <= 22).
 
     ``a`` is a number, which gives one certificate, or a sequence of
-    numbers, which gives one certificate per entry, in order.  The
-    subset tables are built once, when the first valid entry is
-    reached, and serve every entry; each ``a`` is checked in turn
-    before it is used, so the errors, and their order, are those of one
-    call per entry.  An empty sequence builds nothing.
+    numbers, which gives one certificate per entry, in order.  One
+    sweep over the subsets (:func:`_sweep`) serves every entry: its
+    tables do not depend on ``a``.  The first entry is checked, then
+    the vertex limit, then the later entries, so the errors, and their
+    order, are those of one call per entry.  An empty sequence sweeps
+    nothing.
 
     Ties are broken by smallest witness size, then lexicographically
     smallest vertex list.
@@ -216,24 +284,31 @@ def kmin_bruteforce(graph: Graph, potential: Potential | None, a
     if not grid:
         return []
     potential = _check_potential(graph, potential)
-    region = range(graph.vertex_count)
-    certs, mass = [], None
-    for value in grid:
-        af = _float(_nonnegative_a(value))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            if mass is None:
-                twice_edges, size, (mass, qplus) = _subset_tables(
-                    graph, region, (graph.host_degree, potential.plus))
-                # |dW| + q_+(W), summed as the ratio always summed it
-                np.subtract(mass, twice_edges, out=mass)
-                mass += qplus
-                values = qplus  # its buffer holds each a's objective
-            # (2|E_W| - a (|dW| + q_+(W))) / |W|, in one buffer
-            np.multiply(mass, af, out=values)
-            np.subtract(twice_edges, values, out=values)
-            np.divide(values, size, out=values)
-        certs.append(_kmin_certificate(graph, potential, af,
-                                       _best_subset(region, size, values)))
+    afs = [_float(_nonnegative_a(grid[0]))]
+    _check_enumerable(graph.vertex_count)
+    afs += [_float(_nonnegative_a(value)) for value in grid[1:]]
+    mass = np.empty(_block_length(graph.vertex_count))
+
+    def objective(twice_edges, size, tables, values):
+        # |dW| + q_+(W), summed as the ratio always summed it
+        deg, qplus = tables
+        np.subtract(deg, twice_edges, out=mass)
+        np.add(mass, qplus, out=mass)
+        # (2|E_W| - a (|dW| + q_+(W))) / |W|; a = 0 subtracts 0 exactly
+        for af, row in zip(afs, values):
+            if af:
+                np.multiply(mass, af, out=row)
+                np.subtract(twice_edges, row, out=row)
+                np.divide(row, size, out=row)
+            else:
+                np.divide(twice_edges, size, out=row)
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        witnesses = _sweep(graph, range(graph.vertex_count),
+                           (graph.host_degree, potential.plus),
+                           objective, len(afs))
+    certs = [_kmin_certificate(graph, potential, af, w)
+             for af, w in zip(afs, witnesses)]
     return certs[0] if single else certs
 
 
@@ -488,18 +563,25 @@ def _cheeger_certificate(graph: Graph, potential: Potential,
 
 def _cheeger_bruteforce(graph: Graph, potential: Potential,
                         region: tuple[int, ...]) -> CheegerCertificate:
-    twice_edges, size, (deg, q) = _subset_tables(
-        graph, region, (graph.host_degree, potential.values))
-    # the least quotient is the greatest negated one (negation is
-    # exact): -(|dW| + q(W)) / (deg W + q(W)), in the tables' buffers
+    block = _block_length(len(region))
+    den, zero = np.empty(block), np.empty(block, dtype=bool)
+
+    def objective(twice_edges, size, tables, values):
+        # the least quotient is the greatest negated one (negation is
+        # exact): -(|dW| + q(W)) / (deg W + q(W)), 0 where deg W + q(W) = 0
+        deg, q = tables
+        row = values[0]
+        np.subtract(deg, twice_edges, out=row)
+        row += q
+        np.negative(row, out=row)
+        np.add(deg, q, out=den)
+        np.divide(row, den, out=row)
+        np.equal(den, 0.0, out=zero)
+        np.putmask(row, zero, 0.0)
+
     with np.errstate(divide="ignore", invalid="ignore"):
-        values = np.subtract(deg, twice_edges, out=twice_edges)
-        values += q
-        np.negative(values, out=values)
-        den = np.add(deg, q, out=deg)
-        np.divide(values, den, out=values)
-    values[den == 0.0] = 0.0
-    witness = _best_subset(region, size, values)
+        witness, = _sweep(graph, region, (graph.host_degree, potential.values),
+                          objective, 1)
     return _cheeger_certificate(graph, potential, witness, region)
 
 

@@ -9,8 +9,11 @@ from sgs import (Graph, Potential, RadialFamilySpec, amin_zero_k, cheeger,
                  kmin_bruteforce, kmin_flow, make_radial_family, path_graph,
                  potential_class_kappa, regular_tree_ball, sparsity_flow,
                  subset_stats)
+from sgs.sparseness import ENUMERATION_LIMIT
 
-from helpers import random_graph, uniform_potential
+from helpers import (full_best_subset, full_cheeger_objective,
+                     full_kmin_objective, full_subset_tables, random_graph,
+                     uniform_potential)
 
 
 def test_kmin_path_examples():
@@ -54,8 +57,8 @@ def test_kmin_cycle_any_a():
 def test_kmin_enumeration_guard():
     with pytest.raises(ValueError, match="enumeration"):
         kmin_bruteforce(cycle_graph(23), None, 0.0)
-    # a grid checks each a in order and enumerates at the first valid
-    # one, so it fails where the first failing per-a call would; an
+    # a grid checks its first a, then the vertex limit, then the later
+    # entries, so it fails where the first failing per-a call would; an
     # empty grid enumerates nothing
     assert kmin_bruteforce(cycle_graph(23), None, []) == []
     with pytest.raises(ValueError, match="a must be non-negative"):
@@ -559,15 +562,15 @@ def test_oracle_sized_networks_stay_off_scipy(monkeypatch):
 
 
 def test_bruteforce_grid_equals_per_a_calls(monkeypatch):
-    # one table build serves the whole grid; every field of every
-    # certificate is the per-a call's, bit for bit (repr tells -0.0 and
-    # every float apart), ties included
+    # one sweep serves the whole grid; every field of every certificate
+    # is the per-a call's, bit for bit (repr tells -0.0 and every float
+    # apart), ties included
     from sgs import sparseness
 
-    builds = []
-    build = sparseness._subset_tables
-    monkeypatch.setattr(sparseness, "_subset_tables",
-                        lambda *args: builds.append(1) or build(*args))
+    sweeps = []
+    sweep = sparseness._sweep
+    monkeypatch.setattr(sparseness, "_sweep",
+                        lambda *args: sweeps.append(1) or sweep(*args))
     rng = np.random.default_rng(71)
     triangles = Graph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
     cases = [(triangles, None), (Graph(3, []), None)]
@@ -579,9 +582,9 @@ def test_bruteforce_grid_equals_per_a_calls(monkeypatch):
         cases.append((g, uniform_potential(rng, g.vertex_count, -2, 3)))
     grid = (0.0, 0.5, Fraction(1, 3), 2, 0.5, np.float64(7.25), 0)
     for g, q in cases:
-        builds.clear()
+        sweeps.clear()
         certs = kmin_bruteforce(g, q, grid)
-        assert len(builds) == 1
+        assert len(sweeps) == 1
         singles = [kmin_bruteforce(g, q, a) for a in grid]
         assert isinstance(certs, list) and len(certs) == len(grid)
         assert certs == singles
@@ -668,41 +671,157 @@ def test_shared_search_takes_fewer_cuts(monkeypatch):
 
 
 def test_in_place_objectives_equal_their_expressions(monkeypatch):
-    # the objectives run in preallocated buffers; their values must be
-    # the plain expressions' bit for bit, since float ties decide
-    # witnesses (the empty set's entry 0 is the pick's to overwrite)
+    # the objectives run in preallocated block buffers; each block's
+    # values must be the plain expressions' over the full tables, bit
+    # for bit, since float ties decide witnesses.  The blocks cover
+    # every subset index once, and the empty set's entry is -inf.
     from sgs import sparseness
 
     seen = []
-    pick = sparseness._best_subset
-    monkeypatch.setattr(sparseness, "_best_subset",
-                        lambda region, size, values:
-                        seen.append(values[1:].copy()) or
-                        pick(region, size, values))
+    pick = sparseness._pick
+    monkeypatch.setattr(sparseness, "_pick",
+                        lambda best, base, size, values:
+                        seen.append((base, values.copy())) or
+                        pick(best, base, size, values))
+
+    def assert_blocks(blocks, want):
+        covered = set()
+        for base, got in blocks:
+            ref = want[base:base + len(got)].copy()
+            if base == 0:
+                assert got[0] == -np.inf
+                ref[0] = -np.inf
+            assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+            covered.update(range(base, base + len(got)))
+        assert covered == set(range(len(want)))
+        assert len(blocks) * len(blocks[0][1]) == len(want)
+
     rng = np.random.default_rng(73)
+
+    def graphs():
+        # 20 small graphs, then two past one block, so that blocks other
+        # than the first are checked
+        sizes = [None] * 20 + [sparseness._BLOCK_BITS + 1,
+                               sparseness._BLOCK_BITS + 2]
+        for size in sizes:
+            base = (random_graph(rng, n_max=11) if size is None
+                    else random_graph(rng, n_min=size, n_max=size))
+            n = base.vertex_count
+            yield Graph(n, base.edges,
+                        host_degree=base.internal_degree
+                        + rng.integers(0, 3, n))
+
     zero_dens = 0
-    for _ in range(20):
-        base = random_graph(rng, n_max=11)
-        n = base.vertex_count
-        g = Graph(n, base.edges,
-                  host_degree=base.internal_degree + rng.integers(0, 3, n))
+    grid = (0.0, 0.3, 2.0)
+    for g in graphs():
+        n = g.vertex_count
         # integer q of both signs makes zero Cheeger denominators common
         for q in (Potential(rng.integers(-3, 3, n).astype(float)),
                   uniform_potential(rng, n, -2, 3)):
-            te, size, (deg, qp, qv) = sparseness._subset_tables(
+            te, size, (deg, qp, qv) = full_subset_tables(
                 g, range(n), (g.host_degree, q.plus, q.values))
             seen.clear()
-            kmin_bruteforce(g, q, (0.0, 0.3, 2.0))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                for af, got in zip((0.0, 0.3, 2.0), seen):
-                    want = (te - af * ((deg - te) + qp)) / size
-                    assert np.array_equal(got.view(np.uint64),
-                                          want[1:].view(np.uint64))
-                seen.clear()
-                cheeger(g, q, method="bruteforce")
-                den = deg + qv
-                want = np.where(den == 0.0, 0.0, -((deg - te) + qv) / den)
-            zero_dens += np.count_nonzero(den[1:] == 0.0)
-            assert np.array_equal(seen[0].view(np.uint64),
-                                  want[1:].view(np.uint64))
+            kmin_bruteforce(g, q, grid)
+            for i, af in enumerate(grid):
+                assert_blocks(seen[i::len(grid)],
+                              full_kmin_objective(te, size, deg, qp, af))
+            seen.clear()
+            cheeger(g, q, method="bruteforce")
+            assert_blocks(seen, full_cheeger_objective(te, deg, qv))
+            zero_dens += np.count_nonzero((deg + qv)[1:] == 0.0)
     assert zero_dens > 0
+
+
+def _rectangle(rows, cols):
+    return Graph(rows * cols,
+                 [(r * cols + c, r * cols + c + 1)
+                  for r in range(rows) for c in range(cols - 1)]
+                 + [(r * cols + c, (r + 1) * cols + c)
+                    for r in range(rows - 1) for c in range(cols)])
+
+
+def test_bruteforce_equals_full_tables_across_blocks():
+    # the block sweep against the full doubling (tests/helpers.py) on
+    # both sides of the block boundary and at the enumeration limit, on
+    # tie-heavy inputs: every witness, and every certificate's repr, is
+    # the full tables' pick
+    from sgs import sparseness
+
+    k = sparseness._BLOCK_BITS
+    rng = np.random.default_rng(89)
+    grid = (0.0, 0.5, 1.0, 2.0)
+    cases = []
+    for n in (k - 1, k, k + 1, k + 3):
+        zero = Potential(np.zeros(n))
+        base = random_graph(rng, n_min=n, n_max=n)
+        deficits = Graph(n, base.edges, host_degree=base.internal_degree
+                         + rng.integers(0, 3, n))
+        grid_q0 = _rectangle(2, n // 2)  # n rounded down to even
+        cases += [(Graph(n, []), zero), (cycle_graph(n), zero),
+                  (grid_q0, Potential(np.zeros(grid_q0.vertex_count))),
+                  (deficits, Potential(rng.integers(-3, 3, n).astype(float))),
+                  (deficits, uniform_potential(rng, n, -2, 3))]
+    n = ENUMERATION_LIMIT
+    dense = random_graph(rng, n_min=n, n_max=n, p_low=0.5, p_high=0.5)
+    cases += [(Graph(n, []), Potential(np.zeros(n))),
+              (_rectangle(2, n // 2),
+               Potential(rng.integers(-3, 3, n).astype(float))),
+              (dense, uniform_potential(rng, n, -2, 3))]
+    zero_dens = 0
+    for g, q in cases:
+        n = g.vertex_count
+        te, size, (deg, qp, qv) = full_subset_tables(
+            g, range(n), (g.host_degree, q.plus, q.values))
+        zero_dens += np.count_nonzero((deg + qv)[1:] == 0.0)
+        want = [sparseness._kmin_certificate(g, q, af, full_best_subset(
+            range(n), size, full_kmin_objective(te, size, deg, qp, af)))
+            for af in grid]
+        assert repr(kmin_bruteforce(g, q, grid)) == repr(want)
+        witness = full_best_subset(range(n), size,
+                                   full_cheeger_objective(te, deg, qv))
+        assert repr(cheeger(g, q, method="bruteforce")) == repr(
+            sparseness._cheeger_certificate(g, q, witness, tuple(range(n))))
+        del te, size, deg, qp, qv
+        # a proper region: its sums and boundaries still see the host
+        region = tuple(sorted(rng.choice(n, n - 2, replace=False).tolist()))
+        te, size, (deg, qv) = full_subset_tables(
+            g, region, (g.host_degree, q.values))
+        witness = full_best_subset(region, size,
+                                   full_cheeger_objective(te, deg, qv))
+        assert repr(cheeger(g, q, region, method="bruteforce")) == repr(
+            sparseness._cheeger_certificate(g, q, witness, region))
+    assert zero_dens > 0
+
+
+def test_bruteforce_memory_is_bounded():
+    # the sweep holds m - k + 1 blocks, not tables of 2^m entries: at
+    # the enumeration limit four values of a peak far below the full
+    # tables' 124 MB, and with the cycle collector off a call leaves
+    # less than one block's buffer behind (only the interpreter's free
+    # lists keep a few small objects), so no reference cycle holds one
+    import gc
+    import tracemalloc
+
+    from sgs import sparseness
+
+    rng = np.random.default_rng(97)
+    n = ENUMERATION_LIMIT
+    g = random_graph(rng, n_min=n, n_max=n, p_low=0.5, p_high=0.5)
+    q = uniform_potential(rng, n, 0, 3)
+    grid = (0, 0.5, 1, 2)
+    kmin_bruteforce(g, q, grid)  # builds the graph's lazy neighbour tuples
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        for call in (lambda: kmin_bruteforce(g, q, grid),
+                     lambda: cheeger(g, q, method="bruteforce")):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            call()
+            after, peak = tracemalloc.get_traced_memory()
+            assert peak - before < 16 * 2**20
+            assert after - before < 8 << sparseness._BLOCK_BITS
+    finally:
+        tracemalloc.stop()
+        gc.enable()
