@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import math
 import sys
@@ -22,8 +23,7 @@ from .generators import (RadialFamilySpec, ball_truncation, make_basic,
 from .graphio import (graph_digest, id_map_digest, load_graph, save_graph,
                       write_report)
 from .graphs import Graph
-from .sparseness import (amin_zero_k, cheeger, kmin_bruteforce,
-                         sparsity_flow)
+from .sparseness import cheeger, kmin_bruteforce, sparsity_flow
 from .spectra import DEFAULT_ATILDE_GRID, ratio_report
 from .verify import run_checks
 
@@ -154,14 +154,7 @@ def _sparseness_entry(cert, ids) -> dict:
     return {"a": cert.a, "k": cert.k, "ratio": cert.ratio,
             "clamped": cert.clamped,
             "witness": _witness_ids(cert.witness, ids),
-            "witness_stats": {
-                "size": cert.stats.size,
-                "induced_edges": cert.stats.induced_edges,
-                "boundary": cert.stats.boundary,
-                "degree_sum": cert.stats.degree_sum,
-                "q_sum": cert.stats.q_sum,
-                "q_plus_sum": cert.stats.q_plus_sum,
-            }}
+            "witness_stats": dataclasses.asdict(cert.stats)}
 
 
 def _cheeger_entry(cert, ids) -> dict:
@@ -174,15 +167,15 @@ def _analyze_sparsity(args, graph, potential, ids) -> dict:
     # grid order first, so errors come as from one call per a
     brute = (kmin_bruteforce(graph, potential, args.a_grid)
              if args.method in ("bruteforce", "both") else None)
-    # one cut network serves the grid and the threshold
-    if args.method in ("flow", "both"):
-        flow, amin = sparsity_flow(graph, potential, args.a_grid)
-    else:
-        flow, amin = None, amin_zero_k(graph, potential)
+    # one cut network serves the grid and the threshold; brute force
+    # has no threshold route, so it takes the threshold alone
+    with_flow = args.method in ("flow", "both")
+    flow, amin = sparsity_flow(graph, potential,
+                               args.a_grid if with_flow else [])
     per_a = []
     for i in range(len(args.a_grid)):
         entry: dict = {}
-        if flow is not None:
+        if with_flow:
             entry["flow"] = _sparseness_entry(flow[i], ids)
         if brute is not None:
             entry["bruteforce"] = _sparseness_entry(brute[i], ids)

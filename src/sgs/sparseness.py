@@ -114,14 +114,6 @@ def _as_fraction(x, name: str) -> Fraction:
     return Fraction(xf)  # exact: IEEE floats are dyadic rationals
 
 
-def _scaled_ints(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """The values times the lcm ``den`` of their denominators, and ``den``."""
-    den = 1
-    for v in values:
-        den = lcm(den, v.denominator)
-    return [int(v * den) for v in values], den
-
-
 def _exact_potential(values: np.ndarray) -> tuple[list[int], int]:
     """Per-vertex numerators over one common denominator (exact)."""
     ratios = [v.as_integer_ratio() for v in values.tolist()]
@@ -241,12 +233,15 @@ def _pick(best: list, base: int, size: np.ndarray,
 
     The largest value wins; ties go to the fewest vertices, then to the
     lexicographically smallest vertex list, which among subsets of one
-    size is the largest index (a higher bit is an earlier vertex).
+    size is the largest index (a higher bit is an earlier vertex).  The
+    empty set, index 0, never wins, even when every value is -inf.
     """
     top = values.max()
     if top < best[0]:
         return
     cand = np.flatnonzero(values == top)
+    if not base:
+        cand = cand[cand > 0]
     sizes = size[cand]
     least = sizes.min()
     index = base + int(cand[sizes == least][-1])
@@ -303,7 +298,7 @@ def kmin_bruteforce(graph: Graph, potential: Potential | None, a
             else:
                 np.divide(twice_edges, size, out=row)
 
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         witnesses = _sweep(graph, range(graph.vertex_count),
                            (graph.host_degree, potential.plus),
                            objective, len(afs))
@@ -335,7 +330,8 @@ class _RatioSearch:
     maximizes N - rD, whose |dW| coefficient must not be positive: minus
     it is the capacity of the inner arcs.  It finds the smallest
     maximizing W by one minimum s-t cut (:func:`sgs.maxflow.min_cut`) on
-    capacities scaled to integers.
+    integer capacities: N - rD in the integer coefficients that give the
+    ratio, divided by their gcd.
 
     The network does not depend on the ratio, so it is built once, with
     the exact per-vertex arrays: edges inside the region are bidirected
@@ -430,10 +426,13 @@ class _RatioSearch:
         for _ in range(_MAX_RATIO_ITERATIONS):
             if r is None:
                 break
-            alpha, beta, gamma, edge = (n - r * d if d else n
-                                        for n, d in zip(num, den))
-            (da, dq, c, unit), _ = _scaled_ints(
-                [alpha, Fraction(beta, qd), gamma, -edge])
+            # N - rD over the same integer counts, times r's denominator
+            # and divided by the gcd: one positive factor on every
+            # capacity, which leaves the smallest minimum cut as it is
+            da, dq, c, edge = (r.denominator * n - r.numerator * d
+                               for n, d in zip(num_int, den_int))
+            g = math.gcd(da, dq, c, edge) or 1
+            da, dq, c, unit = da // g, dq // g, c // g, -edge // g
             # bounds every partial sum of the weights, and the inner capacity
             fits = (abs(da) * dmax + abs(dq) * qmax + abs(c)
                     + unit * (omax + 1)) < 2**63

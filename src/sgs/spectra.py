@@ -170,12 +170,11 @@ class SpectralPlan:
             self._offsets[key] = max(0.0, _lambda_extreme(diff, "max"))
         return self._offsets[key]
 
-    def constants(self, a_tilde: float, side: str = "both") -> FormConstants:
-        """Optimal offset for ``side``; ``both`` takes the larger one."""
-        if side not in ("lower", "upper", "both"):
-            raise ValueError(f"unknown side {side!r}")
-        sides = ("lower", "upper") if side == "both" else (side,)
-        k = max(self.offset(a_tilde, s) for s in sides)
+    def constants(self, a_tilde: float) -> FormConstants:
+        """The two-sided optimal offset: the larger of the lower and the
+        upper one.  A one-sided constant is ``FormConstants(a_tilde,
+        plan.offset(a_tilde, side))``."""
+        k = max(self.offset(a_tilde, s) for s in ("lower", "upper"))
         return FormConstants(a_tilde=a_tilde, k_tilde=k)
 
     def sandwich(self, a_tilde: float, k_lower: float,

@@ -2,9 +2,11 @@
 ``(a,k) <-> (a_tilde,k_tilde)`` round trips, the Kato and pi-shift
 identities, the isoperimetric dictionary and the spectral-bottom bound.
 
-Each operator, spectrum and flow certificate is computed once per call.
-Flow and operator routines are called through their defining modules,
-so wrappers installed there (``bench/spans.py``) see these calls.
+Each operator, spectrum and flow certificate is computed once per call,
+and every k_min comes from one ``kmin_flow`` call on the list of the a
+that the checks read, so one ratio search serves them all.  Flow and
+operator routines are called through their defining modules, so
+wrappers installed there (``bench/spans.py``) see these calls.
 """
 from __future__ import annotations
 
@@ -48,10 +50,6 @@ def run_checks(graph: Graph, potential: Potential | None,
                        "reason": reason})
 
     @cache
-    def k_of(a: float) -> float:
-        return sparseness.kmin_flow(graph, potential, a).k
-
-    @cache
     def alpha_of(vertices: tuple[int, ...]) -> float:
         return sparseness.cheeger(graph, potential, vertices,
                                   method="flow").ratio
@@ -82,9 +80,19 @@ def run_checks(graph: Graph, potential: Potential | None,
             add(f"upside_down_magnetic@a_tilde={at:g}",
                 klow - plan.constants(at).k_tilde, scale=scale)
 
+    # every a whose k_min a check reads, once each in first-use order
+    sparse = [form_to_sparse(at, plain.offset(at, "lower"))
+              for at in atilde_grid]
+    needed = [a for a, _ in sparse]
+    if nonneg_q:
+        needed = [*a_grid, *needed, 0.0]
+    needed = list(dict.fromkeys(needed))
+    certs = sparseness.kmin_flow(graph, potential, needed)
+    k_of = {a: cert.k for a, cert in zip(needed, certs)}
+
     if nonneg_q:
         for a in a_grid:
-            k = k_of(a)
+            k = k_of[a]
             constants = (sparse_to_form(a, k, a_tilde=0.5) if a == 0
                          else sparse_to_form(a, k))
             kt = constants.k_tilde
@@ -95,9 +103,8 @@ def run_checks(graph: Graph, potential: Potential | None,
     else:
         skip("roundtrip_sparse_to_form",
              "requires a non-negative potential")
-    for at in atilde_grid:
-        a_out, k_out = form_to_sparse(at, plain.offset(at, "lower"))
-        k = k_of(a_out)
+    for at, (a_out, k_out) in zip(atilde_grid, sparse):
+        k = k_of[a_out]
         add(f"roundtrip_form_to_sparse@a_tilde={at:g}", k_out - k,
             scale=scale, a=a_out, k=k_out, kmin=k)
 
@@ -128,7 +135,7 @@ def run_checks(graph: Graph, potential: Potential | None,
         low_eig, up_eig = plain.compressed_bottoms(region, slope_lo, slope_hi)
         add("cheeger_form_bounds", min(low_eig, up_eig), scale=scale,
             alpha=alpha_u, slope_lower=slope_lo, slope_upper=slope_hi)
-        k0 = k_of(0.0)
+        k0 = k_of[0.0]
         d_floor = float((graph.host_degree + q).min())
         if 0.0 < d_floor and k0 <= d_floor:
             bound = spectral_edge_bound(d_floor, k0)

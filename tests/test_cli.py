@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import sgs.cli
-from sgs import PhaseField, Potential, grid_graph
+from sgs import PhaseField, Potential, grid_graph, path_graph
 from sgs.cli import main
 from sgs.graphio import load_graph, save_graph, verify_report_certificates
 
@@ -205,6 +205,20 @@ def test_method_agreement_fails_above_tol(tmp_path, monkeypatch, shift, code):
     run(["gen", "cycle", "--n", 5, "--out", gfile])
     assert run(["analyze", "sparsity", gfile, "--method", "both",
                 "--tol", "1e-9", "--out", tmp_path / "r.json"]) == code
+
+
+def test_bruteforce_overflow_exits_zero(tmp_path, capsys):
+    # at a = 1e308 every nonempty ratio overflows to -inf; both methods
+    # clamp k at 0, and numpy's overflow warning stays off stderr
+    gfile, rfile = tmp_path / "p3.json", tmp_path / "r.json"
+    save_graph(gfile, path_graph(3), Potential([1.0, 1.0, 1.0]))
+    assert run(["analyze", "sparsity", gfile, "--method", "both",
+                "--a-grid", "1e308", "--out", rfile]) == 0
+    assert capsys.readouterr().err == ""
+    entry, = json.loads(rfile.read_text())["results"]["kmin"]
+    assert entry["method_agreement"] == 0.0
+    assert entry["bruteforce"]["k"] == entry["flow"]["k"] == 0.0
+    assert entry["bruteforce"]["witness"] == ["0"]
 
 
 def test_bruteforce_grid_errors_come_in_grid_order(tmp_path, capsys):

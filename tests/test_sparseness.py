@@ -47,6 +47,20 @@ def test_kmin_clamped_at_zero():
     assert flow.k == 0.0 and flow.clamped
 
 
+def test_bruteforce_overflow_keeps_a_nonempty_witness():
+    # a (|dW| + q_+(W)) overflows to inf for every nonempty W, so every
+    # objective is -inf and ties the empty set's entry: the witness must
+    # still be nonempty, with kmin_flow's k
+    g, q = path_graph(2), Potential([1.0, 1.0])
+    cert = kmin_bruteforce(g, q, 1e308)
+    assert cert.witness == (0,)  # fewest vertices, then the smallest list
+    assert cert.k == kmin_flow(g, q, 1e308).k == 0.0
+    assert cert.clamped and cert.ratio == -math.inf
+    # the finite entries of the same grid keep their certificates
+    for a in (0.0, 5.0):
+        assert kmin_bruteforce(g, q, [1e308, a])[1] == kmin_bruteforce(g, q, a)
+
+
 def test_kmin_cycle_any_a():
     for a in (0.0, 0.3, 2.0):
         cert = kmin_flow(cycle_graph(4), None, a)
@@ -434,7 +448,7 @@ def test_flow_routes_reach_the_exact_optima(monkeypatch):
 
 
 def test_exact_potential_matches_fractions():
-    from sgs.sparseness import _exact_potential, _scaled_ints
+    from sgs.sparseness import _exact_potential
     rng = np.random.default_rng(43)
     cases = [np.zeros(9), np.array([3.0, -2.0, 0.0, 7.0]),
              np.array([3, -2, 0, 7]), np.array([0.1, 0.0]),
@@ -442,7 +456,9 @@ def test_exact_potential_matches_fractions():
              np.array([1e300, 0.5]), rng.uniform(0.0, 3.0, 500)]
     for values in cases:
         fractions = [Fraction(v) for v in values.tolist()]
-        assert _exact_potential(values) == _scaled_ints(fractions)
+        den = math.lcm(*(v.denominator for v in fractions))
+        assert _exact_potential(values) == ([int(v * den) for v in fractions],
+                                            den)
 
 
 def test_compiled_cuts_match_dinic_on_wide_capacities(monkeypatch):

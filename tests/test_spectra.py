@@ -54,8 +54,6 @@ def test_plan_offset_examples():
     assert near_one <= 0.011
     with pytest.raises(ValueError):
         plan.constants(1.0)
-    with pytest.raises(ValueError, match="side"):
-        plan.constants(0.5, "left")
 
 
 def test_form_constants_validation():

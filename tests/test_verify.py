@@ -80,3 +80,27 @@ def test_run_checks_returns_the_report_records(tmp_path, name):
     records = run_checks(graph, q, phase, a_grid=[0.0, 1.0],
                          atilde_grid=[0.5], region=None, seed=3)
     assert records == report["results"]["checks"]
+
+
+def test_run_checks_builds_one_search_for_every_kmin(monkeypatch):
+    # every k_min of the catalogue comes from one kmin_flow call on one
+    # ratio search; the Cheeger constant has the only other search
+    from sgs import sparseness
+    from sgs.verify import run_checks
+    calls, searches = [], []
+    route, build = sparseness.kmin_flow, sparseness._RatioSearch.__init__
+
+    def spy_route(*args):
+        calls.append(args)
+        return route(*args)
+
+    def spy_build(search, *args):
+        searches.append(search)
+        return build(search, *args)
+
+    monkeypatch.setattr(sparseness, "kmin_flow", spy_route)
+    monkeypatch.setattr(sparseness._RatioSearch, "__init__", spy_build)
+    run_checks(regular_tree_ball(3, 3), None, a_grid=[0.0, 1.0],
+               atilde_grid=[0.5])
+    assert len(calls) == 1
+    assert len(searches) == 2
