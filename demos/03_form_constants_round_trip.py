@@ -33,7 +33,7 @@ for a in (0.0, 0.5, 2.0):
 
 print()
 for at in (0.3, 0.5, 0.8):
-    k_low = plan.offset(at, "lower")
+    k_low, _ = plan.offsets(at)
     a_back, k_back = sgs.form_to_sparse(at, k_low)
     kmin = sgs.kmin_flow(g, q, a_back).k
     print(f"a_tilde={at:<4g} optimal k_tilde={k_low:8.4f} -> "

@@ -26,8 +26,7 @@ print(f"\npi-shift identity residue: "
 
 print("\noptimal offsets at a_tilde = 0.5:")
 plain = sgs.SpectralPlan(g, q)
-k_low = plain.offset(0.5, "lower")
-k_up = plain.offset(0.5, "upper")
+k_low, k_up = plain.offsets(0.5)
 print(f"  non-magnetic: lower {k_low:.4f}, upper {k_up:.4f} "
       f"(upper <= lower: the upside-down mechanism)")
 for trial in range(4):

@@ -18,7 +18,7 @@ edges = [(i, j) for i in range(n) for j in range(i + 1, n)
 g = sgs.Graph(n, edges)
 q = sgs.Potential(rng.uniform(0.2, 2.0, n))
 
-alpha = sgs.cheeger(g, q, method="both")
+alpha = sgs.cheeger_bruteforce(g, q)
 amin = sgs.amin_zero_k(g, q)
 print(f"alpha_V = {alpha.ratio:.12f}")
 print(f"1/(1+a_min) = {1 / (1 + amin.value):.12f}   "
@@ -34,7 +34,7 @@ spheres = sgs.breadth_first_spheres(ball, 0)
 for r_cut in range(0, 4):
     inside = set(x for s in spheres[:r_cut] for x in s)
     region = [x for x in range(ball.vertex_count) if x not in inside]
-    cert = sgs.cheeger(ball, None, region, method="flow")
+    cert = sgs.cheeger(ball, None, region)
     label = "V" if r_cut == 0 else f"V \\ B_{r_cut - 1}"
     print(f"  region {label:9s} alpha = {cert.ratio:.6f} "
           f"(witness size {cert.stats.size})")

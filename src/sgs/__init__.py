@@ -10,14 +10,15 @@ and verifies every implied eigenvalue inequality on concrete instances.
 
 from .graphs import (Graph, PhaseField, Potential, SubsetStats,
                      breadth_first_spheres, subset_stats)
-from .generators import (RadialFamilySpec, antitree, ball_truncation,
-                         combine, complete_graph, cycle_graph, grid_graph,
-                         make_basic, make_radial_family, path_graph,
-                         regular_tree_ball, star_graph)
+from .generators import (RadialFamilySpec, antitree, combine, complete_graph,
+                         cycle_graph, grid_graph, make_basic,
+                         make_radial_family, path_graph, regular_tree_ball,
+                         star_graph)
 from .sparseness import (CheegerCertificate, SparsenessCertificate,
                          SparsityThreshold, amin_zero_k, cheeger,
-                         cheeger_lower_bound, kmin_bruteforce, kmin_flow,
-                         potential_class_kappa, sparsity_flow)
+                         cheeger_bruteforce, cheeger_lower_bound,
+                         kmin_bruteforce, kmin_flow, potential_class_kappa,
+                         sparsity_flow)
 from .operators import (HermitianOperator, assemble, kato_gap, quad_form,
                         upside_down_identity)
 from .spectra import (FormConstants, SpectralPlan, SpectralReport,
@@ -33,10 +34,10 @@ __all__ = [
     "subset_stats", "breadth_first_spheres",
     "path_graph", "cycle_graph", "complete_graph", "grid_graph",
     "star_graph", "antitree", "make_basic", "RadialFamilySpec",
-    "make_radial_family", "combine", "ball_truncation", "regular_tree_ball",
+    "make_radial_family", "combine", "regular_tree_ball",
     "SparsenessCertificate", "CheegerCertificate", "SparsityThreshold",
-    "kmin_bruteforce", "kmin_flow", "amin_zero_k", "sparsity_flow",
-    "cheeger", "cheeger_lower_bound", "potential_class_kappa",
+    "kmin_bruteforce", "kmin_flow", "amin_zero_k", "sparsity_flow", "cheeger",
+    "cheeger_bruteforce", "cheeger_lower_bound", "potential_class_kappa",
     "HermitianOperator", "assemble", "quad_form", "upside_down_identity",
     "kato_gap",
     "FormConstants", "SpectralPlan", "SpectralReport", "eigenvalues",

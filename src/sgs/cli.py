@@ -18,12 +18,13 @@ import sys
 import time
 
 from . import __version__
-from .generators import (RadialFamilySpec, ball_truncation, make_basic,
-                         make_radial_family)
+from .generators import (RadialFamilySpec, make_basic, make_radial_family,
+                         regular_tree_ball)
 from .graphio import (graph_digest, id_map_digest, load_graph, save_graph,
                       write_report)
 from .graphs import Graph
-from .sparseness import cheeger, kmin_bruteforce, sparsity_flow
+from .sparseness import (cheeger, cheeger_bruteforce, kmin_bruteforce,
+                         sparsity_flow)
 from .spectra import DEFAULT_ATILDE_GRID, ratio_report
 from .verify import run_checks
 
@@ -108,14 +109,14 @@ def _command_gen(args) -> int:
         if args.host == "regular-tree":
             if args.d is None:
                 raise ValueError("--d is required for the regular-tree host")
-            graph = ball_truncation("regular_tree", args.radius, degree=args.d)
+            graph = regular_tree_ball(args.d, args.radius)
         else:
             if not args.beta or args.gamma is None:
                 raise ValueError("--beta/--gamma are required for the "
                                  "radial-family host")
-            spec = RadialFamilySpec(beta=tuple(args.beta),
-                                    gamma=tuple(args.gamma), depth=args.radius)
-            graph = ball_truncation("radial_family", args.radius, spec=spec)
+            graph = make_radial_family(RadialFamilySpec(
+                beta=tuple(args.beta), gamma=tuple(args.gamma),
+                depth=args.radius))
     else:
         graph = make_basic(args.kind, args.size)
     save_graph(args.out, graph)
@@ -183,7 +184,7 @@ def _analyze_sparsity(args, graph, potential, ids) -> dict:
             gap = abs(entry["flow"]["k"] - entry["bruteforce"]["k"])
             entry["method_agreement"] = gap
         per_a.append(entry)
-    amin_entry = {"value": "inf" if math.isinf(amin.value) else amin.value,
+    amin_entry = {"value": amin.value,
                   "witness": _witness_ids(amin.witness, ids)}
     return {"kmin": per_a, "amin": amin_entry}
 
@@ -192,11 +193,10 @@ def _analyze_cheeger(args, graph, potential, ids) -> dict:
     region = _resolve_region(args, graph, ids)
     out: dict = {"region_size": len(region)}
     if args.method in ("flow", "both"):
-        out["flow"] = _cheeger_entry(
-            cheeger(graph, potential, region, method="flow"), ids)
+        out["flow"] = _cheeger_entry(cheeger(graph, potential, region), ids)
     if args.method in ("bruteforce", "both"):
         out["bruteforce"] = _cheeger_entry(
-            cheeger(graph, potential, region, method="bruteforce"), ids)
+            cheeger_bruteforce(graph, potential, region), ids)
     if args.method == "both":
         gap = abs(out["flow"]["ratio"] - out["bruteforce"]["ratio"])
         out["method_agreement"] = gap

@@ -21,7 +21,7 @@ __all__ = [
     "path_graph", "cycle_graph", "complete_graph", "grid_graph",
     "star_graph", "antitree", "make_basic",
     "RadialFamilySpec", "make_radial_family",
-    "combine", "ball_truncation", "regular_tree_ball",
+    "combine", "regular_tree_ball",
 ]
 
 
@@ -277,17 +277,3 @@ def regular_tree_ball(d: int, radius: int) -> Graph:
         raise ValueError("radius must be non-negative")
     return make_radial_family(RadialFamilySpec(beta=(d,), gamma=(0,), depth=radius))
 
-
-def ball_truncation(host: str, radius: int, *, degree: int | None = None,
-                    spec: RadialFamilySpec | None = None) -> Graph:
-    """Ball of ``radius`` around the root of an infinite model graph."""
-    if host == "regular_tree":
-        if degree is None:
-            raise ValueError("regular_tree host needs degree")
-        return regular_tree_ball(degree, radius)
-    if host == "radial_family":
-        if spec is None:
-            raise ValueError("radial_family host needs a spec")
-        resized = RadialFamilySpec(beta=spec.beta, gamma=spec.gamma, depth=radius)
-        return make_radial_family(resized)
-    raise ValueError(f"unknown host {host!r}")

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import sys
 from json.encoder import encode_basestring_ascii
 from typing import Any
@@ -208,8 +209,22 @@ def id_map_digest(ids: list[str]) -> str:
     return hashlib.sha256(json.dumps(list(ids)).encode()).hexdigest()
 
 
+def _strict(node):
+    """``node`` with each non-finite float as the string "inf", "-inf"
+    or "nan"; ``node`` itself is not changed."""
+    if isinstance(node, dict):
+        return {key: _strict(value) for key, value in node.items()}
+    if isinstance(node, (list, tuple)):
+        return [_strict(value) for value in node]
+    if isinstance(node, float) and not math.isfinite(node):
+        return str(float(node))
+    return node
+
+
 def write_report(path, report: dict) -> None:
-    text = canonical_json(report)
+    """Write ``report`` as :func:`canonical_json` of strict JSON: a
+    non-finite float is written as a string (:func:`_strict`)."""
+    text = canonical_json(_strict(report))
     if path is None:
         print(text, end="")
     else:

@@ -9,16 +9,18 @@ is the maximum over nonempty W of (2|E_W| - a(|dW| + q_+(W))) / |W|.
 Boundaries are host-aware throughout (cut edges plus deficits), so the
 constants computed on a truncation certify the infinite host.
 
-k_min and the Cheeger constant have two routes: a brute-force oracle
-that enumerates all subsets (guarded to 22 vertices) and a production
-path.  The oracle sweeps the subsets in blocks of 2^13 consecutive
-indices (``_sweep``): per block it builds 2|E_W|, |W| and the degree
-and potential sums, none of which depend on a, from the parent block
-on a stack, computes the objectives in place and folds them into a
-running witness pick with a fixed tie-break (``_pick``).  So memory
-grows with the number of vertices, not with 2^n, and one sweep serves
-every a of a grid.  The (a, 0) threshold has the
-production path only.  The production path of k_min, of the (a, 0)
+k_min and the Cheeger constant have two routes each, one function per
+route: the brute-force oracles :func:`kmin_bruteforce` and
+:func:`cheeger_bruteforce`, which enumerate all subsets (guarded to 22
+vertices), and the production paths :func:`kmin_flow` and
+:func:`cheeger`.  The oracles sweep the subsets in blocks of 2^13
+consecutive indices (``_sweep``): per block the sweep builds 2|E_W|,
+|W| and the degree and potential sums, none of which depend on a, from
+the parent block on a stack, computes the objectives in place and
+folds them into a running witness pick with a fixed tie-break
+(``_pick``).  So memory grows with the number of vertices, not with
+2^n, and one sweep serves every a of a grid.  The (a, 0) threshold has
+the production path only.  The production path of k_min, of the (a, 0)
 threshold and of the Cheeger constant is one ratio search, ``_RatioSearch``:
 Dinkelbach's ratio iteration with each linearized subproblem solved
 exactly by one minimum s-t cut.  Each constant maximizes a ratio N/D of
@@ -60,8 +62,8 @@ from .maxflow import cut_network, min_cut
 
 __all__ = [
     "SparsenessCertificate", "CheegerCertificate", "SparsityThreshold",
-    "kmin_bruteforce", "kmin_flow", "amin_zero_k", "sparsity_flow",
-    "cheeger", "cheeger_lower_bound", "potential_class_kappa",
+    "kmin_bruteforce", "kmin_flow", "amin_zero_k", "sparsity_flow", "cheeger",
+    "cheeger_bruteforce", "cheeger_lower_bound", "potential_class_kappa",
     "ENUMERATION_LIMIT",
 ]
 
@@ -535,20 +537,6 @@ def sparsity_flow(graph: Graph, potential: Potential | None,
 
 # -- Cheeger constants --------------------------------------------------------
 
-def _region_indices(graph: Graph, region) -> tuple[int, ...]:
-    if region is None:
-        return tuple(range(graph.vertex_count))
-    seen = set()
-    for i, x in enumerate(region):
-        x = _as_index(x, "region", i)
-        if not (0 <= x < graph.vertex_count):
-            raise ValueError(f"region vertex {x} out of range")
-        seen.add(x)
-    if not seen:
-        raise ValueError("region must be nonempty")
-    return tuple(sorted(seen))
-
-
 def _cheeger_certificate(graph: Graph, potential: Potential,
                          witness: tuple[int, ...],
                          region: tuple[int, ...]) -> CheegerCertificate:
@@ -560,8 +548,37 @@ def _cheeger_certificate(graph: Graph, potential: Potential,
                               region=region)
 
 
-def _cheeger_bruteforce(graph: Graph, potential: Potential,
-                        region: tuple[int, ...]) -> CheegerCertificate:
+def _cheeger_input(graph: Graph, potential: Potential | None,
+                   region) -> tuple[Potential, tuple[int, ...]]:
+    """The checked potential and the sorted region (default all) of a
+    Cheeger route.  Every quotient sums degrees and q over a subset of
+    the region, so their |q| plus degree total must be a finite float."""
+    potential = _check_potential(graph, potential)
+    seen = set()
+    for i, x in enumerate(range(graph.vertex_count) if region is None
+                          else region):
+        x = _as_index(x, "region", i)
+        if not (0 <= x < graph.vertex_count):
+            raise ValueError(f"region vertex {x} out of range")
+        seen.add(x)
+    if not seen:
+        raise ValueError("region must be nonempty")
+    region = tuple(sorted(seen))
+    members = np.asarray(region)
+    with np.errstate(over="ignore"):
+        total = (np.abs(potential.values[members])
+                 + graph.host_degree[members]).sum()
+    if not math.isfinite(total):
+        raise ValueError("the region's |q| plus degree total overflows")
+    return potential, region
+
+
+def cheeger_bruteforce(graph: Graph, potential: Potential | None,
+                       region=None) -> CheegerCertificate:
+    """:func:`cheeger` by enumerating the nonempty subsets of the region
+    (at most 22 vertices); ties go to the smallest witness, then to the
+    lexicographically smallest vertex list."""
+    potential, region = _cheeger_input(graph, potential, region)
     block = _block_length(len(region))
     den, zero = np.empty(block), np.empty(block, dtype=bool)
 
@@ -584,8 +601,16 @@ def _cheeger_bruteforce(graph: Graph, potential: Potential,
     return _cheeger_certificate(graph, potential, witness, region)
 
 
-def _cheeger_flow(graph: Graph, potential: Potential,
-                  region: tuple[int, ...]) -> CheegerCertificate:
+def cheeger(graph: Graph, potential: Potential | None,
+            region=None) -> CheegerCertificate:
+    """Isoperimetric constant of a region: min over nonempty W inside it
+    of (|dW| + q(W)) / (deg(W) + q(W)), boundary taken in the full host.
+
+    The quotient is 0 by convention when its denominator vanishes.  This
+    is the flow route, exact by ratio descent with min cuts; it needs
+    q >= 0 on the region.  :func:`cheeger_bruteforce` is the oracle.
+    """
+    potential, region = _cheeger_input(graph, potential, region)
     idx = np.asarray(region)
     if np.any(potential.values[idx] < 0):
         raise ValueError(
@@ -601,32 +626,6 @@ def _cheeger_flow(graph: Graph, potential: Potential,
     witness, _ = _RatioSearch(graph, potential, region).maximize(
         (0, -1, 0, -1), (1, 1, 0, 0), (region[0],))
     return _cheeger_certificate(graph, potential, witness, region)
-
-
-def cheeger(graph: Graph, potential: Potential | None, region=None,
-            method: str = "flow") -> CheegerCertificate:
-    """Isoperimetric constant of a region: min over nonempty W inside it
-    of (|dW| + q(W)) / (deg(W) + q(W)), boundary taken in the full host.
-
-    The quotient is 0 by convention when its denominator vanishes.
-    ``method`` is ``flow`` (ratio descent via min-cuts, exact),
-    ``bruteforce`` (enumeration, region up to 22 vertices), or ``both``
-    (run both, check agreement to 1e-9, return the enumerated one).
-    """
-    potential = _check_potential(graph, potential)
-    idx = _region_indices(graph, region)
-    if method == "bruteforce":
-        return _cheeger_bruteforce(graph, potential, idx)
-    if method == "flow":
-        return _cheeger_flow(graph, potential, idx)
-    if method == "both":
-        brute = _cheeger_bruteforce(graph, potential, idx)
-        flow = _cheeger_flow(graph, potential, idx)
-        if abs(brute.ratio - flow.ratio) > 1e-9:
-            raise RuntimeError(
-                f"cheeger methods disagree: {brute.ratio} vs {flow.ratio}")
-        return brute
-    raise ValueError(f"unknown method {method!r}")
 
 
 # -- closed-form helpers ------------------------------------------------------

@@ -8,10 +8,10 @@ The central objects are two-sided comparisons
 as quadratic forms, with slope parameter ``a_tilde`` in (0, 1) and
 offset ``k_tilde >= 0``.  Because eigenvalues are monotone under the
 form order, any such comparison pins every eigenvalue of the operator
-between affine images of the degree-potential values; the functions
-here compute the smallest offsets on a concrete graph, convert between
-the combinatorial and the form-bound parameter pairs, and verify the
-resulting sandwiches index by index.
+between affine images of the degree-potential values; on a concrete
+graph, ``SpectralPlan.offsets`` gives a slope's smallest lower and upper
+offsets, and the functions here convert between the combinatorial and
+the form-bound parameter pairs and verify the sandwiches index by index.
 """
 from __future__ import annotations
 
@@ -87,7 +87,7 @@ def eigenvalues(op: HermitianOperator) -> np.ndarray:
     if op.dimension > DENSE_EIGEN_LIMIT:
         raise ValueError(
             f"dimension {op.dimension} exceeds the dense limit "
-            f"{DENSE_EIGEN_LIMIT}; SpectralPlan.offset has no such limit")
+            f"{DENSE_EIGEN_LIMIT}; SpectralPlan.offsets has no such limit")
     return np.linalg.eigvalsh(op.toarray())
 
 
@@ -125,8 +125,8 @@ class SpectralPlan:
     lambda_max((1-at) D - H) = lambda_max(A - at D) and the upper one
     lambda_max(H - (1+at) D) = lambda_max(-A - at D): one adjacency and a
     diagonal shift per slope.  The full spectrum of ``H`` is taken on
-    first use, and offsets are memoized per (side, slope).  A plan serves
-    one analysis; nothing is cached across plans.
+    first use, and both offsets of a slope at once, lower first, then
+    memoized.  A plan serves one analysis; nothing is cached across plans.
     """
 
     def __init__(self, graph: Graph, potential: Potential | None = None,
@@ -145,7 +145,7 @@ class SpectralPlan:
             self._adjacency = (sp.diags(self.diagonal)
                                - self.operator.matrix).tocsr()
         self._spectrum: np.ndarray | None = None
-        self._offsets: dict[tuple[str, float], float] = {}
+        self._offsets: dict[float, tuple[float, float]] = {}
 
     @property
     def spectrum(self) -> np.ndarray:
@@ -154,28 +154,24 @@ class SpectralPlan:
             self._spectrum = eigenvalues(self.operator)
         return self._spectrum
 
-    def offset(self, a_tilde: float, side: str) -> float:
-        """Smallest k_tilde >= 0 for one side of the comparison: ``lower``
-        certifies (1-at)(deg+q) - kt <= Delta+q, ``upper`` certifies
-        Delta+q <= (1+at)(deg+q) + kt."""
+    def offsets(self, a_tilde: float) -> tuple[float, float]:
+        """Smallest k_tilde >= 0 for each side of the comparison, as
+        (lower, upper): ``lower`` certifies (1-at)(deg+q) - kt <=
+        Delta+q, ``upper`` certifies Delta+q <= (1+at)(deg+q) + kt."""
         if not 0.0 < a_tilde < 1.0:
             raise ValueError("a_tilde must lie in (0, 1)")
-        if side not in ("lower", "upper"):
-            raise ValueError(f"unknown side {side!r}")
-        key = (side, a_tilde)
-        if key not in self._offsets:
-            adj = self._adjacency if side == "lower" else -self._adjacency
-            shift = a_tilde * self.diagonal
-            diff = adj - (np.diag(shift) if self._dense else sp.diags(shift))
-            self._offsets[key] = max(0.0, _lambda_extreme(diff, "max"))
-        return self._offsets[key]
+        if a_tilde not in self._offsets:
+            shift = (np.diag if self._dense else sp.diags)(
+                a_tilde * self.diagonal)
+            self._offsets[a_tilde] = tuple(
+                max(0.0, _lambda_extreme(adj - shift, "max"))
+                for adj in (self._adjacency, -self._adjacency))
+        return self._offsets[a_tilde]
 
     def constants(self, a_tilde: float) -> FormConstants:
         """The two-sided optimal offset: the larger of the lower and the
-        upper one.  A one-sided constant is ``FormConstants(a_tilde,
-        plan.offset(a_tilde, side))``."""
-        k = max(self.offset(a_tilde, s) for s in ("lower", "upper"))
-        return FormConstants(a_tilde=a_tilde, k_tilde=k)
+        upper one."""
+        return FormConstants(a_tilde, max(self.offsets(a_tilde)))
 
     def sandwich(self, a_tilde: float, k_lower: float,
                  k_upper: float) -> tuple[np.ndarray, np.ndarray]:
@@ -309,8 +305,7 @@ def ratio_report(graph: Graph, potential: Potential | None,
     skipped = tuple(i for i in window if mu[i] <= 0.0)
     ratios = tuple(float(lam[i] / mu[i]) for i in indices)
     grid = tuple(atilde_grid) if atilde_grid is not None else DEFAULT_ATILDE_GRID
-    rows = tuple((at, plan.offset(at, "lower"), plan.offset(at, "upper"))
-                 for at in grid)
+    rows = tuple((at, *plan.offsets(at)) for at in grid)
     bracket = None
     bracket_at = None
     scale = 1.0 + plan.operator.norm_bound()

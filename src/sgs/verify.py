@@ -3,8 +3,8 @@
 identities, the isoperimetric dictionary and the spectral-bottom bound.
 
 Each operator, spectrum and flow certificate is computed once per call,
-and every k_min comes from one ``kmin_flow`` call on the list of the a
-that the checks read, so one ratio search serves them all.  Flow and
+and one ``kmin_flow`` call on the list of the a that the checks read
+(``sparsity_flow`` when q > 0, for a_min too) serves every k_min.  Flow and
 operator routines are called through their defining modules, so
 wrappers installed there (``bench/spans.py``) see these calls.
 """
@@ -51,8 +51,7 @@ def run_checks(graph: Graph, potential: Potential | None,
 
     @cache
     def alpha_of(vertices: tuple[int, ...]) -> float:
-        return sparseness.cheeger(graph, potential, vertices,
-                                  method="flow").ratio
+        return sparseness.cheeger(graph, potential, vertices).ratio
 
     rng = np.random.default_rng(seed)
     q = potential.values
@@ -70,7 +69,7 @@ def run_checks(graph: Graph, potential: Potential | None,
         1e-8 * max(norm, 1.0) * graph.vertex_count - trace_gap)
 
     for at in atilde_grid:
-        klow, kup = plain.offset(at, "lower"), plain.offset(at, "upper")
+        klow, kup = plain.offsets(at)
         lower_m, upper_m = plain.sandwich(at, klow, kup)
         add(f"sandwich_optimal@a_tilde={at:g}",
             min(float(lower_m.min()), float(upper_m.min())), scale=scale,
@@ -81,13 +80,18 @@ def run_checks(graph: Graph, potential: Potential | None,
                 klow - plan.constants(at).k_tilde, scale=scale)
 
     # every a whose k_min a check reads, once each in first-use order
-    sparse = [form_to_sparse(at, plain.offset(at, "lower"))
-              for at in atilde_grid]
+    sparse = [form_to_sparse(at, plain.offsets(at)[0]) for at in atilde_grid]
     needed = [a for a, _ in sparse]
     if nonneg_q:
         needed = [*a_grid, *needed, 0.0]
     needed = list(dict.fromkeys(needed))
-    certs = sparseness.kmin_flow(graph, potential, needed)
+    # With q > 0 every |dW| + q+(W) is positive, so a_min is finite, and
+    # the isoperimetric dictionary takes it from the same search.
+    positive_q = nonneg_q and bool(np.all(q > 0))
+    if positive_q:
+        certs, amin = sparseness.sparsity_flow(graph, potential, needed)
+    else:
+        certs = sparseness.kmin_flow(graph, potential, needed)
     k_of = {a: cert.k for a, cert in zip(needed, certs)}
 
     if nonneg_q:
@@ -120,10 +124,8 @@ def run_checks(graph: Graph, potential: Potential | None,
         -operators.upside_down_identity(
             graph, phase if phase is not None else PhaseField.zero(graph)))
 
-    # With q > 0 every |dW| + q+(W) is positive, so a_min is finite.
-    if nonneg_q and np.all(q > 0):
-        amin = sparseness.amin_zero_k(graph, potential).value
-        alpha_v = alpha_of(everything)
+    if positive_q:
+        alpha_v, amin = alpha_of(everything), amin.value
         add("isoperimetric_dictionary", -abs(alpha_v - 1.0 / (1.0 + amin)),
             alpha=alpha_v, amin=amin)
     else:

@@ -12,7 +12,8 @@ from fractions import Fraction
 import numpy as np
 
 from sgs import (PhaseField, Potential, RadialFamilySpec, SpectralPlan,
-                 amin_zero_k, assemble, cheeger, eigenvalues, form_to_sparse,
+                 amin_zero_k, assemble, cheeger, cheeger_bruteforce,
+                 eigenvalues, form_to_sparse,
                  grid_graph, kato_gap, kmin_bruteforce, kmin_flow,
                  make_radial_family, cheeger_form_slopes, regular_tree_ball,
                  sparse_to_form, upside_down_identity)
@@ -70,8 +71,8 @@ def test_criterion_2_cheeger_oracle_equivalence():
     start = time.monotonic()
     worst = 0.0
     for g, q, region in _suite2_instances():
-        gap = abs(cheeger(g, q, region, method="flow").ratio
-                  - cheeger(g, q, region, method="bruteforce").ratio)
+        gap = abs(cheeger(g, q, region).ratio
+                  - cheeger_bruteforce(g, q, region).ratio)
         worst = max(worst, gap)
     elapsed = time.monotonic() - start
     ok = worst <= TOL and elapsed < 30
@@ -126,8 +127,7 @@ def test_criterion_6_upside_down_suites():
         magnetic = [SpectralPlan(g, q, PhaseField.random(g, rng))
                     for _ in range(20)]
         for at in grid:
-            k_low = plain.offset(at, "lower")
-            k_up = plain.offset(at, "upper")
+            k_low, k_up = plain.offsets(at)
             worst_plain = min(worst_plain, k_low - k_up)
             for plan in magnetic:
                 k_mag = plan.constants(at).k_tilde
@@ -174,7 +174,7 @@ def test_criterion_8_sparse_form_round_trip():
             lower, upper = plan.sandwich(at, kt, kt)
             worst_sandwich = min(worst_sandwich,
                                  float(lower.min()), float(upper.min()))
-        k_low = plan.offset(0.5, "lower")
+        k_low, _ = plan.offsets(0.5)
         a_out, k_out = form_to_sparse(0.5, k_low)
         worst_reverse = min(worst_reverse, k_out - kmin_flow(g, q, a_out).k)
 
@@ -198,7 +198,7 @@ def test_criterion_9_isoperimetric_dictionary():
         g = random_graph(rng)
         q = Potential(3.0 - rng.uniform(0, 3, g.vertex_count))
         a_min = amin_zero_k(g, q).value
-        alpha = cheeger(g, q, method="flow").ratio
+        alpha = cheeger(g, q).ratio
         worst = max(worst, abs(alpha - 1.0 / (1.0 + a_min)))
     elapsed = time.monotonic() - start
     ok = worst <= TOL and elapsed < 30
@@ -210,7 +210,7 @@ def test_criterion_10_cheeger_form_bounds():
     start = time.monotonic()
     worst = math.inf
     for g, q, region in _suite2_instances():
-        alpha = cheeger(g, q, region, method="flow").ratio
+        alpha = cheeger(g, q, region).ratio
         lo, hi = cheeger_form_slopes(alpha)
         sub = np.ix_(region, region)
         lap = assemble(g, q).toarray()
@@ -226,7 +226,7 @@ def test_criterion_10_cheeger_form_bounds():
 
 def test_criterion_11_regular_tree_cheeger_limit():
     start = time.monotonic()
-    values = [cheeger(regular_tree_ball(3, r), None, method="flow").ratio
+    values = [cheeger(regular_tree_ball(3, r), None).ratio
               for r in (4, 5, 6)]
     elapsed = time.monotonic() - start
     in_window = all(1 / 3 - TOL <= v <= 1 / 3 + 0.1 for v in values)

@@ -49,6 +49,25 @@ def test_gen_ball_vertex_count(tmp_path):
     assert graph.vertex_count == 766
 
 
+def test_gen_ball_radial_family_is_the_tree(tmp_path, capsys):
+    # the radial-family ball of radius r is the family truncated at depth r
+    ball, tree = tmp_path / "ball.json", tmp_path / "tree.json"
+    assert run(["gen", "ball", "--host", "radial-family", "--beta", "3,4",
+                "--gamma", "0,2", "--radius", 2, "--out", ball]) == 0
+    assert run(["gen", "tree", "--beta", "3,4", "--gamma", "0,2",
+                "--depth", 2, "--out", tree]) == 0
+    assert ball.read_bytes() == tree.read_bytes()
+    capsys.readouterr()
+    assert run(["gen", "ball", "--host", "radial-family", "--gamma", "0",
+                "--radius", 2, "--out", ball]) == 2
+    assert capsys.readouterr().err == ("sgs: error: --beta/--gamma are "
+                                       "required for the radial-family host\n")
+    assert run(["gen", "ball", "--host", "regular-tree", "--radius", 2,
+                "--out", ball]) == 2
+    assert capsys.readouterr().err == (
+        "sgs: error: --d is required for the regular-tree host\n")
+
+
 def test_gen_deterministic(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     run(["gen", "grid", "--m", 4, "--out", a])
@@ -215,10 +234,26 @@ def test_bruteforce_overflow_exits_zero(tmp_path, capsys):
     assert run(["analyze", "sparsity", gfile, "--method", "both",
                 "--a-grid", "1e308", "--out", rfile]) == 0
     assert capsys.readouterr().err == ""
-    entry, = json.loads(rfile.read_text())["results"]["kmin"]
+
+    def strict(name):
+        raise ValueError(f"not strict JSON: {name}")
+
+    # the report is strict JSON: -inf ratios are written as strings
+    entry, = json.loads(rfile.read_text(),
+                        parse_constant=strict)["results"]["kmin"]
     assert entry["method_agreement"] == 0.0
     assert entry["bruteforce"]["k"] == entry["flow"]["k"] == 0.0
     assert entry["bruteforce"]["witness"] == ["0"]
+    assert entry["bruteforce"]["ratio"] == entry["flow"]["ratio"] == "-inf"
+
+
+@pytest.mark.parametrize("method", ["flow", "bruteforce", "both"])
+def test_cheeger_overflow_exits_two(tmp_path, capsys, method):
+    gfile = tmp_path / "p3.json"
+    save_graph(gfile, path_graph(3), Potential([1e308] * 3))
+    assert run(["analyze", "cheeger", gfile, "--method", method]) == 2
+    assert capsys.readouterr().err == (
+        "sgs: error: the region's |q| plus degree total overflows\n")
 
 
 def test_bruteforce_grid_errors_come_in_grid_order(tmp_path, capsys):

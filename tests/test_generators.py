@@ -3,8 +3,8 @@ import pytest
 
 from sgs import (Graph, RadialFamilySpec, antitree, breadth_first_spheres,
                  combine, complete_graph, cycle_graph, grid_graph, kmin_flow,
-                 make_basic, make_radial_family, path_graph, star_graph,
-                 ball_truncation)
+                 make_basic, make_radial_family, path_graph,
+                 regular_tree_ball, star_graph)
 
 from helpers import random_graph
 
@@ -132,13 +132,13 @@ def test_combine_subgraph():
 
 
 def test_ball_truncation_examples():
-    b1 = ball_truncation("regular_tree", 1, degree=3)
+    b1 = regular_tree_ball(3, 1)
     assert (b1.vertex_count, b1.edge_count) == (4, 3)
     assert set(b1.host_degree.tolist()) == {3}
     assert int(b1.deficit.sum()) == 6
-    b0 = ball_truncation("regular_tree", 0, degree=5)
+    b0 = regular_tree_ball(5, 0)
     assert b0.vertex_count == 1 and b0.host_degree[0] == 5
-    assert ball_truncation("regular_tree", 8, degree=3).vertex_count == 766
+    assert regular_tree_ball(3, 8).vertex_count == 766
 
 
 def test_tree_kmin_is_tree_density():

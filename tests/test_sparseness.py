@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from sgs import (Graph, Potential, RadialFamilySpec, amin_zero_k, cheeger,
-                 cheeger_lower_bound, combine, complete_graph, cycle_graph,
-                 kmin_bruteforce, kmin_flow, make_radial_family, path_graph,
-                 potential_class_kappa, regular_tree_ball, sparsity_flow,
-                 subset_stats)
+                 cheeger_bruteforce, cheeger_lower_bound, combine,
+                 complete_graph, cycle_graph, kmin_bruteforce, kmin_flow,
+                 make_radial_family, path_graph, potential_class_kappa,
+                 regular_tree_ball, sparsity_flow, subset_stats)
 from sgs.sparseness import ENUMERATION_LIMIT
 
 from helpers import (full_best_subset, full_cheeger_objective,
@@ -84,7 +84,7 @@ def test_kmin_enumeration_guard():
     with pytest.raises(ValueError, match="a must be non-negative"):
         kmin_bruteforce(path_graph(4), None, [0.0, 1.0, -1.0])
     with pytest.raises(ValueError, match="enumeration"):
-        cheeger(cycle_graph(23), None, method="bruteforce")
+        cheeger_bruteforce(cycle_graph(23), None)
 
 
 def test_kmin_oracle_agreement():
@@ -205,34 +205,34 @@ def test_amin_matches_enumeration():
 
 def test_cheeger_examples():
     p3 = path_graph(3)
-    cert = cheeger(p3, None, region=(0, 2), method="bruteforce")
+    cert = cheeger_bruteforce(p3, None, region=(0, 2))
     assert cert.ratio == pytest.approx(1.0)
-    assert cheeger(p3, None, method="both").ratio == 0.0
+    assert cheeger(p3, None).ratio == cheeger_bruteforce(p3, None).ratio == 0.0
     ball = regular_tree_ball(3, 6)
-    alpha = cheeger(ball, None, method="flow").ratio
+    alpha = cheeger(ball, None).ratio
     assert 1 / 3 - 1e-9 <= alpha <= 1 / 3 + 0.1
 
 
 def test_cheeger_zero_denominator_convention():
     g = Graph(2, [])  # two isolated massless vertices
-    cert = cheeger(g, None, method="flow")
+    cert = cheeger(g, None)
     assert cert.ratio == 0.0
     assert cert.witness == (0,)
-    assert cheeger(g, None, method="bruteforce").ratio == 0.0
+    assert cheeger_bruteforce(g, None).ratio == 0.0
 
 
 def test_cheeger_empty_region_rejected():
     with pytest.raises(ValueError, match="nonempty"):
         cheeger(path_graph(3), None, region=())
     # int() used to read region [0.9, 1.2] as (0, 1)
-    for method in ("flow", "bruteforce"):
+    for route in (cheeger, cheeger_bruteforce):
         with pytest.raises(ValueError,
                            match=r"region\[0\] is not an integer: 0\.9"):
-            cheeger(path_graph(3), None, region=[0.9, 1.2], method=method)
+            route(path_graph(3), None, region=[0.9, 1.2])
         with pytest.raises(ValueError, match=r"region\[1\]"):
-            cheeger(path_graph(3), None, region=[0, "1"], method=method)
-    assert cheeger(path_graph(3), None, region=np.array([0, 1]),
-                   method="bruteforce").region == (0, 1)
+            route(path_graph(3), None, region=[0, "1"])
+    assert cheeger_bruteforce(path_graph(3), None,
+                              region=np.array([0, 1])).region == (0, 1)
 
 
 def test_cheeger_oracle_agreement():
@@ -244,8 +244,8 @@ def test_cheeger_oracle_agreement():
         removed = set(int(x) for x in
                       rng.choice(n, size=int(rng.integers(1, n)), replace=False))
         region = sorted(set(range(n)) - removed) or [0]
-        cb = cheeger(g, q, region, method="bruteforce").ratio
-        cf = cheeger(g, q, region, method="flow").ratio
+        cb = cheeger_bruteforce(g, q, region).ratio
+        cf = cheeger(g, q, region).ratio
         assert abs(cb - cf) <= 1e-9
 
 
@@ -255,13 +255,25 @@ def test_cheeger_dictionary_small():
         g = random_graph(rng)
         q = uniform_potential(rng, g.vertex_count, 1e-3, 3)
         a_min = amin_zero_k(g, q).value
-        alpha = cheeger(g, q, method="flow").ratio
+        alpha = cheeger(g, q).ratio
         assert abs(alpha - 1 / (1 + a_min)) <= 1e-9
 
 
 def test_cheeger_flow_needs_nonnegative_q():
     with pytest.raises(ValueError, match="non-negative"):
-        cheeger(path_graph(3), Potential([0.0, -1.0, 0.0]), method="flow")
+        cheeger(path_graph(3), Potential([0.0, -1.0, 0.0]))
+
+
+def test_cheeger_overflow_is_named():
+    # deg W + q(W) overflows for W of two or more vertices: both routes
+    # refuse the region up front instead of a NaN ratio or numpy's
+    # "zero-size array" message
+    g, q = path_graph(3), Potential([1e308] * 3)
+    for route in (cheeger, cheeger_bruteforce):
+        with pytest.raises(ValueError, match="overflows"):
+            route(g, q)
+        # a region whose total stays finite is fine
+        assert route(g, q, (1,)).ratio == pytest.approx(1.0)
 
 
 def test_cheeger_lower_bound_examples():
@@ -296,7 +308,7 @@ def test_bruteforce_tie_breaking():
     assert lone.witness == (0,)
     # on a region with a gap, {1, 2}, {4, 5} and their union all have
     # Cheeger ratio 1/2: the smaller, then lexicographically first wins
-    arc = cheeger(cycle_graph(8), None, (5, 4, 2, 1), method="bruteforce")
+    arc = cheeger_bruteforce(cycle_graph(8), None, (5, 4, 2, 1))
     assert arc.ratio == 0.5
     assert arc.witness == (1, 2)
 
@@ -341,8 +353,8 @@ def test_cheeger_oracle_agreement_with_host_deficits():
         removed = set(int(x) for x in
                       rng.choice(n, size=int(rng.integers(0, n)), replace=False))
         region = sorted(set(range(n)) - removed) or [0]
-        cb = cheeger(g, q, region, method="bruteforce").ratio
-        cf = cheeger(g, q, region, method="flow").ratio
+        cb = cheeger_bruteforce(g, q, region).ratio
+        cf = cheeger(g, q, region).ratio
         assert abs(cb - cf) <= 1e-9
 
 
@@ -376,7 +388,7 @@ def test_flow_witnesses_are_pinned():
                for a in (0, Fraction(1, 2), 2)]
         assert got == kmins
         assert amin_zero_k(g, pot).witness == amin
-        assert cheeger(g, pot, region, method="flow").witness == cheeger_w
+        assert cheeger(g, pot, region).witness == cheeger_w
     assert inner == tuple(range(22))
 
 
@@ -440,7 +452,7 @@ def test_flow_routes_reach_the_exact_optima(monkeypatch):
         region = sorted(int(x) for x in rng.choice(
             n, size=int(rng.integers(1, n + 1)), replace=False))
         del values[:]
-        cheeger(g, q, region, method="flow")
+        cheeger(g, q, region)
         assert type(values[0]) is Fraction
         assert values == [optima(g, q, region,
                                  lambda twice, bd, deg, qp, size:
@@ -485,7 +497,7 @@ def test_compiled_cuts_match_dinic_on_wide_capacities(monkeypatch):
                 out.append((cert.witness, repr(cert.ratio)))
             threshold = amin_zero_k(g, q)
             out.append((threshold.witness, repr(threshold.value)))
-            cert = cheeger(g, q, inner, method="flow")
+            cert = cheeger(g, q, inner)
             out.append((cert.witness, repr(cert.ratio)))
         return out
 
@@ -536,7 +548,7 @@ def test_one_network_per_ratio_driver(monkeypatch):
     counts = []
     for certify in (lambda: kmin_flow(g, q, Fraction(1, 2)),
                     lambda: amin_zero_k(g, q),
-                    lambda: cheeger(g, q, inner, method="flow")):
+                    lambda: cheeger(g, q, inner)):
         del events[:]
         certify()
         kinds = [kind for kind, _ in events]
@@ -571,7 +583,8 @@ def test_oracle_sized_networks_stay_off_scipy(monkeypatch):
         assert kmin_flow(g, q, a).k == pytest.approx(
             kmin_bruteforce(g, q, a).k, abs=1e-9)
     amin_zero_k(g, q)
-    cheeger(g, q, range(12), method="both")
+    assert cheeger(g, q, range(12)).ratio == pytest.approx(
+        cheeger_bruteforce(g, q, range(12)).ratio, abs=1e-9)
     assert len(networks) == 6
     assert max(len(net.slot) for net in networks) == 420
     assert maxflow._SCIPY_MIN_ARCS > 420
@@ -742,7 +755,7 @@ def test_in_place_objectives_equal_their_expressions(monkeypatch):
                 assert_blocks(seen[i::len(grid)],
                               full_kmin_objective(te, size, deg, qp, af))
             seen.clear()
-            cheeger(g, q, method="bruteforce")
+            cheeger_bruteforce(g, q)
             assert_blocks(seen, full_cheeger_objective(te, deg, qv))
             zero_dens += np.count_nonzero((deg + qv)[1:] == 0.0)
     assert zero_dens > 0
@@ -795,7 +808,7 @@ def test_bruteforce_equals_full_tables_across_blocks():
         assert repr(kmin_bruteforce(g, q, grid)) == repr(want)
         witness = full_best_subset(range(n), size,
                                    full_cheeger_objective(te, deg, qv))
-        assert repr(cheeger(g, q, method="bruteforce")) == repr(
+        assert repr(cheeger_bruteforce(g, q)) == repr(
             sparseness._cheeger_certificate(g, q, witness, tuple(range(n))))
         del te, size, deg, qp, qv
         # a proper region: its sums and boundaries still see the host
@@ -804,7 +817,7 @@ def test_bruteforce_equals_full_tables_across_blocks():
             g, region, (g.host_degree, q.values))
         witness = full_best_subset(region, size,
                                    full_cheeger_objective(te, deg, qv))
-        assert repr(cheeger(g, q, region, method="bruteforce")) == repr(
+        assert repr(cheeger_bruteforce(g, q, region)) == repr(
             sparseness._cheeger_certificate(g, q, witness, region))
     assert zero_dens > 0
 
@@ -831,7 +844,7 @@ def test_bruteforce_memory_is_bounded():
     tracemalloc.start()
     try:
         for call in (lambda: kmin_bruteforce(g, q, grid),
-                     lambda: cheeger(g, q, method="bruteforce")):
+                     lambda: cheeger_bruteforce(g, q)):
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
             call()

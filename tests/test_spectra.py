@@ -45,12 +45,12 @@ def test_eigenvalue_accuracy_contract():
 
 def test_plan_offset_examples():
     plan = SpectralPlan(path_graph(2))
-    assert plan.offset(0.5, "lower") == pytest.approx(0.5)
-    assert plan.offset(0.5, "upper") == pytest.approx(0.5)
-    assert plan.constants(0.5).k_tilde == max(plan.offset(0.5, "lower"),
-                                              plan.offset(0.5, "upper"))
+    low, up = plan.offsets(0.5)
+    assert low == pytest.approx(0.5)
+    assert up == pytest.approx(0.5)
+    assert plan.constants(0.5).k_tilde == max(low, up)
     # a_tilde near one: offsets collapse for non-negative potentials
-    near_one = plan.offset(0.99, "lower")
+    near_one, _ = plan.offsets(0.99)
     assert near_one <= 0.011
     with pytest.raises(ValueError):
         plan.constants(1.0)
@@ -132,7 +132,7 @@ def test_roundtrip_optimal_constants():
         q = uniform_potential(rng, g.vertex_count, 0, 3)
         plan = SpectralPlan(g, q)
         for at in (0.3, 0.6):
-            low, up = plan.offset(at, "lower"), plan.offset(at, "upper")
+            low, up = plan.offsets(at)
             l_m, u_m = plan.sandwich(at, low, up)
             assert l_m.min() >= -1e-9
             assert u_m.min() >= -1e-9
@@ -148,8 +148,7 @@ def test_upside_down_constants_small():
         q = uniform_potential(rng, g.vertex_count, -2, 3)
         plain = SpectralPlan(g, q)
         for at in (0.2, 0.5, 0.8):
-            kl = plain.offset(at, "lower")
-            ku = plain.offset(at, "upper")
+            kl, ku = plain.offsets(at)
             assert ku <= kl + 1e-9
             ph = PhaseField.random(g, rng)
             both = SpectralPlan(g, q, ph).constants(at).k_tilde
@@ -165,7 +164,7 @@ def test_cheeger_form_bound_compression():
         removed = set(int(x) for x in
                       rng.choice(n, size=int(rng.integers(1, n)), replace=False))
         region = sorted(set(range(n)) - removed) or [0]
-        alpha = cheeger(g, q, region, method="flow").ratio
+        alpha = cheeger(g, q, region).ratio
         lo, hi = cheeger_form_slopes(alpha)
         sub = np.ix_(region, region)
         lap = assemble(g, q).toarray()
@@ -245,14 +244,14 @@ def test_offsets_above_dense_cutover_match_dense(name):
     h = assemble(g, q, ph).toarray()
     d = np.diag(np.real(np.diag(h)))
     for at in DEFAULT_ATILDE_GRID:
-        for side, m in (("lower", (1.0 - at) * d - h),
-                        ("upper", h - (1.0 + at) * d)):
-            first = SpectralPlan(g, q, ph).offset(at, side)
-            again = SpectralPlan(g, q, ph).offset(at, side)
+        first = SpectralPlan(g, q, ph).offsets(at)
+        again = SpectralPlan(g, q, ph).offsets(at)
+        assert first == again
+        for side, value, m in zip(("lower", "upper"), first,
+                                  ((1.0 - at) * d - h, h - (1.0 + at) * d)):
             dense = max(0.0, float(np.linalg.eigvalsh(m)[-1]))
             norm = float(np.abs(m).sum(axis=1).max())
-            assert abs(first - dense) <= 1e-9 * (1.0 + norm), (side, at)
-            assert first == again
+            assert abs(value - dense) <= 1e-9 * (1.0 + norm), (side, at)
 
 
 @pytest.mark.parametrize("whole", [True, False])
@@ -282,11 +281,13 @@ def test_eigsh_sees_the_real_embedding_of_a_complex_matrix(monkeypatch):
     monkeypatch.setattr(spla, "eigsh", spy)
     g, q, ph = _offset_case("magnetic_grid")
     n = g.vertex_count
-    SpectralPlan(g, q, ph).offset(0.5, "lower")
-    assert [(m.dtype, m.shape) for m in seen] == [(np.float64, (2 * n, 2 * n))]
+    # one solve per side
+    SpectralPlan(g, q, ph).offsets(0.5)
+    assert [(m.dtype, m.shape) for m in seen] == [(np.float64,
+                                                   (2 * n, 2 * n))] * 2
     seen.clear()
-    SpectralPlan(g, q).offset(0.5, "lower")
-    assert [(m.dtype, m.shape) for m in seen] == [(np.float64, (n, n))]
+    SpectralPlan(g, q).offsets(0.5)
+    assert [(m.dtype, m.shape) for m in seen] == [(np.float64, (n, n))] * 2
     seen.clear()
     plain = assemble(g, q).matrix
     _lambda_extreme(plain, "min")

@@ -100,7 +100,25 @@ def test_run_checks_builds_one_search_for_every_kmin(monkeypatch):
 
     monkeypatch.setattr(sparseness, "kmin_flow", spy_route)
     monkeypatch.setattr(sparseness._RatioSearch, "__init__", spy_build)
-    run_checks(regular_tree_ball(3, 3), None, a_grid=[0.0, 1.0],
-               atilde_grid=[0.5])
+    ball = regular_tree_ball(3, 3)
+    run_checks(ball, None, a_grid=[0.0, 1.0], atilde_grid=[0.5])
     assert len(calls) == 1
     assert len(searches) == 2
+
+    # with q > 0 the isoperimetric dictionary reads a_min: sparsity_flow
+    # takes it from the k_min search, so there is still one more search
+    both = sparseness.sparsity_flow
+
+    def spy_both(*args):
+        calls.append(("sparsity_flow", *args))
+        return both(*args)
+
+    monkeypatch.setattr(sparseness, "sparsity_flow", spy_both)
+    calls.clear()
+    searches.clear()
+    q = Potential(np.linspace(0.5, 2.0, ball.vertex_count))
+    records = run_checks(ball, q, a_grid=[0.0, 1.0], atilde_grid=[0.5])
+    assert [call[0] for call in calls] == ["sparsity_flow"]
+    assert len(searches) == 2
+    dictionary, = (r for r in records if r["id"] == "isoperimetric_dictionary")
+    assert dictionary["amin"] == both(ball, q, [])[1].value
