@@ -2,6 +2,9 @@
 runs the sparsity / cheeger / spectrum / verify pipelines and emits JSON
 reports.
 
+Handlers import their layer on first use, through the defining module,
+so only ``spectrum``, ``verify`` and cuts of 512 or more arcs load scipy.
+
 Reports are deterministic for identical inputs apart from their
 wall-clock field.  Exit codes: 0 on success, 1 when a verify or
 spectrum margin (over its tolerance scale) falls below -tol or flow
@@ -17,16 +20,12 @@ import math
 import sys
 import time
 
-from . import __version__
+from . import DEFAULT_ATILDE_GRID, __version__
 from .generators import (RadialFamilySpec, make_basic, make_radial_family,
                          regular_tree_ball)
 from .graphio import (graph_digest, id_map_digest, load_graph, save_graph,
                       write_report)
 from .graphs import Graph
-from .sparseness import (cheeger, cheeger_bruteforce, kmin_bruteforce,
-                         sparsity_flow)
-from .spectra import DEFAULT_ATILDE_GRID, ratio_report
-from .verify import run_checks
 
 
 def _float_list(text: str) -> list[float]:
@@ -164,15 +163,16 @@ def _cheeger_entry(cert, ids) -> dict:
 
 
 def _analyze_sparsity(args, graph, potential, ids) -> dict:
+    from . import sparseness
     # one subset enumeration serves the whole grid; it checks each a in
     # grid order first, so errors come as from one call per a
-    brute = (kmin_bruteforce(graph, potential, args.a_grid)
+    brute = (sparseness.kmin_bruteforce(graph, potential, args.a_grid)
              if args.method in ("bruteforce", "both") else None)
     # one cut network serves the grid and the threshold; brute force
     # has no threshold route, so it takes the threshold alone
     with_flow = args.method in ("flow", "both")
-    flow, amin = sparsity_flow(graph, potential,
-                               args.a_grid if with_flow else [])
+    flow, amin = sparseness.sparsity_flow(graph, potential,
+                                          args.a_grid if with_flow else [])
     per_a = []
     for i in range(len(args.a_grid)):
         entry: dict = {}
@@ -190,13 +190,15 @@ def _analyze_sparsity(args, graph, potential, ids) -> dict:
 
 
 def _analyze_cheeger(args, graph, potential, ids) -> dict:
+    from . import sparseness
     region = _resolve_region(args, graph, ids)
     out: dict = {"region_size": len(region)}
     if args.method in ("flow", "both"):
-        out["flow"] = _cheeger_entry(cheeger(graph, potential, region), ids)
+        out["flow"] = _cheeger_entry(
+            sparseness.cheeger(graph, potential, region), ids)
     if args.method in ("bruteforce", "both"):
         out["bruteforce"] = _cheeger_entry(
-            cheeger_bruteforce(graph, potential, region), ids)
+            sparseness.cheeger_bruteforce(graph, potential, region), ids)
     if args.method == "both":
         gap = abs(out["flow"]["ratio"] - out["bruteforce"]["ratio"])
         out["method_agreement"] = gap
@@ -204,9 +206,10 @@ def _analyze_cheeger(args, graph, potential, ids) -> dict:
 
 
 def _analyze_spectrum(args, graph, potential, phase, ids) -> dict:
-    report = ratio_report(graph, potential, phase, top_m=min(args.top_m,
-                                                             graph.vertex_count),
-                          atilde_grid=args.atilde_grid)
+    from . import spectra
+    report = spectra.ratio_report(
+        graph, potential, phase, top_m=min(args.top_m, graph.vertex_count),
+        atilde_grid=args.atilde_grid)
     out = {
         "eigenvalues": [float(v) for v in report.eigenvalues],
         "diag_eigenvalues": [float(v) for v in report.diag_eigenvalues],
@@ -234,10 +237,11 @@ def _analyze_spectrum(args, graph, potential, phase, ids) -> dict:
 
 
 def _analyze_verify(args, graph, potential, phase, ids) -> dict:
-    return {"checks": run_checks(graph, potential, phase, a_grid=args.a_grid,
-                                 atilde_grid=args.atilde_grid,
-                                 region=_resolve_region(args, graph, ids),
-                                 seed=args.seed)}
+    from . import verify
+    return {"checks": verify.run_checks(
+        graph, potential, phase, a_grid=args.a_grid,
+        atilde_grid=args.atilde_grid,
+        region=_resolve_region(args, graph, ids), seed=args.seed)}
 
 
 def _failed(results: dict, tol: float) -> bool:

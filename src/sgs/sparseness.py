@@ -112,7 +112,7 @@ def _as_fraction(x, name: str) -> Fraction:
         return Fraction(int(x))
     xf = float(x)
     if not math.isfinite(xf):
-        raise ValueError(f"{name} must be finite")
+        raise ValueError(f"{name} must be finite, got {xf!r}")
     return Fraction(xf)  # exact: IEEE floats are dyadic rationals
 
 
@@ -461,7 +461,7 @@ class _RatioSearch:
 def _nonnegative_a(value) -> Fraction:
     a = _as_fraction(value, "a")
     if a < 0:
-        raise ValueError("a must be non-negative")
+        raise ValueError(f"a must be non-negative, got {value!r}")
     return a
 
 

@@ -22,6 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from . import DEFAULT_ATILDE_GRID
 from .graphs import Graph, PhaseField, Potential, _as_index
 from .operators import HermitianOperator, assemble
 
@@ -52,7 +53,6 @@ EXTREMAL_DENSE_LIMIT = 256
 # orthogonal to the wanted eigenvector (ones(n) is, on an even grid, to
 # the top eigenvector of -A - at*D, by the checkerboard symmetry).
 _START_SEED = 20130
-DEFAULT_ATILDE_GRID = tuple(round(0.1 * i, 1) for i in range(1, 10))
 
 
 @dataclass(frozen=True)
@@ -159,7 +159,7 @@ class SpectralPlan:
         (lower, upper): ``lower`` certifies (1-at)(deg+q) - kt <=
         Delta+q, ``upper`` certifies Delta+q <= (1+at)(deg+q) + kt."""
         if not 0.0 < a_tilde < 1.0:
-            raise ValueError("a_tilde must lie in (0, 1)")
+            raise ValueError(f"a_tilde must lie in (0, 1), got {a_tilde!r}")
         if a_tilde not in self._offsets:
             shift = (np.diag if self._dense else sp.diags)(
                 a_tilde * self.diagonal)

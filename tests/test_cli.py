@@ -174,7 +174,7 @@ def test_analyze_rejects_bad_seed_and_top_m(tmp_path, capsys, subcommand,
 def test_spectrum_margins_fail_below_tol(tmp_path, monkeypatch, check,
                                          shift, code):
     """A spectrum margin fails once it falls below -tol times its scale."""
-    report = sgs.cli.ratio_report
+    report = sgs.spectra.ratio_report
 
     def pushed(*args, **kwargs):
         rep = report(*args, **kwargs)
@@ -182,7 +182,7 @@ def test_spectrum_margins_fail_below_tol(tmp_path, monkeypatch, check,
             (name, -shift * 1e-9 * scale if name == check else margin, scale)
             for name, margin, scale in rep.verified))
 
-    monkeypatch.setattr(sgs.cli, "ratio_report", pushed)
+    monkeypatch.setattr(sgs.spectra, "ratio_report", pushed)
     gfile = tmp_path / "ball.json"
     run(["gen", "ball", "--host", "regular-tree", "--d", 3, "--radius", 4,
          "--out", gfile])
@@ -211,7 +211,7 @@ def test_spectrum_bracket_edge_exits_zero(tmp_path):
 @pytest.mark.parametrize("shift, code", [(0.5, 0), (1.5, 1)])
 def test_method_agreement_fails_above_tol(tmp_path, monkeypatch, shift, code):
     """Flow and brute force may differ by at most tol (not 2 tol)."""
-    brute = sgs.cli.kmin_bruteforce
+    brute = sgs.sparseness.kmin_bruteforce
 
     def shifted(*args, **kwargs):
         # the CLI asks for the whole grid at once: shift every certificate
@@ -219,7 +219,7 @@ def test_method_agreement_fails_above_tol(tmp_path, monkeypatch, shift, code):
         return [dataclasses.replace(cert, k=cert.k + shift * 1e-9)
                 for cert in certs]
 
-    monkeypatch.setattr(sgs.cli, "kmin_bruteforce", shifted)
+    monkeypatch.setattr(sgs.sparseness, "kmin_bruteforce", shifted)
     gfile = tmp_path / "c5.json"
     run(["gen", "cycle", "--n", 5, "--out", gfile])
     assert run(["analyze", "sparsity", gfile, "--method", "both",
@@ -268,11 +268,25 @@ def test_bruteforce_grid_errors_come_in_grid_order(tmp_path, capsys):
     capsys.readouterr()
     assert run(["analyze", "sparsity", gfile, "--method", "both",
                 "--a-grid=-1,0", "--out", rfile]) == 2
-    assert capsys.readouterr().err == "sgs: error: a must be non-negative\n"
+    assert capsys.readouterr().err == (
+        "sgs: error: a must be non-negative, got -1.0\n")
     assert run(["analyze", "sparsity", gfile, "--method", "both",
                 "--a-grid=0,-1", "--out", rfile]) == 2
     assert capsys.readouterr().err == (
         "sgs: error: 30 vertices are too many for enumeration (limit 22)\n")
+
+
+@pytest.mark.parametrize("subcommand, flag, value, message", [
+    ("spectrum", "--atilde-grid", "0", "a_tilde must lie in (0, 1), got 0.0"),
+    ("sparsity", "--a-grid", "nan", "a must be finite, got nan")])
+def test_bad_grid_value_is_named(tmp_path, capsys, subcommand, flag, value,
+                                 message):
+    gfile, rfile = tmp_path / "c5.json", tmp_path / "r.json"
+    run(["gen", "cycle", "--n", 5, "--out", gfile])
+    assert run(["analyze", subcommand, gfile, flag, value,
+                "--out", rfile]) == 2
+    assert capsys.readouterr().err == f"sgs: error: {message}\n"
+    assert not rfile.exists()
 
 
 def test_analyze_cheeger_region(tmp_path):
