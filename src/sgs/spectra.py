@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+import scipy.linalg as sla
 
 from . import DEFAULT_ATILDE_GRID
 from .graphs import Graph, PhaseField, Potential, _as_index
@@ -34,25 +34,21 @@ __all__ = [
 ]
 
 DENSE_EIGEN_LIMIT = 4000
-# Extremal eigenvalues (the offsets k_tilde) are taken with dense eigvalsh
-# up to this dimension and with eigsh(k=1) above it; a complex Hermitian
-# matrix goes to eigsh as its real symmetric embedding (_lambda_extreme).
-# Measured on the offset matrices +-A - at*D (2-core x86-64, OpenBLAS,
-# best of 5-9 runs).  Real: dense wins below about 200-250 vertices
-# (random graph n=60: 0.27 ms dense, 2.5 ms eigsh; ball r=6, n=190:
-# 1.8 ms both), eigsh wins above (grid m=20, n=400: 8.3-9.8 ms dense,
-# 4.0-5.6 ms eigsh; ball r=8, n=766: 44 ms and 3.4 ms).  Magnetic, with
-# the embedding: random n=200: 4.6-4.8 ms dense, 7.8-10 ms eigsh; n=250:
-# 7.9-10 ms and 6.0-8.5 ms; grid m=16, n=256: 8.1-11 ms and 4.8-7.7 ms;
-# grid m=20: 25-34 ms and 7.8-11 ms.  So both crossovers lie at 200-256
-# vertices.  On balls r=8 and grids m=17, 25, real and magnetic, with and
-# without float q, eigsh agrees with dense eigvalsh to 4.1e-15 (1 + ||M||).
+# Extremal eigenvalues (the offsets k_tilde) are dense eigvalsh up to this
+# dimension and the Lanczos batch of _top_eigenvalues above it.  The 9
+# default slopes' 18 offsets, dense against one batch (2-core x86-64,
+# best of 7): random graph n=60 2.5 and 12 ms, n=120 9.3 and 8.9 ms; grids
+# m=10 6.3 and 24 ms, m=16 48 and 12 ms, m=20 127 and 20 ms; ball r=6
+# (n=190) 19 and 2.4 ms; magnetic grid m=16 123 and 22 ms.  One slope
+# alone crosses at about n=200.  The limit stays at 256, so every report
+# at or below it keeps its bytes.
 EXTREMAL_DENSE_LIMIT = 256
-# Seed of the eigsh start vector.  A fixed vector keeps reports
+# Seed of the Lanczos start vector.  A fixed vector keeps reports
 # byte-deterministic; it must be generic, because a structured one can be
 # orthogonal to the wanted eigenvector (ones(n) is, on an even grid, to
 # the top eigenvector of -A - at*D, by the checkerboard symmetry).
 _START_SEED = 20130
+_STEP_BUDGET = 50  # Lanczos steps per dimension before a row gives up
 
 
 @dataclass(frozen=True)
@@ -91,29 +87,58 @@ def eigenvalues(op: HermitianOperator) -> np.ndarray:
     return np.linalg.eigvalsh(op.toarray())
 
 
-def _lambda_extreme(matrix, which: str) -> float:
-    """Extreme eigenvalue of a Hermitian matrix, sparse or dense.
+def _top_eigenvalues(adjacency, diagonal, slopes, signs) -> np.ndarray:
+    """lambda_max(signs[j] A - slopes[j] D) for every j, with A the sparse
+    Hermitian ``adjacency`` (zero diagonal) and D = diag(diagonal).
 
-    Above the dense limit a complex ``X + iY`` is solved as its real
-    symmetric embedding ``[[X, -Y], [Y, X]]``, which has the same
-    eigenvalues, each twice: eigsh then runs symmetric Lanczos, where a
-    complex matrix would take ARPACK's general Arnoldi routine.
+    Row j runs Lanczos from the _START_SEED vector with no stored basis
+    and no reorthogonalization (Paige 1980; Cullum-Willoughby 1985).  The
+    rows are one C-contiguous (m, n) array, one sparse product per step,
+    reduced along rows: a row's value is bitwise the same in any batch.
+    A row stops when |beta_k y_k| <= 4 eps max(1, ||M||) (y the top Ritz
+    vector of T_k, ||M|| the row-sum bound), checked every 16 steps, at
+    k = n and once its beta falls to 1e-8 ||M||, so a Krylov space that
+    closes early (q = 0 tree balls) is read before rounding noise
+    restarts it.  After _STEP_BUDGET * n steps it raises RuntimeError.
     """
-    n = matrix.shape[0]
-    if n <= EXTREMAL_DENSE_LIMIT:
-        if sp.issparse(matrix):
-            matrix = matrix.toarray()
-        vals = np.linalg.eigvalsh(matrix)
-        return float(vals[-1] if which == "max" else vals[0])
-    if np.iscomplexobj(matrix):
-        x, y = matrix.real, matrix.imag
-        matrix = sp.block_array([[x, -y], [y, x]], format="csr")
-        n = matrix.shape[0]
-    v0 = np.random.default_rng(_START_SEED).uniform(-1.0, 1.0, n)
-    vals = spla.eigsh(matrix, k=1, which="LA" if which == "max" else "SA",
-                      v0=v0, rng=_START_SEED, maxiter=50 * n,
-                      return_eigenvectors=False)
-    return float(vals[0])
+    n, m = adjacency.shape[0], len(slopes)
+    slopes, signs = np.asarray(slopes, float), np.asarray(signs, float)
+    norms = (np.asarray(abs(adjacency).sum(axis=1)).ravel()
+             + np.abs(slopes)[:, None] * np.abs(diagonal)).max(axis=1)
+    start = np.random.default_rng(_START_SEED).uniform(-1.0, 1.0, n)
+    x = np.tile(start / np.linalg.norm(start), (m, 1)).astype(adjacency.dtype)
+    shift, sign = slopes[:, None] * diagonal, signs[:, None]
+    alpha, beta = np.empty((m, 64)), np.empty((m, 64))  # grown by doubling
+    rows, out, budget = np.arange(m), np.empty(m), int(_STEP_BUDGET * n)
+    eps = np.finfo(float).eps
+    for k in range(1, budget + 1):
+        if k > alpha.shape[1]:
+            alpha, beta = (np.concatenate([v, np.empty_like(v)], axis=1)
+                           for v in (alpha, beta))
+        y = np.ascontiguousarray((adjacency @ x.T).T) * sign - shift * x
+        if k > 1:
+            y -= beta[:, k - 2, None] * prev
+        alpha[:, k - 1] = a = np.real(np.sum(x.conj() * y, axis=1))
+        y -= a[:, None] * x
+        beta[:, k - 1] = b = np.linalg.norm(y, axis=1)
+        done = np.zeros(len(rows), dtype=bool)
+        for i in np.flatnonzero((b <= 1e-8 * norms[rows])
+                                | (k % 16 == 0 or k in (n, budget))):
+            theta, vec = sla.eigh_tridiagonal(
+                alpha[i, :k], beta[i, :k - 1], select="i",
+                select_range=(k - 1, k - 1))
+            if abs(b[i] * vec[-1, 0]) <= 4 * eps * max(1.0, norms[rows[i]]):
+                out[rows[i]], done[i] = theta[0], True
+        if done.all():
+            return out
+        if done.any():
+            rows, x, y, b, shift, sign, alpha, beta = (
+                v[~done] for v in (rows, x, y, b, shift, sign, alpha, beta))
+        prev, x = x, y / b[:, None]
+    raise RuntimeError(
+        f"Lanczos found no converged top eigenvalue in {budget} steps for "
+        f"the {'lower' if signs[rows[0]] > 0 else 'upper'} side at slope "
+        f"{float(slopes[rows[0]])!r} (dimension {n})")
 
 
 class SpectralPlan:
@@ -125,7 +150,7 @@ class SpectralPlan:
     lambda_max((1-at) D - H) = lambda_max(A - at D) and the upper one
     lambda_max(H - (1+at) D) = lambda_max(-A - at D): one adjacency and a
     diagonal shift per slope.  The full spectrum of ``H`` is taken on
-    first use, and both offsets of a slope at once, lower first, then
+    first use, and the offsets of a call's new slopes in one batch, then
     memoized.  A plan serves one analysis; nothing is cached across plans.
     """
 
@@ -144,6 +169,7 @@ class SpectralPlan:
         else:
             self._adjacency = (sp.diags(self.diagonal)
                                - self.operator.matrix).tocsr()
+            self._adjacency.eliminate_zeros()
         self._spectrum: np.ndarray | None = None
         self._offsets: dict[float, tuple[float, float]] = {}
 
@@ -154,19 +180,33 @@ class SpectralPlan:
             self._spectrum = eigenvalues(self.operator)
         return self._spectrum
 
-    def offsets(self, a_tilde: float) -> tuple[float, float]:
+    def offsets(self, a_tilde):
         """Smallest k_tilde >= 0 for each side of the comparison, as
         (lower, upper): ``lower`` certifies (1-at)(deg+q) - kt <=
-        Delta+q, ``upper`` certifies Delta+q <= (1+at)(deg+q) + kt."""
-        if not 0.0 < a_tilde < 1.0:
-            raise ValueError(f"a_tilde must lie in (0, 1), got {a_tilde!r}")
-        if a_tilde not in self._offsets:
-            shift = (np.diag if self._dense else sp.diags)(
-                a_tilde * self.diagonal)
-            self._offsets[a_tilde] = tuple(
-                max(0.0, _lambda_extreme(adj - shift, "max"))
-                for adj in (self._adjacency, -self._adjacency))
-        return self._offsets[a_tilde]
+        Delta+q, ``upper`` certifies Delta+q <= (1+at)(deg+q) + kt.
+
+        ``a_tilde`` is a slope, giving one pair, or a sequence, giving one
+        pair per entry; the slopes not yet memoized are solved in one
+        batch, and a slope's pair is bitwise the same in any batch."""
+        single = np.ndim(a_tilde) == 0
+        grid = [a_tilde] if single else list(a_tilde)
+        for at in grid:
+            if not 0.0 < at < 1.0:
+                raise ValueError(f"a_tilde must lie in (0, 1), got {at!r}")
+        new = list(dict.fromkeys(at for at in grid if at not in self._offsets))
+        if self._dense:
+            for at in new:
+                shift = np.diag(at * self.diagonal)
+                self._offsets[at] = tuple(
+                    max(0.0, float(np.linalg.eigvalsh(adj - shift)[-1]))
+                    for adj in (self._adjacency, -self._adjacency))
+        elif new:
+            top = [max(0.0, float(v)) for v in _top_eigenvalues(
+                self._adjacency, self.diagonal, np.repeat(new, 2),
+                [1.0, -1.0] * len(new))]
+            self._offsets.update(zip(new, zip(top[::2], top[1::2])))
+        pairs = [self._offsets[at] for at in grid]
+        return pairs[0] if single else pairs
 
     def constants(self, a_tilde: float) -> FormConstants:
         """The two-sided optimal offset: the larger of the lower and the
@@ -185,12 +225,20 @@ class SpectralPlan:
     def compressed_bottoms(self, region, slope_lower: float,
                            slope_upper: float) -> tuple[float, float]:
         """Smallest eigenvalues of H - slope_lower D and slope_upper D - H
-        compressed to ``region`` (functions supported there)."""
+        compressed to ``region`` (functions supported there); above the
+        dense limit, -lambda_max(A - (1-slope_lower) D) and
+        -lambda_max(-A - (slope_upper-1) D) from one batch."""
         idx = np.asarray(region, dtype=np.int64)
-        h = self.operator.matrix[idx][:, idx]
-        d = sp.diags(self.diagonal[idx])
-        return (_lambda_extreme((h - slope_lower * d).tocsr(), "min"),
-                _lambda_extreme((slope_upper * d - h).tocsr(), "min"))
+        d = self.diagonal[idx]
+        if len(idx) <= EXTREMAL_DENSE_LIMIT:
+            h = self.operator.matrix[idx][:, idx]
+            return tuple(float(np.linalg.eigvalsh(m.toarray())[0])
+                         for m in (h - slope_lower * sp.diags(d),
+                                   slope_upper * sp.diags(d) - h))
+        top = _top_eigenvalues(self._adjacency[idx][:, idx], d,
+                               [1.0 - slope_lower, slope_upper - 1.0],
+                               [1.0, -1.0])
+        return float(-top[0]), float(-top[1])
 
 
 # -- conversions between constant pairs ---------------------------------------
@@ -271,6 +319,12 @@ def spectral_edge_bound(d: float, k: float) -> float:
     return max(0.0, d - 2.0 * math.sqrt((k / 2.0) * (d - k / 2.0)))
 
 
+def _id_number(x) -> str:
+    """``x`` in a check id: ``:g`` if that reads back as ``x``, else repr."""
+    text = f"{x:g}"
+    return text if float(text) == x else repr(float(x))
+
+
 def ratio_report(graph: Graph, potential: Potential | None,
                  phase: PhaseField | None = None, top_m: int = 10,
                  atilde_grid=None) -> SpectralReport:
@@ -305,7 +359,7 @@ def ratio_report(graph: Graph, potential: Potential | None,
     skipped = tuple(i for i in window if mu[i] <= 0.0)
     ratios = tuple(float(lam[i] / mu[i]) for i in indices)
     grid = tuple(atilde_grid) if atilde_grid is not None else DEFAULT_ATILDE_GRID
-    rows = tuple((at, *plan.offsets(at)) for at in grid)
+    rows = tuple((at, *pair) for at, pair in zip(grid, plan.offsets(grid)))
     bracket = None
     bracket_at = None
     scale = 1.0 + plan.operator.norm_bound()
@@ -325,10 +379,10 @@ def ratio_report(graph: Graph, potential: Potential | None,
                          float(scale / m_min)))
     for at, klow, kup in rows:
         lower, upper = plan.sandwich(at, klow, kup)
-        verified.append((f"sandwich_lower@a_tilde={at:g}", float(lower.min()),
-                         scale))
-        verified.append((f"sandwich_upper@a_tilde={at:g}", float(upper.min()),
-                         scale))
+        verified.append((f"sandwich_lower@a_tilde={_id_number(at)}",
+                         float(lower.min()), scale))
+        verified.append((f"sandwich_upper@a_tilde={_id_number(at)}",
+                         float(upper.min()), scale))
     return SpectralReport(
         eigenvalues=lam, diag_eigenvalues=mu, indices=indices, ratios=ratios,
         skipped=skipped, grid=rows, bracket=bracket,

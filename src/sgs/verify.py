@@ -16,8 +16,9 @@ import numpy as np
 
 from . import operators, sparseness
 from .graphs import Graph, PhaseField, Potential
-from .spectra import (DEFAULT_ATILDE_GRID, SpectralPlan, cheeger_form_slopes,
-                      form_to_sparse, sparse_to_form, spectral_edge_bound)
+from .spectra import (DEFAULT_ATILDE_GRID, SpectralPlan, _id_number,
+                      cheeger_form_slopes, form_to_sparse, sparse_to_form,
+                      spectral_edge_bound)
 
 __all__ = ["run_checks"]
 
@@ -68,19 +69,21 @@ def run_checks(graph: Graph, potential: Potential | None,
     add("eigensolver_trace",
         1e-8 * max(norm, 1.0) * graph.vertex_count - trace_gap)
 
-    for at in atilde_grid:
-        klow, kup = plain.offsets(at)
+    offsets = plain.offsets(atilde_grid)  # one batch per plan
+    phased = plan.offsets(atilde_grid)
+    for at, (klow, kup), pair in zip(atilde_grid, offsets, phased):
         lower_m, upper_m = plain.sandwich(at, klow, kup)
-        add(f"sandwich_optimal@a_tilde={at:g}",
+        add(f"sandwich_optimal@a_tilde={_id_number(at)}",
             min(float(lower_m.min()), float(upper_m.min())), scale=scale,
             k_lower=klow, k_upper=kup)
-        add(f"upside_down@a_tilde={at:g}", klow - kup, scale=scale)
+        add(f"upside_down@a_tilde={_id_number(at)}", klow - kup, scale=scale)
         if phase is not None:
-            add(f"upside_down_magnetic@a_tilde={at:g}",
-                klow - plan.constants(at).k_tilde, scale=scale)
+            add(f"upside_down_magnetic@a_tilde={_id_number(at)}",
+                klow - max(pair), scale=scale)
 
     # every a whose k_min a check reads, once each in first-use order
-    sparse = [form_to_sparse(at, plain.offsets(at)[0]) for at in atilde_grid]
+    sparse = [form_to_sparse(at, klow) for at, (klow, _) in
+              zip(atilde_grid, offsets)]
     needed = [a for a, _ in sparse]
     if nonneg_q:
         needed = [*a_grid, *needed, 0.0]
@@ -101,7 +104,7 @@ def run_checks(graph: Graph, potential: Potential | None,
                          else sparse_to_form(a, k))
             kt = constants.k_tilde
             lo_m, up_m = plain.sandwich(constants.a_tilde, kt, kt)
-            add(f"roundtrip_sparse_to_form@a={a:g}",
+            add(f"roundtrip_sparse_to_form@a={_id_number(a)}",
                 min(float(lo_m.min()), float(up_m.min())), scale=scale,
                 k=k, a_tilde=constants.a_tilde, k_tilde=constants.k_tilde)
     else:
@@ -109,7 +112,7 @@ def run_checks(graph: Graph, potential: Potential | None,
              "requires a non-negative potential")
     for at, (a_out, k_out) in zip(atilde_grid, sparse):
         k = k_of[a_out]
-        add(f"roundtrip_form_to_sparse@a_tilde={at:g}", k_out - k,
+        add(f"roundtrip_form_to_sparse@a_tilde={_id_number(at)}", k_out - k,
             scale=scale, a=a_out, k=k_out, kmin=k)
 
     gaps = []

@@ -105,7 +105,7 @@ def test_verify_reports_are_deterministic(tmp_path):
 
 
 def test_verify_reports_above_dense_cutover_are_deterministic(tmp_path):
-    gfile = tmp_path / "grid20.json"  # 400 vertices: offsets use eigsh
+    gfile = tmp_path / "grid20.json"  # 400 vertices: offsets use Lanczos
     run(["gen", "grid", "--m", 20, "--out", gfile])
     texts = []
     for name in ("r1.json", "r2.json"):
@@ -118,7 +118,7 @@ def test_verify_reports_above_dense_cutover_are_deterministic(tmp_path):
 
 def test_magnetic_verify_reports_above_dense_cutover_are_deterministic(
         tmp_path):
-    # 400 vertices: the magnetic offsets and bottoms go through eigsh
+    # 400 vertices: the magnetic offsets and bottoms go through Lanczos
     graph = grid_graph(20)
     rng = np.random.default_rng(39)
     gfile = tmp_path / "grid20-mag.json"
@@ -133,6 +133,42 @@ def test_magnetic_verify_reports_above_dense_cutover_are_deterministic(
     assert texts[0] == texts[1]
     checks = json.loads(rfile.read_text())["results"]["checks"]
     assert "upside_down_magnetic@a_tilde=0.5" in {c["id"] for c in checks}
+
+
+def test_distinct_grid_values_get_distinct_check_ids(tmp_path):
+    # ids used to keep six significant digits, so 0.1 and 0.1000001 shared
+    # every id; the default grids keep their ids
+    gfile = tmp_path / "c5.json"
+    run(["gen", "cycle", "--n", 5, "--out", gfile])
+    ids = {}
+    for sub, extra in (("spectrum", ["--top-m", 3]),
+                       ("verify", ["--a-grid", "0.5,0.5000001"])):
+        rfile = tmp_path / f"{sub}.json"
+        assert run(["analyze", sub, gfile, "--atilde-grid", "0.1,0.1000001",
+                    *extra, "--out", rfile]) == 0
+        results = json.loads(rfile.read_text())["results"]
+        ids[sub] = [c["id"] for c in results.get("checks",
+                                                 results.get("verified"))]
+        assert len(ids[sub]) == len(set(ids[sub]))
+    assert {"sandwich_lower@a_tilde=0.1", "sandwich_lower@a_tilde=0.1000001",
+            "sandwich_upper@a_tilde=0.1000001"} <= set(ids["spectrum"])
+    assert {"sandwich_optimal@a_tilde=0.1000001",
+            "upside_down@a_tilde=0.1000001",
+            "roundtrip_form_to_sparse@a_tilde=0.1000001",
+            "roundtrip_sparse_to_form@a=0.5",
+            "roundtrip_sparse_to_form@a=0.5000001"} <= set(ids["verify"])
+
+
+def test_lanczos_step_budget_exits_two(tmp_path, monkeypatch, capsys):
+    import sgs.spectra
+    monkeypatch.setattr(sgs.spectra, "_STEP_BUDGET", 0.05)
+    gfile = tmp_path / "grid20.json"
+    run(["gen", "grid", "--m", 20, "--out", gfile])
+    assert run(["analyze", "spectrum", gfile,
+                "--out", tmp_path / "rep.json"]) == 2
+    assert capsys.readouterr().err == (
+        "sgs: error: Lanczos found no converged top eigenvalue in 20 steps "
+        "for the lower side at slope 0.1 (dimension 400)\n")
 
 
 def test_verify_tiny_tolerance_fails(tmp_path):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg as spla
+import scipy.sparse as sp
 
 from sgs import (Graph, PhaseField, Potential, assemble, cheeger,
                  cheeger_form_slopes, complete_graph,
@@ -11,8 +11,9 @@ from sgs import (Graph, PhaseField, Potential, assemble, cheeger,
                  regular_tree_ball, sparse_to_form, spectral_edge_bound,
                  FormConstants, make_radial_family, RadialFamilySpec,
                  SpectralPlan)
+import sgs.spectra
 from sgs.spectra import (DEFAULT_ATILDE_GRID, EXTREMAL_DENSE_LIMIT,
-                         _lambda_extreme)
+                         _top_eigenvalues)
 
 from helpers import random_graph, uniform_potential
 
@@ -270,28 +271,121 @@ def test_magnetic_compressed_bottoms_above_dense_cutover_match_dense(whole):
         assert abs(value - dense) <= 1e-9 * (1.0 + norm)
 
 
-def test_eigsh_sees_the_real_embedding_of_a_complex_matrix(monkeypatch):
-    seen = []
-    real_eigsh = spla.eigsh
+def test_a_slope_grid_is_one_kernel_call_on_rows_of_size_n(monkeypatch):
+    calls, products = [], []
 
-    def spy(matrix, *args, **kwargs):
-        seen.append(matrix)
-        return real_eigsh(matrix, *args, **kwargs)
+    class Recorder:
+        """The adjacency, recording the rows it multiplies."""
+        def __init__(self, matrix):
+            self.matrix, self.shape = matrix, matrix.shape
+            self.dtype = matrix.dtype
 
-    monkeypatch.setattr(spla, "eigsh", spy)
+        def __abs__(self):
+            return abs(self.matrix)
+
+        def __matmul__(self, rows):
+            products.append((rows.dtype, rows.shape))
+            return self.matrix @ rows
+
+    def spy(adjacency, diagonal, slopes, signs):
+        calls.append(len(slopes))
+        return _top_eigenvalues(Recorder(adjacency), diagonal, slopes, signs)
+
+    monkeypatch.setattr(sgs.spectra, "_top_eigenvalues", spy)
     g, q, ph = _offset_case("magnetic_grid")
-    n = g.vertex_count
-    # one solve per side
-    SpectralPlan(g, q, ph).offsets(0.5)
-    assert [(m.dtype, m.shape) for m in seen] == [(np.float64,
-                                                   (2 * n, 2 * n))] * 2
-    seen.clear()
-    SpectralPlan(g, q).offsets(0.5)
-    assert [(m.dtype, m.shape) for m in seen] == [(np.float64, (n, n))] * 2
-    seen.clear()
-    plain = assemble(g, q).matrix
-    _lambda_extreme(plain, "min")
-    assert len(seen) == 1 and seen[0] is plain
+    n, grid = g.vertex_count, list(DEFAULT_ATILDE_GRID)
+    for phase, dtype in ((ph, np.complex128), (None, np.float64)):
+        calls.clear()
+        products.clear()
+        plan = SpectralPlan(g, q, phase)
+        first = plan.offsets(grid)
+        # both sides of every slope in one call; memoized slopes are free
+        assert calls == [2 * len(grid)]
+        assert products[0] == (dtype, (n, 2 * len(grid)))
+        assert all(dt == dtype and shape[0] == n for dt, shape in products)
+        assert plan.offsets(grid[::-1]) == first[::-1]
+        assert plan.offsets(grid[3]) == first[3]
+        assert calls == [2 * len(grid)]
+        plan.offsets([*grid, 0.55, 0.55])
+        assert calls == [2 * len(grid), 2]
+
+
+def _kernel_case(name):
+    """(graph, potential, phase) above the dense cutover."""
+    rng = np.random.default_rng(43)
+    if name in ("ball7", "ball8"):
+        return regular_tree_ball(3, int(name[-1])), None, None
+    if name == "edgeless":  # the zero matrix: beta is 0 at the first step
+        return Graph(300, []), None, None
+    g = grid_graph(20)
+    q = uniform_potential(rng, g.vertex_count, 0, 4)
+    if name == "grid_q":
+        return g, q, None
+    if name == "magnetic_grid":
+        return g, q, PhaseField.random(g, rng)
+    # a ball and a path with a potential, side by side
+    ball, path = regular_tree_ball(3, 6), path_graph(120)
+    shift = ball.vertex_count
+    union = Graph(shift + path.vertex_count,
+                  list(ball.edges) + [(u + shift, v + shift)
+                                      for u, v in path.edges],
+                  np.concatenate([ball.host_degree, path.host_degree]))
+    return union, uniform_potential(rng, union.vertex_count, -1, 2), None
+
+
+def _dense_top(m) -> tuple[float, float]:
+    """lambda_max of a dense Hermitian matrix and its row-sum bound."""
+    return (float(np.linalg.eigvalsh(m)[-1]),
+            float(np.abs(m).sum(axis=1).max()))
+
+
+@pytest.mark.parametrize("name", ["ball7", "ball8", "grid_q", "magnetic_grid",
+                                  "disconnected", "edgeless"])
+def test_kernel_offsets_match_dense_to_1e_12(name):
+    g, q, ph = _kernel_case(name)
+    assert g.vertex_count > EXTREMAL_DENSE_LIMIT
+    h = assemble(g, q, ph).toarray()
+    d = np.diag(np.real(np.diag(h)))
+    offsets = SpectralPlan(g, q, ph).offsets(DEFAULT_ATILDE_GRID)
+    for at, pair in zip(DEFAULT_ATILDE_GRID, offsets):
+        for side, value, m in zip(("lower", "upper"), pair,
+                                  ((1.0 - at) * d - h, h - (1.0 + at) * d)):
+            top, norm = _dense_top(m)
+            assert abs(value - max(0.0, top)) <= 1e-12 * (1.0 + norm), (
+                side, at)
+
+
+@pytest.mark.parametrize("phased", [False, True])
+def test_kernel_region_bottoms_match_dense_to_1e_12(phased):
+    g, q, ph = _kernel_case("magnetic_grid" if phased else "grid_q")
+    region = np.arange(30, g.vertex_count - 40)
+    assert len(region) > EXTREMAL_DENSE_LIMIT
+    plan = SpectralPlan(g, q, ph)
+    h = assemble(g, q, ph).toarray()[np.ix_(region, region)]
+    d = np.diag(np.real(np.diag(h)))
+    for at in DEFAULT_ATILDE_GRID:
+        got = plan.compressed_bottoms(region, 1.0 - at, 1.0 + at)
+        for value, m in zip(got, (h - (1.0 - at) * d, (1.0 + at) * d - h)):
+            top, norm = _dense_top(-m)
+            assert abs(value + top) <= 1e-12 * (1.0 + norm), at
+
+
+@pytest.mark.parametrize("name", ["ball8", "grid_q", "magnetic_grid"])
+def test_kernel_offsets_do_not_depend_on_the_batch(name):
+    g, q, ph = _kernel_case(name)
+    grid = list(DEFAULT_ATILDE_GRID)
+    together = SpectralPlan(g, q, ph).offsets(grid)
+    reversed_ = SpectralPlan(g, q, ph).offsets(grid[::-1])[::-1]
+    alone = [SpectralPlan(g, q, ph).offsets(at) for at in grid]
+    assert together == reversed_ == alone
+
+
+def test_kernel_step_budget_raises(monkeypatch):
+    monkeypatch.setattr(sgs.spectra, "_STEP_BUDGET", 0.05)
+    g = grid_graph(20)
+    with pytest.raises(RuntimeError, match=r"in 20 steps for the lower side "
+                       r"at slope 0\.5 \(dimension 400\)"):
+        SpectralPlan(g).offsets([0.5, 0.6])
 
 
 def test_bracket_slope_ties_go_to_the_smallest():
@@ -329,12 +423,17 @@ def test_ratio_report_constant_denominator():
 
 
 def test_extremal_matches_dense_and_guard():
-    # both sides of the dense cutover, in both directions
+    # both ends of the spectrum of H = D - A, below and above the dense
+    # cutover: lambda_min(H) = -lambda_max(A - D), lambda_max(H) =
+    # lambda_max(-A + D)
     for g in (complete_graph(30), grid_graph(17)):
         op = assemble(g, None)
         lam = eigenvalues(op)
-        assert _lambda_extreme(op.matrix, "min") == pytest.approx(float(lam[0]))
-        assert _lambda_extreme(op.matrix, "max") == pytest.approx(float(lam[-1]))
+        d = np.real(op.matrix.diagonal())
+        adjacency = (sp.diags(d) - op.matrix).tocsr()
+        low, high = _top_eigenvalues(adjacency, d, [1.0, -1.0], [1.0, -1.0])
+        assert -low == pytest.approx(float(lam[0]))
+        assert high == pytest.approx(float(lam[-1]))
 
 
 def test_phase_shift_and_negation_preserve_constants():
