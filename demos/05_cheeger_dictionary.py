@@ -34,7 +34,7 @@ spheres = sgs.breadth_first_spheres(ball, 0)
 for r_cut in range(0, 4):
     inside = set(x for s in spheres[:r_cut] for x in s)
     region = [x for x in range(ball.vertex_count) if x not in inside]
-    cert = sgs.cheeger(ball, None, region)
+    cert = sgs.cheeger(ball.restrict(region), None)
     label = "V" if r_cut == 0 else f"V \\ B_{r_cut - 1}"
     print(f"  region {label:9s} alpha = {cert.ratio:.6f} "
           f"(witness size {cert.stats.size})")

@@ -27,8 +27,8 @@ _EXPORTS = {
                "subset_stats", "breadth_first_spheres"),
     "generators": ("path_graph", "cycle_graph", "complete_graph",
                    "grid_graph", "star_graph", "antitree", "make_basic",
-                   "RadialFamilySpec", "make_radial_family", "combine",
-                   "regular_tree_ball"),
+                   "RadialFamilySpec", "make_radial_family", "edge_union",
+                   "cartesian_sum", "regular_tree_ball"),
     "sparseness": ("SparsenessCertificate", "CheegerCertificate",
                    "SparsityThreshold", "kmin_bruteforce", "kmin_flow",
                    "amin_zero_k", "sparsity_flow", "cheeger",

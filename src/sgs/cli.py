@@ -25,7 +25,7 @@ from .generators import (RadialFamilySpec, make_basic, make_radial_family,
                          regular_tree_ball)
 from .graphio import (graph_digest, id_map_digest, load_graph, save_graph,
                       write_report)
-from .graphs import Graph
+from .graphs import Graph, Potential
 
 
 def _float_list(text: str) -> list[float]:
@@ -157,11 +157,6 @@ def _sparseness_entry(cert, ids) -> dict:
             "witness_stats": dataclasses.asdict(cert.stats)}
 
 
-def _cheeger_entry(cert, ids) -> dict:
-    return {"ratio": cert.ratio, "witness": _witness_ids(cert.witness, ids),
-            "region_size": len(cert.region)}
-
-
 def _analyze_sparsity(args, graph, potential, ids) -> dict:
     from . import sparseness
     # one subset enumeration serves the whole grid; it checks each a in
@@ -192,13 +187,25 @@ def _analyze_sparsity(args, graph, potential, ids) -> dict:
 def _analyze_cheeger(args, graph, potential, ids) -> dict:
     from . import sparseness
     region = _resolve_region(args, graph, ids)
+    sub = graph.restrict(region)
+    sub_q = (potential if sub is graph
+             else Potential(potential.values[list(region)]))
+
+    def entry(cert) -> dict:
+        if sub is not graph:
+            # back to the file's numbering (the restriction numbers the
+            # region in order), with the quotient read off the witness's
+            # stats there, so its float sums take q in that numbering
+            cert = sparseness._cheeger_certificate(
+                graph, potential, tuple(region[x] for x in cert.witness))
+        return {"ratio": cert.ratio, "witness": _witness_ids(cert.witness, ids),
+                "region_size": len(region)}
+
     out: dict = {"region_size": len(region)}
     if args.method in ("flow", "both"):
-        out["flow"] = _cheeger_entry(
-            sparseness.cheeger(graph, potential, region), ids)
+        out["flow"] = entry(sparseness.cheeger(sub, sub_q))
     if args.method in ("bruteforce", "both"):
-        out["bruteforce"] = _cheeger_entry(
-            sparseness.cheeger_bruteforce(graph, potential, region), ids)
+        out["bruteforce"] = entry(sparseness.cheeger_bruteforce(sub, sub_q))
     if args.method == "both":
         gap = abs(out["flow"]["ratio"] - out["bruteforce"]["ratio"])
         out["method_agreement"] = gap

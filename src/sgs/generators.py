@@ -1,4 +1,5 @@
-"""Graph constructors: standard shapes, radial tree families, ball truncations.
+"""Graph constructors: standard shapes, radial tree families, ball
+truncations, and the edge union and cartesian sum of two graphs.
 
 Radial families are trees with prescribed sphere degrees plus a regular
 graph on every distance sphere; truncating one at depth N records the
@@ -15,13 +16,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .graphs import Graph, _as_index
 
 __all__ = [
     "path_graph", "cycle_graph", "complete_graph", "grid_graph",
     "star_graph", "antitree", "make_basic",
     "RadialFamilySpec", "make_radial_family",
-    "combine", "regular_tree_ball",
+    "edge_union", "cartesian_sum", "regular_tree_ball",
 ]
 
 
@@ -220,49 +223,22 @@ def make_radial_family(spec: RadialFamilySpec) -> Graph:
     return Graph(n_total, edges, host_degree=host)
 
 
-def combine(op: str, g1: Graph, g2: Graph | None = None, *,
-            predicate: Callable[[int, int], bool] | None = None,
-            keep_host: bool = False) -> Graph:
-    """Edge union, cartesian sum, or subgraph of existing graphs.
+def edge_union(g1: Graph, g2: Graph) -> Graph:
+    """The graph with the edges of both, on their common vertex set."""
+    if g1.vertex_count != g2.vertex_count:
+        raise ValueError("edge_union requires identical vertex sets")
+    ends = np.unique(np.concatenate((g1.edge_ends, g2.edge_ends)), axis=0)
+    return Graph(g1.vertex_count, ends.tolist())
 
-    ``edge_union`` requires identical vertex sets; ``cartesian_sum``
-    joins ``(x1,x2) ~ (y1,y2)`` when one coordinate agrees and the other
-    is an edge (product index is ``x1 * |V2| + x2``); ``subgraph`` keeps
-    the edges of ``g2`` (checked to be a subset of ``g1``'s) or those
-    passing ``predicate``.  With ``keep_host`` the subgraph inherits
-    ``g1``'s host degrees, so dropped edges turn into deficits.
-    """
-    if op == "edge_union":
-        if g2 is None:
-            raise ValueError("edge_union needs a second graph")
-        if g1.vertex_count != g2.vertex_count:
-            raise ValueError("edge_union requires identical vertex sets")
-        return Graph(g1.vertex_count, set(g1.edges) | set(g2.edges))
-    if op == "cartesian_sum":
-        if g2 is None:
-            raise ValueError("cartesian_sum needs a second graph")
-        n2 = g2.vertex_count
-        edges = []
-        for x1 in range(g1.vertex_count):
-            for (u, v) in g2.edges:
-                edges.append((x1 * n2 + u, x1 * n2 + v))
-        for (u, v) in g1.edges:
-            for x2 in range(n2):
-                edges.append((u * n2 + x2, v * n2 + x2))
-        return Graph(g1.vertex_count * n2, edges)
-    if op == "subgraph":
-        if g2 is not None:
-            extra = set(g2.edges) - set(g1.edges)
-            if g2.vertex_count != g1.vertex_count or extra:
-                raise ValueError("second graph is not a subgraph of the first")
-            kept = g2.edges
-        elif predicate is not None:
-            kept = tuple((u, v) for (u, v) in g1.edges if predicate(u, v))
-        else:
-            raise ValueError("subgraph needs a graph or an edge predicate")
-        host = g1.host_degree if keep_host else None
-        return Graph(g1.vertex_count, kept, host_degree=host)
-    raise ValueError(f"unknown combine op {op!r}")
+
+def cartesian_sum(g1: Graph, g2: Graph) -> Graph:
+    """``(x1,x2) ~ (y1,y2)`` when one coordinate agrees and the other is
+    an edge; the product index is ``x1 * |V2| + x2``."""
+    n1, n2 = g1.vertex_count, g2.vertex_count
+    copies = g2.edge_ends + n2 * np.arange(n1)[:, None, None]
+    fibres = n2 * g1.edge_ends[:, None, :] + np.arange(n2)[:, None]
+    return Graph(n1 * n2, np.concatenate(
+        (copies.reshape(-1, 2), fibres.reshape(-1, 2))).tolist())
 
 
 def regular_tree_ball(d: int, radius: int) -> Graph:

@@ -11,6 +11,8 @@ every boundary count and (in :mod:`sgs.operators`) to every operator
 diagonal, which makes the truncation a Dirichlet compression of the
 host: subset functionals and spectral bounds computed on the finite
 graph are valid certificates for the infinite object.
+:meth:`Graph.restrict` compresses a graph to a vertex region the same
+way, so a region's constants are those of its restriction.
 
 A graph stores its edges once, as the read-only int64 array
 ``Graph.edge_ends`` of sorted ``(u, v)`` rows with ``u < v``; every
@@ -216,6 +218,31 @@ class Graph:
     @property
     def deficit(self) -> np.ndarray:
         return self._deficit
+
+    def restrict(self, region: Iterable[int]) -> "Graph":
+        """The induced subgraph on the vertices of ``region`` (sorted,
+        de-duplicated and renumbered in that order) with their host
+        degrees kept: every edge to a dropped vertex becomes deficit.
+        This is the Dirichlet restriction of a truncation to a region.
+
+        The renumbering is monotone, so the edge rows keep their order
+        and a lexicographic order of vertex lists is kept too.  A region
+        of every vertex returns the graph itself.
+        """
+        keep = np.zeros(self._n, dtype=bool)
+        for i, x in enumerate(region):
+            x = _as_index(x, "region", i)
+            if not (0 <= x < self._n):
+                raise ValueError(f"region vertex {x} out of range")
+            keep[x] = True
+        if not keep.any():
+            raise ValueError("region must be nonempty")
+        if keep.all():
+            return self
+        local = np.cumsum(keep) - 1
+        ends = self._edge_ends[keep[self._edge_ends].all(axis=1)]
+        return Graph(int(local[-1]) + 1, local[ends].tolist(),
+                     self._host_degree[keep])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Graph(n={self._n}, m={self.edge_count}, "

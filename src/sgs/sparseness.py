@@ -25,13 +25,17 @@ threshold and of the Cheeger constant is one ratio search, ``_RatioSearch``:
 Dinkelbach's ratio iteration with each linearized subproblem solved
 exactly by one minimum s-t cut.  Each constant maximizes a ratio N/D of
 affine subset functionals, which its route passes as exact coefficients.
-A search builds the cut network of a (graph, region) once
+A search builds the cut network of a graph once
 (:func:`sgs.maxflow.cut_network`) and serves every ratio asked of it: a
 step only recomputes the terminal capacities, as one numpy expression,
 and each ratio starts from the best of its route's start and the
 witnesses already found.  So the whole a-grid of :func:`kmin_flow`, and
 with :func:`sparsity_flow` the threshold too, share one network, and a
-previous a's optimum is often confirmed by one cut.  All flow
+previous a's optimum is often confirmed by one cut.  The constants of
+a vertex region are those of its restriction
+(:meth:`sgs.graphs.Graph.restrict`), whose host degrees turn every edge
+leaving the region into deficit; no route takes a region of its own.
+All flow
 arithmetic is exact: float inputs are dyadic rationals and are
 converted losslessly to fractions, capacities are rescaled to
 integers, subset sums are taken in Python integers, and the iteration
@@ -57,7 +61,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import Graph, Potential, SubsetStats, _as_index, subset_stats
+from .graphs import Graph, Potential, SubsetStats, subset_stats
 from .maxflow import cut_network, min_cut
 
 __all__ = [
@@ -88,11 +92,10 @@ class SparsenessCertificate:
 
 @dataclass(frozen=True)
 class CheegerCertificate:
-    """Witness subset attaining the isoperimetric minimum over a region."""
+    """Witness subset attaining the isoperimetric minimum."""
     ratio: float
     witness: tuple[int, ...]
     stats: SubsetStats
-    region: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -146,13 +149,13 @@ def _block_length(m: int) -> int:
     return 1 << min(m, _BLOCK_BITS)
 
 
-def _sweep(graph: Graph, region: Sequence[int], sums: Sequence[np.ndarray],
-           objective, count: int) -> list[tuple[int, ...]]:
+def _sweep(graph: Graph, sums: Sequence[np.ndarray], objective,
+           count: int) -> list[tuple[int, ...]]:
     """The witnesses of ``count`` objectives over the nonempty subsets W
-    of ``region`` (sorted, at most 22 vertices), one per objective.
+    of the graph's vertices (at most 22), one per objective.
 
     Subset index c holds the W whose bit b is set for the vertex
-    ``region[m - 1 - b]``.  The sweep builds the tables 2|E_W|, |W| and,
+    m - 1 - b.  The sweep builds the tables 2|E_W|, |W| and,
     per array in ``sums`` (indexed by vertex), its sum over W, one block
     of 2^k consecutive indices at a time, k = min(m, ``_BLOCK_BITS``).
     ``objective(twice_edges, size, tables, values)`` writes the block's
@@ -168,14 +171,13 @@ def _sweep(graph: Graph, region: Sequence[int], sums: Sequence[np.ndarray],
     for bit.  The stack holds one block per level, m - k + 1 in all, and
     building a block allocates nothing.
     """
-    m = len(region)
+    m = graph.vertex_count
     _check_enumerable(m)
     k = min(m, _BLOCK_BITS)
     block, depth = _block_length(m), m - k
-    bit = {x: m - 1 - i for i, x in enumerate(region)}
-    adj = [sum(1 << bit[y] for y in graph.neighbors(x) if y in bit)
-           for x in reversed(region)]  # by bit
-    vertex = list(reversed(region))  # by bit
+    vertex = range(m - 1, -1, -1)  # by bit
+    adj = [sum(1 << (m - 1 - y) for y in graph.neighbors(x))
+           for x in vertex]  # by bit
     # level d of the stack holds the block of a d-bit high part, whose
     # sizes are the low part's popcounts plus d, as floats (a float
     # divisor is faster than uint8, and small integers are exact)
@@ -224,7 +226,7 @@ def _sweep(graph: Graph, region: Sequence[int], sums: Sequence[np.ndarray],
         high |= 1 << nxt
         nxt += 1
         objective(te, sz, cur, values)
-    return [tuple(vertex[b] for b in reversed(range(m)) if c >> b & 1)
+    return [tuple(m - 1 - b for b in reversed(range(m)) if c >> b & 1)
             for _, _, c in best]
 
 
@@ -301,8 +303,7 @@ def kmin_bruteforce(graph: Graph, potential: Potential | None, a
                 np.divide(twice_edges, size, out=row)
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        witnesses = _sweep(graph, range(graph.vertex_count),
-                           (graph.host_degree, potential.plus),
+        witnesses = _sweep(graph, (graph.host_degree, potential.plus),
                            objective, len(afs))
     certs = [_kmin_certificate(graph, potential, af, w)
              for af, w in zip(afs, witnesses)]
@@ -320,9 +321,9 @@ def _kmin_certificate(graph: Graph, potential: Potential, a: float,
 
 
 class _RatioSearch:
-    """Dinkelbach's ratio iteration over the nonempty subsets W of one
-    region (by default every vertex), on one cut network built once for
-    every ratio it is asked for.
+    """Dinkelbach's ratio iteration over the nonempty vertex subsets W
+    of one graph, on one cut network built once for every ratio it is
+    asked for.
 
     A ratio is N(W)/D(W), given by the exact coefficients ``num`` and
     ``den`` of N and D over (deg W, q_+(W), |W|, |dW|), the boundary
@@ -336,15 +337,14 @@ class _RatioSearch:
     ratio, divided by their gcd.
 
     The network does not depend on the ratio, so it is built once, with
-    the exact per-vertex arrays: edges inside the region are bidirected
-    arcs, each vertex's outside boundary (deficit plus edges leaving the
-    region) is netted into its terminal weight, and every vertex has
-    both terminal arcs, the one its weight does not use at capacity 0.
-    So a step only recomputes the terminal weights, as one array
-    expression: in int64 when a bound on the coefficients allows it, in
-    Python integers otherwise.  The vertices the source reaches in the
-    residual graph form the smallest minimum cut, so the side is empty
-    exactly when no W beats the empty set.
+    the exact per-vertex arrays: edges are bidirected arcs, each
+    vertex's deficit is netted into its terminal weight, and every
+    vertex has both terminal arcs, the one its weight does not use at
+    capacity 0.  So a step only recomputes the terminal weights, as one
+    array expression: in int64 when a bound on the coefficients allows
+    it, in Python integers otherwise.  The vertices the source reaches in
+    the residual graph form the smallest minimum cut, so the side is
+    empty exactly when no W beats the empty set.
 
     Every witness :meth:`maximize` returns is kept, and a later ratio
     starts from the best, by its own exact ratio, of its ``start`` and
@@ -353,27 +353,18 @@ class _RatioSearch:
     and confirming an optimal start costs one cut.
     """
 
-    def __init__(self, graph: Graph, potential: Potential,
-                 region: tuple[int, ...] | None = None):
-        if region is None:
-            region = tuple(range(graph.vertex_count))
-        self._region = region
+    def __init__(self, graph: Graph, potential: Potential):
         qn, self._qd = _exact_potential(potential.plus)
-        m = len(region)
-        self._vertices = np.asarray(region, dtype=np.int64)
-        self._local = np.full(graph.vertex_count, -1, dtype=np.int64)
-        self._local[self._vertices] = np.arange(m)
-        ends = self._local[graph.edge_ends]
-        self._iu, self._iv = iu, iv = ends[(ends[:, 0] >= 0)
-                                           & (ends[:, 1] >= 0)].T
-        self._deg = deg = graph.host_degree[self._vertices]
-        outside = (deg - np.bincount(iu, minlength=m)
-                   - np.bincount(iv, minlength=m))
-        self._exact_q = exact_q = np.array(qn, dtype=object)[self._vertices]
-        self._exact = deg.astype(object), exact_q, outside.astype(object)
+        m = graph.vertex_count
+        self._everything = tuple(range(m))
+        self._iu, self._iv = iu, iv = graph.edge_ends.T
+        self._deg = deg = graph.host_degree
+        deficit = graph.deficit
+        self._exact_q = exact_q = np.array(qn, dtype=object)
+        self._exact = deg.astype(object), exact_q, deficit.astype(object)
         self._bounds = (int(deg.max()), int(np.abs(exact_q).max()),
-                        int(outside.max()))
-        self._narrow = ((deg, exact_q.astype(np.int64), outside)
+                        int(deficit.max()))
+        self._narrow = ((deg, exact_q.astype(np.int64), deficit)
                         if self._bounds[1] < 2**63 else self._exact)
         s, t = m, m + 1
         self._net = cut_network(
@@ -383,8 +374,8 @@ class _RatioSearch:
         self._found: dict[tuple[int, ...], tuple[int, int, int, int]] = {}
 
     def _counts(self, members: np.ndarray) -> tuple[int, int, int, int]:
-        """(deg W, qd q_+(W), |W|, |dW|) of the region positions
-        ``members``, in Python integers: exact."""
+        """(deg W, qd q_+(W), |W|, |dW|) of the vertices ``members``, in
+        Python integers: exact."""
         inside = np.zeros(len(self._deg), dtype=bool)
         inside[members] = True
         degsum = sum(self._deg[members].tolist())
@@ -395,12 +386,12 @@ class _RatioSearch:
     def maximize(self, num, den, start: tuple[int, ...] | None = None
                  ) -> tuple[tuple[int, ...], Fraction | None]:
         """Maximize N(W)/D(W) from the better of ``start`` (by default
-        the whole region) and the witnesses found so far; returns the
+        every vertex) and the witnesses found so far; returns the
         last improving subset and its ratio.  The achievable ratios are
         finite, so the ratio climbs to the maximum in finitely many
         cuts."""
         if start is None:
-            start = self._region
+            start = self._everything
         qd = self._qd
         # N and D times one positive integer, qd times the coefficients'
         # least common denominator, over the integer counts: a subset's
@@ -416,7 +407,7 @@ class _RatioSearch:
             return None if d == 0 else Fraction(n, d)
 
         witness = start
-        counts = self._counts(self._local[np.asarray(start, dtype=np.int64)])
+        counts = self._counts(np.asarray(start, dtype=np.int64))
         r = ratio(counts)
         for found, found_counts in self._found.items():
             found_r = ratio(found_counts)
@@ -446,7 +437,7 @@ class _RatioSearch:
                             dtype=np.int64)[:-1]  # drop s
             if not len(side):
                 break
-            witness = tuple(self._vertices[side].tolist())
+            witness = tuple(side.tolist())
             counts = self._counts(side)
             new_r = ratio(counts)
             assert new_r is None or new_r > r
@@ -538,48 +529,33 @@ def sparsity_flow(graph: Graph, potential: Potential | None,
 # -- Cheeger constants --------------------------------------------------------
 
 def _cheeger_certificate(graph: Graph, potential: Potential,
-                         witness: tuple[int, ...],
-                         region: tuple[int, ...]) -> CheegerCertificate:
+                         witness: tuple[int, ...]) -> CheegerCertificate:
     stats = subset_stats(graph, potential, witness)
     den = stats.degree_sum + stats.q_sum
     num = stats.boundary + stats.q_sum
     ratio = 0.0 if den == 0 else num / den
-    return CheegerCertificate(ratio=ratio, witness=witness, stats=stats,
-                              region=region)
+    return CheegerCertificate(ratio=ratio, witness=witness, stats=stats)
 
 
-def _cheeger_input(graph: Graph, potential: Potential | None,
-                   region) -> tuple[Potential, tuple[int, ...]]:
-    """The checked potential and the sorted region (default all) of a
-    Cheeger route.  Every quotient sums degrees and q over a subset of
-    the region, so their |q| plus degree total must be a finite float."""
+def _cheeger_input(graph: Graph, potential: Potential | None) -> Potential:
+    """The checked potential of a Cheeger route.  Every quotient sums
+    degrees and q over a vertex subset, so their |q| plus degree total
+    must be a finite float."""
     potential = _check_potential(graph, potential)
-    seen = set()
-    for i, x in enumerate(range(graph.vertex_count) if region is None
-                          else region):
-        x = _as_index(x, "region", i)
-        if not (0 <= x < graph.vertex_count):
-            raise ValueError(f"region vertex {x} out of range")
-        seen.add(x)
-    if not seen:
-        raise ValueError("region must be nonempty")
-    region = tuple(sorted(seen))
-    members = np.asarray(region)
     with np.errstate(over="ignore"):
-        total = (np.abs(potential.values[members])
-                 + graph.host_degree[members]).sum()
+        total = (np.abs(potential.values) + graph.host_degree).sum()
     if not math.isfinite(total):
         raise ValueError("the region's |q| plus degree total overflows")
-    return potential, region
+    return potential
 
 
-def cheeger_bruteforce(graph: Graph, potential: Potential | None,
-                       region=None) -> CheegerCertificate:
-    """:func:`cheeger` by enumerating the nonempty subsets of the region
-    (at most 22 vertices); ties go to the smallest witness, then to the
+def cheeger_bruteforce(graph: Graph,
+                       potential: Potential | None) -> CheegerCertificate:
+    """:func:`cheeger` by enumerating the nonempty vertex subsets (at
+    most 22 vertices); ties go to the smallest witness, then to the
     lexicographically smallest vertex list."""
-    potential, region = _cheeger_input(graph, potential, region)
-    block = _block_length(len(region))
+    potential = _cheeger_input(graph, potential)
+    block = _block_length(graph.vertex_count)
     den, zero = np.empty(block), np.empty(block, dtype=bool)
 
     def objective(twice_edges, size, tables, values):
@@ -596,36 +572,34 @@ def cheeger_bruteforce(graph: Graph, potential: Potential | None,
         np.putmask(row, zero, 0.0)
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        witness, = _sweep(graph, region, (graph.host_degree, potential.values),
+        witness, = _sweep(graph, (graph.host_degree, potential.values),
                           objective, 1)
-    return _cheeger_certificate(graph, potential, witness, region)
+    return _cheeger_certificate(graph, potential, witness)
 
 
-def cheeger(graph: Graph, potential: Potential | None,
-            region=None) -> CheegerCertificate:
-    """Isoperimetric constant of a region: min over nonempty W inside it
-    of (|dW| + q(W)) / (deg(W) + q(W)), boundary taken in the full host.
+def cheeger(graph: Graph, potential: Potential | None) -> CheegerCertificate:
+    """Isoperimetric constant: min over nonempty W of (|dW| + q(W)) /
+    (deg(W) + q(W)), the boundary host-aware.  The constant of a vertex
+    region U is ``cheeger(graph.restrict(U), q on U)``.
 
     The quotient is 0 by convention when its denominator vanishes.  This
     is the flow route, exact by ratio descent with min cuts; it needs
-    q >= 0 on the region.  :func:`cheeger_bruteforce` is the oracle.
+    q >= 0.  :func:`cheeger_bruteforce` is the oracle.
     """
-    potential, region = _cheeger_input(graph, potential, region)
-    idx = np.asarray(region)
-    if np.any(potential.values[idx] < 0):
+    potential = _cheeger_input(graph, potential)
+    if np.any(potential.values < 0):
         raise ValueError(
             "flow Cheeger method requires a non-negative potential on the region")
     # zero-denominator convention: an isolated massless vertex gives ratio 0
-    isolated = np.flatnonzero((graph.host_degree[idx] == 0)
-                              & (potential.values[idx] == 0))
+    isolated = np.flatnonzero((graph.host_degree == 0)
+                              & (potential.values == 0))
     if len(isolated):
-        return _cheeger_certificate(graph, potential,
-                                    (region[isolated[0]],), region)
-    # maximize -(|dW| + q(W)) / (deg W + q(W)), q = q_+ on the region;
-    # every denominator is now positive, and every singleton has ratio -1
-    witness, _ = _RatioSearch(graph, potential, region).maximize(
-        (0, -1, 0, -1), (1, 1, 0, 0), (region[0],))
-    return _cheeger_certificate(graph, potential, witness, region)
+        return _cheeger_certificate(graph, potential, (int(isolated[0]),))
+    # maximize -(|dW| + q(W)) / (deg W + q(W)), q = q_+ here; every
+    # denominator is now positive, and every singleton has ratio -1
+    witness, _ = _RatioSearch(graph, potential).maximize(
+        (0, -1, 0, -1), (1, 1, 0, 0), (0,))
+    return _cheeger_certificate(graph, potential, witness)
 
 
 # -- closed-form helpers ------------------------------------------------------

@@ -222,20 +222,18 @@ class SpectralPlan:
         upper = ((1.0 + a_tilde) * self.mu + k_upper) - lam
         return lower, upper
 
-    def compressed_bottoms(self, region, slope_lower: float,
-                           slope_upper: float) -> tuple[float, float]:
-        """Smallest eigenvalues of H - slope_lower D and slope_upper D - H
-        compressed to ``region`` (functions supported there); above the
-        dense limit, -lambda_max(A - (1-slope_lower) D) and
-        -lambda_max(-A - (slope_upper-1) D) from one batch."""
-        idx = np.asarray(region, dtype=np.int64)
-        d = self.diagonal[idx]
-        if len(idx) <= EXTREMAL_DENSE_LIMIT:
-            h = self.operator.matrix[idx][:, idx]
+    def bottoms(self, slope_lower: float,
+                slope_upper: float) -> tuple[float, float]:
+        """Smallest eigenvalues of H - slope_lower D and slope_upper D - H;
+        above the dense limit, -lambda_max(A - (1-slope_lower) D) and
+        -lambda_max(-A - (slope_upper-1) D) from one batch.  On a plan of
+        ``graph.restrict(U)`` they are the bottoms of the compressions
+        to U (functions supported there)."""
+        if self._dense:
+            h, d = self.operator.matrix, sp.diags(self.diagonal)
             return tuple(float(np.linalg.eigvalsh(m.toarray())[0])
-                         for m in (h - slope_lower * sp.diags(d),
-                                   slope_upper * sp.diags(d) - h))
-        top = _top_eigenvalues(self._adjacency[idx][:, idx], d,
+                         for m in (h - slope_lower * d, slope_upper * d - h))
+        top = _top_eigenvalues(self._adjacency, self.diagonal,
                                [1.0 - slope_lower, slope_upper - 1.0],
                                [1.0, -1.0])
         return float(-top[0]), float(-top[1])

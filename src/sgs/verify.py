@@ -32,14 +32,13 @@ def run_checks(graph: Graph, potential: Potential | None,
     """The check records of ``sgs analyze verify``, in report order.
 
     ``region`` (vertex indices, default all) is where the Cheeger form
-    bounds are checked; ``seed`` drives the Kato sweep.  A record is
-    ``ok`` with a margin, its ``tolerance_scale`` and details, or
-    ``skipped`` with a ``reason``.
+    bounds are checked, on ``graph.restrict(region)``; ``seed`` drives
+    the Kato sweep.  A record is ``ok`` with a margin, its
+    ``tolerance_scale`` and details, or ``skipped`` with a ``reason``.
     """
     if potential is None:
         potential = Potential.zero(graph)
-    everything = tuple(range(graph.vertex_count))
-    region = everything if region is None else tuple(region)
+    region = None if region is None else tuple(region)
     checks: list[dict] = []
 
     def add(check_id: str, margin: float, scale: float = 1.0, **details) -> None:
@@ -50,9 +49,9 @@ def run_checks(graph: Graph, potential: Potential | None,
         checks.append({"id": check_id, "status": "skipped", "margin": None,
                        "reason": reason})
 
-    @cache
-    def alpha_of(vertices: tuple[int, ...]) -> float:
-        return sparseness.cheeger(graph, potential, vertices).ratio
+    @cache  # a region of every vertex is the graph: one search serves both
+    def alpha_of(g: Graph, q: Potential) -> float:
+        return sparseness.cheeger(g, q).ratio
 
     rng = np.random.default_rng(seed)
     q = potential.values
@@ -128,16 +127,19 @@ def run_checks(graph: Graph, potential: Potential | None,
             graph, phase if phase is not None else PhaseField.zero(graph)))
 
     if positive_q:
-        alpha_v, amin = alpha_of(everything), amin.value
+        alpha_v, amin = alpha_of(graph, potential), amin.value
         add("isoperimetric_dictionary", -abs(alpha_v - 1.0 / (1.0 + amin)),
             alpha=alpha_v, amin=amin)
     else:
         skip("isoperimetric_dictionary", "requires strictly positive q")
 
     if nonneg_q:
-        alpha_u = alpha_of(region)
+        sub = graph if region is None else graph.restrict(region)
+        sub_q = potential if sub is graph else Potential(q[np.unique(region)])
+        alpha_u = alpha_of(sub, sub_q)
         slope_lo, slope_hi = cheeger_form_slopes(alpha_u)
-        low_eig, up_eig = plain.compressed_bottoms(region, slope_lo, slope_hi)
+        sub_plan = plain if sub is graph else SpectralPlan(sub, sub_q)
+        low_eig, up_eig = sub_plan.bottoms(slope_lo, slope_hi)
         add("cheeger_form_bounds", min(low_eig, up_eig), scale=scale,
             alpha=alpha_u, slope_lower=slope_lo, slope_upper=slope_hi)
         k0 = k_of[0.0]

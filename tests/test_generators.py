@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from sgs import (Graph, RadialFamilySpec, antitree, breadth_first_spheres,
-                 combine, complete_graph, cycle_graph, grid_graph, kmin_flow,
-                 make_basic, make_radial_family, path_graph,
-                 regular_tree_ball, star_graph)
+                 cartesian_sum, complete_graph, cycle_graph, edge_union,
+                 grid_graph, kmin_flow, make_basic, make_radial_family,
+                 path_graph, regular_tree_ball, star_graph)
 
 from helpers import random_graph
 
@@ -95,23 +95,29 @@ def test_radial_family_infeasible():
 def test_combine_edge_union():
     p3 = path_graph(3)
     extra = Graph(3, [(0, 2)])
-    assert set(combine("edge_union", p3, extra).edges) == {(0, 1), (0, 2), (1, 2)}
+    assert set(edge_union(p3, extra).edges) == {(0, 1), (0, 2), (1, 2)}
+    # shared edges are kept once
+    assert edge_union(p3, complete_graph(3)).edges == ((0, 1), (0, 2), (1, 2))
     with pytest.raises(ValueError, match="identical vertex sets"):
-        combine("edge_union", p3, path_graph(4))
+        edge_union(p3, path_graph(4))
 
 
 def test_combine_cartesian_sum():
     p2 = path_graph(2)
-    c4 = combine("cartesian_sum", p2, p2)
+    c4 = cartesian_sum(p2, p2)
     assert c4.vertex_count == 4
     assert set(c4.internal_degree.tolist()) == {2}
     assert c4.edge_count == 4  # the 4-cycle
+    assert cartesian_sum(path_graph(5), path_graph(5)).edges == \
+        grid_graph(5).edges
+    assert cartesian_sum(path_graph(3), Graph(1, [])).edges == \
+        path_graph(3).edges
 
 
 def test_cartesian_degrees_add():
     rng = np.random.default_rng(4)
     g1, g2 = random_graph(rng, n_max=6), random_graph(rng, n_max=6)
-    prod = combine("cartesian_sum", g1, g2)
+    prod = cartesian_sum(g1, g2)
     n2 = g2.vertex_count
     for x1 in range(g1.vertex_count):
         for x2 in range(n2):
@@ -120,15 +126,18 @@ def test_cartesian_degrees_add():
 
 
 def test_combine_subgraph():
+    # an edge subgraph is the constructor on the kept rows; a vertex
+    # subgraph is a restriction
     k3 = complete_graph(3)
-    p3 = combine("subgraph", k3, predicate=lambda u, v: (u, v) != (0, 2))
+    kept = [(u, v) for u, v in k3.edges if (u, v) != (0, 2)]
+    p3 = Graph(3, kept)
     assert set(p3.edges) == {(0, 1), (1, 2)}
     assert int(p3.deficit.sum()) == 0
-    kept = combine("subgraph", k3, predicate=lambda u, v: (u, v) != (0, 2),
-                   keep_host=True)
-    assert int(kept.deficit.sum()) == 2  # dropped edge becomes deficit
-    with pytest.raises(ValueError, match="not a subgraph"):
-        combine("subgraph", path_graph(3), Graph(3, [(0, 2)]))
+    hosted = Graph(3, kept, host_degree=k3.host_degree)
+    assert int(hosted.deficit.sum()) == 2  # dropped edge becomes deficit
+    pair = k3.restrict([0, 2])
+    assert pair.edges == ((0, 1),)
+    assert pair.deficit.tolist() == [1, 1]  # edges to vertex 1
 
 
 def test_ball_truncation_examples():

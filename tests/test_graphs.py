@@ -245,3 +245,58 @@ def test_phase_shift_and_negate():
 def test_breadth_first_spheres():
     g = regular_tree_ball(2, 3)  # a path of length 3 rooted at 0
     assert [len(s) for s in breadth_first_spheres(g, 0)] == [1, 2, 2, 2]
+
+
+def test_restrict_is_the_induced_subgraph_with_host_degrees():
+    rng = np.random.default_rng(23)
+    for _ in range(30):
+        base = random_graph(rng, n_min=3, n_max=14)
+        n = base.vertex_count
+        g = Graph(n, base.edges, host_degree=base.internal_degree
+                  + rng.integers(0, 3, n))
+        region = sorted(rng.choice(n, int(rng.integers(1, n)),
+                                   replace=False).tolist())
+        sub = g.restrict(region)
+        assert sub.vertex_count == len(region)
+        assert sub.host_degree.tolist() == g.host_degree[region].tolist()
+        assert np.array_equal(sub.deficit,
+                              sub.host_degree - sub.internal_degree)
+        # the host's inner rows, renumbered, in the host's order
+        local = {x: i for i, x in enumerate(region)}
+        inner = [(local[u], local[v]) for u, v in g.edges
+                 if u in local and v in local]
+        assert sub.edges == tuple(inner)
+        # every boundary count is the host's
+        for w in ([0], list(range(len(region)))):
+            stats = subset_stats(sub, None, w)
+            assert stats == subset_stats(g, None, [region[x] for x in w])
+
+
+def test_restrict_normalizes_its_region():
+    g = regular_tree_ball(3, 3)
+    n = g.vertex_count
+    assert g.restrict(range(n)) is g
+    assert g.restrict(np.arange(n)[::-1]) is g
+    want = g.restrict([1, 4, 5])
+    for region in ([5, 1, 4], [4, 1, 5, 1, 4], np.array([5, 4, 1]),
+                   (np.int64(1), np.int32(4), 5)):
+        sub = g.restrict(region)
+        assert sub.edges == want.edges
+        assert sub.host_degree.tolist() == want.host_degree.tolist()
+    assert want.edges == ((0, 1), (0, 2))
+    assert want.deficit.tolist() == [1, 2, 2]
+
+
+def test_restrict_rejects_bad_regions():
+    g = path_graph(3)
+    with pytest.raises(ValueError, match="^region must be nonempty$"):
+        g.restrict(())
+    # int() used to read region [0.9, 1.2] as (0, 1)
+    with pytest.raises(ValueError,
+                       match=r"^region\[0\] is not an integer: 0\.9$"):
+        g.restrict([0.9, 1.2])
+    with pytest.raises(ValueError, match=r"^region\[1\] is not an integer: '1'$"):
+        g.restrict([0, "1"])
+    for x in (3, -1):
+        with pytest.raises(ValueError, match=rf"^region vertex {x} out of range$"):
+            g.restrict([0, x])

@@ -5,15 +5,15 @@ import numpy as np
 import pytest
 
 from sgs import (Graph, Potential, RadialFamilySpec, amin_zero_k, cheeger,
-                 cheeger_bruteforce, cheeger_lower_bound, combine,
-                 complete_graph, cycle_graph, kmin_bruteforce, kmin_flow,
+                 cheeger_bruteforce, cheeger_lower_bound, complete_graph,
+                 cycle_graph, edge_union, kmin_bruteforce, kmin_flow,
                  make_radial_family, path_graph, potential_class_kappa,
                  regular_tree_ball, sparsity_flow, subset_stats)
 from sgs.sparseness import ENUMERATION_LIMIT
 
 from helpers import (full_best_subset, full_cheeger_objective,
                      full_kmin_objective, full_subset_tables, random_graph,
-                     uniform_potential)
+                     restricted, uniform_potential)
 
 
 def test_kmin_path_examples():
@@ -151,7 +151,7 @@ def test_kmin_union_bound():
     for _ in range(15):
         g1 = random_graph(rng, n_min=4, n_max=9)
         g2 = random_graph(rng, n_min=g1.vertex_count, n_max=g1.vertex_count)
-        union = combine("edge_union", g1, g2)
+        union = edge_union(g1, g2)
         k1 = kmin_flow(g1, None, 0.0).k
         k2 = kmin_flow(g2, None, 0.0).k
         assert kmin_flow(union, None, 0.0).k <= k1 + k2 + 1e-12
@@ -205,7 +205,7 @@ def test_amin_matches_enumeration():
 
 def test_cheeger_examples():
     p3 = path_graph(3)
-    cert = cheeger_bruteforce(p3, None, region=(0, 2))
+    cert = cheeger_bruteforce(p3.restrict((0, 2)), None)
     assert cert.ratio == pytest.approx(1.0)
     assert cheeger(p3, None).ratio == cheeger_bruteforce(p3, None).ratio == 0.0
     ball = regular_tree_ball(3, 6)
@@ -221,20 +221,6 @@ def test_cheeger_zero_denominator_convention():
     assert cheeger_bruteforce(g, None).ratio == 0.0
 
 
-def test_cheeger_empty_region_rejected():
-    with pytest.raises(ValueError, match="nonempty"):
-        cheeger(path_graph(3), None, region=())
-    # int() used to read region [0.9, 1.2] as (0, 1)
-    for route in (cheeger, cheeger_bruteforce):
-        with pytest.raises(ValueError,
-                           match=r"region\[0\] is not an integer: 0\.9"):
-            route(path_graph(3), None, region=[0.9, 1.2])
-        with pytest.raises(ValueError, match=r"region\[1\]"):
-            route(path_graph(3), None, region=[0, "1"])
-    assert cheeger_bruteforce(path_graph(3), None,
-                              region=np.array([0, 1])).region == (0, 1)
-
-
 def test_cheeger_oracle_agreement():
     rng = np.random.default_rng(17)
     for _ in range(60):
@@ -244,8 +230,9 @@ def test_cheeger_oracle_agreement():
         removed = set(int(x) for x in
                       rng.choice(n, size=int(rng.integers(1, n)), replace=False))
         region = sorted(set(range(n)) - removed) or [0]
-        cb = cheeger_bruteforce(g, q, region).ratio
-        cf = cheeger(g, q, region).ratio
+        sub, sub_q = restricted(g, q, region)
+        cb = cheeger_bruteforce(sub, sub_q).ratio
+        cf = cheeger(sub, sub_q).ratio
         assert abs(cb - cf) <= 1e-9
 
 
@@ -273,7 +260,7 @@ def test_cheeger_overflow_is_named():
         with pytest.raises(ValueError, match="overflows"):
             route(g, q)
         # a region whose total stays finite is fine
-        assert route(g, q, (1,)).ratio == pytest.approx(1.0)
+        assert route(*restricted(g, q, (1,))).ratio == pytest.approx(1.0)
 
 
 def test_cheeger_lower_bound_examples():
@@ -308,9 +295,9 @@ def test_bruteforce_tie_breaking():
     assert lone.witness == (0,)
     # on a region with a gap, {1, 2}, {4, 5} and their union all have
     # Cheeger ratio 1/2: the smaller, then lexicographically first wins
-    arc = cheeger_bruteforce(cycle_graph(8), None, (5, 4, 2, 1))
+    arc = cheeger_bruteforce(cycle_graph(8).restrict((5, 4, 2, 1)), None)
     assert arc.ratio == 0.5
-    assert arc.witness == (1, 2)
+    assert arc.witness == (0, 1)  # the region's vertices 1 and 2
 
 
 def test_oracle_agreement_with_host_deficits_and_negative_q():
@@ -353,8 +340,9 @@ def test_cheeger_oracle_agreement_with_host_deficits():
         removed = set(int(x) for x in
                       rng.choice(n, size=int(rng.integers(0, n)), replace=False))
         region = sorted(set(range(n)) - removed) or [0]
-        cb = cheeger_bruteforce(g, q, region).ratio
-        cf = cheeger(g, q, region).ratio
+        sub, sub_q = restricted(g, q, region)
+        cb = cheeger_bruteforce(sub, sub_q).ratio
+        cf = cheeger(sub, sub_q).ratio
         assert abs(cb - cf) <= 1e-9
 
 
@@ -388,7 +376,10 @@ def test_flow_witnesses_are_pinned():
                for a in (0, Fraction(1, 2), 2)]
         assert got == kmins
         assert amin_zero_k(g, pot).witness == amin
-        assert cheeger(g, pot, region).witness == cheeger_w
+        # both regions are leading vertices, which the restriction keeps
+        sub, sub_q = ((g, pot) if region is None
+                      else restricted(g, pot, region))
+        assert cheeger(sub, sub_q).witness == cheeger_w
     assert inner == tuple(range(22))
 
 
@@ -447,16 +438,24 @@ def test_flow_routes_reach_the_exact_optima(monkeypatch):
         if g.edge_count:
             assert values[0] is None or type(values[0]) is Fraction
             assert values == [optima(g, q, everything, amin_ratio)]
-        # the flow Cheeger constant needs q >= 0 on its region
+        # the flow Cheeger constant needs q >= 0.  On a region it is the
+        # constant of the restriction, and both routes reach the
+        # host-aware optimum over the region's subsets in the full graph
         q = uniform_potential(rng, n, 0, 3)
         region = sorted(int(x) for x in rng.choice(
             n, size=int(rng.integers(1, n + 1)), replace=False))
+        best = optima(g, q, region, lambda twice, bd, deg, qp, size:
+                      -(bd + qp) / (deg + qp))
+        sub, sub_q = restricted(g, q, region)
         del values[:]
-        cheeger(g, q, region)
+        flow = cheeger(sub, sub_q)
         assert type(values[0]) is Fraction
-        assert values == [optima(g, q, region,
-                                 lambda twice, bd, deg, qp, size:
-                                 -(bd + qp) / (deg + qp))]
+        assert values == [best]
+        for cert in (flow, cheeger_bruteforce(sub, sub_q)):
+            w = [region[x] for x in cert.witness]
+            st = subset_stats(g, None, w)
+            qw = sum((Fraction(q.values[x]) for x in w), Fraction(0))
+            assert -(st.boundary + qw) / (st.degree_sum + qw) == best
 
 
 def test_exact_potential_matches_fractions():
@@ -497,7 +496,7 @@ def test_compiled_cuts_match_dinic_on_wide_capacities(monkeypatch):
                 out.append((cert.witness, repr(cert.ratio)))
             threshold = amin_zero_k(g, q)
             out.append((threshold.witness, repr(threshold.value)))
-            cert = cheeger(g, q, inner)
+            cert = cheeger(*restricted(g, q, inner))
             out.append((cert.witness, repr(cert.ratio)))
         return out
 
@@ -523,8 +522,8 @@ def test_one_network_per_ratio_driver(monkeypatch):
     g = grid_graph(16)
     q = Potential(np.random.default_rng(53).uniform(0.0, 3.0, g.vertex_count))
     top = g.internal_degree.max()
-    inner = tuple(x for x in range(g.vertex_count)
-                  if g.internal_degree[x] == top)
+    inner = restricted(g, q, [x for x in range(g.vertex_count)
+                              if g.internal_degree[x] == top])
     events = []
     drive, build, solve = (sparseness._RatioSearch.__init__,
                            sparseness.cut_network, sparseness.min_cut)
@@ -548,7 +547,7 @@ def test_one_network_per_ratio_driver(monkeypatch):
     counts = []
     for certify in (lambda: kmin_flow(g, q, Fraction(1, 2)),
                     lambda: amin_zero_k(g, q),
-                    lambda: cheeger(g, q, inner)):
+                    lambda: cheeger(*inner)):
         del events[:]
         certify()
         kinds = [kind for kind, _ in events]
@@ -583,8 +582,9 @@ def test_oracle_sized_networks_stay_off_scipy(monkeypatch):
         assert kmin_flow(g, q, a).k == pytest.approx(
             kmin_bruteforce(g, q, a).k, abs=1e-9)
     amin_zero_k(g, q)
-    assert cheeger(g, q, range(12)).ratio == pytest.approx(
-        cheeger_bruteforce(g, q, range(12)).ratio, abs=1e-9)
+    sub, sub_q = restricted(g, q, range(12))
+    assert cheeger(sub, sub_q).ratio == pytest.approx(
+        cheeger_bruteforce(sub, sub_q).ratio, abs=1e-9)
     assert len(networks) == 6
     assert max(len(net.slot) for net in networks) == 420
     assert maxflow._SCIPY_MIN_ARCS > 420
@@ -748,7 +748,7 @@ def test_in_place_objectives_equal_their_expressions(monkeypatch):
         for q in (Potential(rng.integers(-3, 3, n).astype(float)),
                   uniform_potential(rng, n, -2, 3)):
             te, size, (deg, qp, qv) = full_subset_tables(
-                g, range(n), (g.host_degree, q.plus, q.values))
+                g, (g.host_degree, q.plus, q.values))
             seen.clear()
             kmin_bruteforce(g, q, grid)
             for i, af in enumerate(grid):
@@ -800,25 +800,24 @@ def test_bruteforce_equals_full_tables_across_blocks():
     for g, q in cases:
         n = g.vertex_count
         te, size, (deg, qp, qv) = full_subset_tables(
-            g, range(n), (g.host_degree, q.plus, q.values))
+            g, (g.host_degree, q.plus, q.values))
         zero_dens += np.count_nonzero((deg + qv)[1:] == 0.0)
         want = [sparseness._kmin_certificate(g, q, af, full_best_subset(
-            range(n), size, full_kmin_objective(te, size, deg, qp, af)))
+            size, full_kmin_objective(te, size, deg, qp, af)))
             for af in grid]
         assert repr(kmin_bruteforce(g, q, grid)) == repr(want)
-        witness = full_best_subset(range(n), size,
-                                   full_cheeger_objective(te, deg, qv))
+        witness = full_best_subset(size, full_cheeger_objective(te, deg, qv))
         assert repr(cheeger_bruteforce(g, q)) == repr(
-            sparseness._cheeger_certificate(g, q, witness, tuple(range(n))))
+            sparseness._cheeger_certificate(g, q, witness))
         del te, size, deg, qp, qv
-        # a proper region: its sums and boundaries still see the host
-        region = tuple(sorted(rng.choice(n, n - 2, replace=False).tolist()))
+        # a proper region: its sums and boundaries still see the host,
+        # through the host degrees the restriction keeps
+        sub, sub_q = restricted(g, q, rng.choice(n, n - 2, replace=False))
         te, size, (deg, qv) = full_subset_tables(
-            g, region, (g.host_degree, q.values))
-        witness = full_best_subset(region, size,
-                                   full_cheeger_objective(te, deg, qv))
-        assert repr(cheeger_bruteforce(g, q, region)) == repr(
-            sparseness._cheeger_certificate(g, q, witness, region))
+            sub, (sub.host_degree, sub_q.values))
+        witness = full_best_subset(size, full_cheeger_objective(te, deg, qv))
+        assert repr(cheeger_bruteforce(sub, sub_q)) == repr(
+            sparseness._cheeger_certificate(sub, sub_q, witness))
     assert zero_dens > 0
 
 

@@ -15,7 +15,7 @@ import sgs.spectra
 from sgs.spectra import (DEFAULT_ATILDE_GRID, EXTREMAL_DENSE_LIMIT,
                          _top_eigenvalues)
 
-from helpers import random_graph, uniform_potential
+from helpers import random_graph, restricted, uniform_potential
 
 
 def test_eigenvalues_examples():
@@ -165,7 +165,7 @@ def test_cheeger_form_bound_compression():
         removed = set(int(x) for x in
                       rng.choice(n, size=int(rng.integers(1, n)), replace=False))
         region = sorted(set(range(n)) - removed) or [0]
-        alpha = cheeger(g, q, region).ratio
+        alpha = cheeger(*restricted(g, q, region)).ratio
         lo, hi = cheeger_form_slopes(alpha)
         sub = np.ix_(region, region)
         lap = assemble(g, q).toarray()
@@ -261,8 +261,7 @@ def test_magnetic_compressed_bottoms_above_dense_cutover_match_dense(whole):
     region = (np.arange(g.vertex_count) if whole
               else np.arange(0, g.vertex_count - 20))
     assert len(region) > EXTREMAL_DENSE_LIMIT
-    plan = SpectralPlan(g, q, ph)
-    got = plan.compressed_bottoms(region, 0.4, 1.6)
+    got = SpectralPlan(*restricted(g, q, region, ph)).bottoms(0.4, 1.6)
     h = assemble(g, q, ph).toarray()[np.ix_(region, region)]
     d = np.diag(np.real(np.diag(h)))
     for value, m in zip(got, (h - 0.4 * d, 1.6 * d - h)):
@@ -360,11 +359,11 @@ def test_kernel_region_bottoms_match_dense_to_1e_12(phased):
     g, q, ph = _kernel_case("magnetic_grid" if phased else "grid_q")
     region = np.arange(30, g.vertex_count - 40)
     assert len(region) > EXTREMAL_DENSE_LIMIT
-    plan = SpectralPlan(g, q, ph)
+    plan = SpectralPlan(*restricted(g, q, region, ph))
     h = assemble(g, q, ph).toarray()[np.ix_(region, region)]
     d = np.diag(np.real(np.diag(h)))
     for at in DEFAULT_ATILDE_GRID:
-        got = plan.compressed_bottoms(region, 1.0 - at, 1.0 + at)
+        got = plan.bottoms(1.0 - at, 1.0 + at)
         for value, m in zip(got, (h - (1.0 - at) * d, (1.0 + at) * d - h)):
             top, norm = _dense_top(-m)
             assert abs(value + top) <= 1e-12 * (1.0 + norm), at

@@ -122,3 +122,40 @@ def test_run_checks_builds_one_search_for_every_kmin(monkeypatch):
     assert len(searches) == 2
     dictionary, = (r for r in records if r["id"] == "isoperimetric_dictionary")
     assert dictionary["amin"] == both(ball, q, [])[1].value
+
+
+@pytest.mark.parametrize("m", [8, 20])
+def test_cheeger_form_bounds_on_a_proper_region(tmp_path, m):
+    # below (36 vertices) and above (324) the dense limit: the record is
+    # the restriction's Cheeger constant and the bottoms of the dense
+    # compression H[U,U] -/+ s D[U]; the CLI's all-but-border region
+    # gives the same record
+    from sgs import assemble, cheeger
+    from sgs.spectra import EXTREMAL_DENSE_LIMIT
+    from sgs.verify import run_checks
+    g = grid_graph(m)
+    q = Potential(np.random.default_rng(m).uniform(0.0, 1.0, g.vertex_count))
+    region = np.flatnonzero(g.internal_degree == 4)
+    assert len(region) == (m - 2) ** 2
+    assert (len(region) > EXTREMAL_DENSE_LIMIT) == (m == 20)
+    records = run_checks(g, q, a_grid=[0.0], atilde_grid=[0.5],
+                         region=region)
+    bounds, = (r for r in records if r["id"] == "cheeger_form_bounds")
+    alpha = cheeger(g.restrict(region), Potential(q.values[region])).ratio
+    assert bounds["alpha"] == alpha
+    h = assemble(g, q).toarray()[np.ix_(region, region)]
+    d = np.diag(np.diag(h))
+    dense = min(np.linalg.eigvalsh(h - bounds["slope_lower"] * d)[0],
+                np.linalg.eigvalsh(bounds["slope_upper"] * d - h)[0])
+    assert abs(bounds["margin"] - dense) <= 1e-12
+    # the whole graph's constant is another check's, and differs here
+    whole, = (r for r in records if r["id"] == "isoperimetric_dictionary")
+    assert whole["alpha"] != alpha
+
+    gfile, rfile = tmp_path / "g.json", tmp_path / "r.json"
+    save_graph(gfile, g, q)
+    assert main(["analyze", "verify", str(gfile), "--a-grid", "0",
+                 "--atilde-grid", "0.5", "--region", "all-but-border",
+                 "--out", str(rfile)]) == 0
+    checks = json.loads(rfile.read_text())["results"]["checks"]
+    assert checks == records
