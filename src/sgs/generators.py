@@ -28,25 +28,33 @@ __all__ = [
 ]
 
 
+def _rows(u, v) -> np.ndarray:
+    """The int64 edge array of the pairs ``(u[i], v[i])``, either one a
+    scalar or an integer array."""
+    return np.column_stack(np.broadcast_arrays(u, v)).astype(np.int64)
+
+
 def path_graph(n: int) -> Graph:
     n = _as_index(n, "n")
     if n < 1:
         raise ValueError("path needs at least one vertex")
-    return Graph(n, ((i, i + 1) for i in range(n - 1)))
+    x = np.arange(n - 1)
+    return Graph(n, _rows(x, x + 1))
 
 
 def cycle_graph(n: int) -> Graph:
     n = _as_index(n, "n")
     if n < 3:
         raise ValueError("cycle needs at least three vertices")
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+    x = np.arange(n)
+    return Graph(n, _rows(x, (x + 1) % n))
 
 
 def complete_graph(n: int) -> Graph:
     n = _as_index(n, "n")
     if n < 1:
         raise ValueError("complete graph needs at least one vertex")
-    return Graph(n, ((i, j) for i in range(n) for j in range(i + 1, n)))
+    return Graph(n, _rows(*np.triu_indices(n, 1)))
 
 
 def grid_graph(m: int) -> Graph:
@@ -54,15 +62,10 @@ def grid_graph(m: int) -> Graph:
     m = _as_index(m, "m")
     if m < 1:
         raise ValueError("grid needs positive side length")
-    edges = []
-    for r in range(m):
-        for c in range(m):
-            x = r * m + c
-            if c + 1 < m:
-                edges.append((x, x + 1))
-            if r + 1 < m:
-                edges.append((x, x + m))
-    return Graph(m * m, edges)
+    x = np.arange(m * m).reshape(m, m)
+    return Graph(m * m, np.concatenate(
+        (_rows(x[:, :-1].ravel(), x[:, 1:].ravel()),
+         _rows(x[:-1].ravel(), x[1:].ravel()))))
 
 
 def star_graph(n: int) -> Graph:
@@ -70,7 +73,7 @@ def star_graph(n: int) -> Graph:
     n = _as_index(n, "n")
     if n < 1:
         raise ValueError("star needs at least one vertex")
-    return Graph(n, ((0, i) for i in range(1, n)))
+    return Graph(n, _rows(0, np.arange(1, n)))
 
 
 def antitree(sphere_sizes: Sequence[int]) -> Graph:
@@ -79,15 +82,12 @@ def antitree(sphere_sizes: Sequence[int]) -> Graph:
              for i, s in enumerate(sphere_sizes)]
     if not sizes or any(s < 1 for s in sizes):
         raise ValueError("sphere sizes must be positive")
-    offsets = [0]
-    for s in sizes:
-        offsets.append(offsets[-1] + s)
-    edges = []
-    for k in range(len(sizes) - 1):
-        for u in range(offsets[k], offsets[k + 1]):
-            for v in range(offsets[k + 1], offsets[k + 2]):
-                edges.append((u, v))
-    return Graph(offsets[-1], edges)
+    offsets = np.cumsum([0, *sizes])
+    edges = [_rows(*(x.ravel() for x in np.meshgrid(
+        np.arange(offsets[k], offsets[k + 1]),
+        np.arange(offsets[k + 1], offsets[k + 2]), indexing="ij")))
+        for k in range(len(sizes) - 1)]
+    return Graph(int(offsets[-1]), np.concatenate([_rows([], []), *edges]))
 
 
 _BASIC: dict[str, Callable[..., Graph]] = {
@@ -170,22 +170,18 @@ def _extend(seq: Sequence[int], depth: int, name: str) -> tuple[int, ...]:
     return vals
 
 
-def _circulant_edges(vertices: Sequence[int], degree: int) -> list[tuple[int, int]]:
-    """Deterministic degree-regular graph on the given vertex list.
+def _circulant_edges(start: int, size: int, degree: int) -> np.ndarray:
+    """Deterministic degree-regular graph on the vertices ``start ..
+    start + size - 1``, as an edge array.
 
     Each vertex is joined to its floor(degree/2) cyclic successors; an
     odd degree (legal only for even cycles) adds the antipodal chord.
     """
-    s = len(vertices)
-    edges = []
-    half = degree // 2
-    for i in range(s):
-        for j in range(1, half + 1):
-            edges.append((vertices[i], vertices[(i + j) % s]))
+    i = np.arange(size)
+    edges = [_rows(i, (i + j) % size) for j in range(1, degree // 2 + 1)]
     if degree % 2 == 1:
-        for i in range(s // 2):
-            edges.append((vertices[i], vertices[i + s // 2]))
-    return edges
+        edges.append(_rows(i[:size // 2], i[:size // 2] + size // 2))
+    return start + np.concatenate([_rows([], []), *edges])
 
 
 def make_radial_family(spec: RadialFamilySpec) -> Graph:
@@ -197,30 +193,24 @@ def make_radial_family(spec: RadialFamilySpec) -> Graph:
     """
     spec.check_feasible()
     sizes = spec.sphere_sizes()
-    offsets = [0]
-    for s in sizes:
-        offsets.append(offsets[-1] + s)
-    n_total = offsets[-1]
-    edges: list[tuple[int, int]] = []
-    # tree edges: children of the root, then beta[n]-1 children per vertex
+    offsets = np.cumsum([0, *sizes])
+    edges = []
+    # tree edges: children of the root, then beta[n]-1 children per
+    # vertex, each parent's children in a run
     for depth in range(spec.depth):
-        parents = range(offsets[depth], offsets[depth + 1])
-        children = iter(range(offsets[depth + 1], offsets[depth + 2]))
         fanout = spec.beta[0] if depth == 0 else spec.beta[depth] - 1
-        for p in parents:
-            for _ in range(fanout):
-                edges.append((p, next(children)))
+        children = np.arange(sizes[depth + 1])
+        edges.append(offsets[depth:depth + 2]
+                     + _rows(children // fanout, children))
     # sphere graphs
     for depth in range(spec.depth + 1):
-        g = spec.gamma[depth]
-        if g:
-            sphere = list(range(offsets[depth], offsets[depth + 1]))
-            edges.extend(_circulant_edges(sphere, g))
-    host = []
-    for depth in range(spec.depth + 1):
-        full = spec.beta[depth] + spec.gamma[depth]
-        host.extend([full] * sizes[depth])
-    return Graph(n_total, edges, host_degree=host)
+        if spec.gamma[depth]:
+            edges.append(_circulant_edges(offsets[depth], sizes[depth],
+                                          spec.gamma[depth]))
+    depths = spec.depth + 1
+    host = np.repeat(np.add(spec.beta[:depths], spec.gamma[:depths]), sizes)
+    return Graph(int(offsets[-1]), np.concatenate([_rows([], []), *edges]),
+                 host_degree=host)
 
 
 def edge_union(g1: Graph, g2: Graph) -> Graph:
@@ -228,7 +218,7 @@ def edge_union(g1: Graph, g2: Graph) -> Graph:
     if g1.vertex_count != g2.vertex_count:
         raise ValueError("edge_union requires identical vertex sets")
     ends = np.unique(np.concatenate((g1.edge_ends, g2.edge_ends)), axis=0)
-    return Graph(g1.vertex_count, ends.tolist())
+    return Graph(g1.vertex_count, ends)
 
 
 def cartesian_sum(g1: Graph, g2: Graph) -> Graph:
@@ -238,7 +228,7 @@ def cartesian_sum(g1: Graph, g2: Graph) -> Graph:
     copies = g2.edge_ends + n2 * np.arange(n1)[:, None, None]
     fibres = n2 * g1.edge_ends[:, None, :] + np.arange(n2)[:, None]
     return Graph(n1 * n2, np.concatenate(
-        (copies.reshape(-1, 2), fibres.reshape(-1, 2))).tolist())
+        (copies.reshape(-1, 2), fibres.reshape(-1, 2))))
 
 
 def regular_tree_ball(d: int, radius: int) -> Graph:

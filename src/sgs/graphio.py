@@ -20,12 +20,14 @@ import hashlib
 import json
 import math
 import sys
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from typing import Any
 
 import numpy as np
 
-from .graphs import Graph, PhaseField, Potential, subset_stats
+from .graphs import (Graph, PhaseField, Potential, _edge_faults,
+                     subset_stats)
 
 __all__ = [
     "graph_to_document", "document_to_graph", "save_graph", "load_graph",
@@ -40,8 +42,69 @@ _MAX_HOST_DEGREE = 2**53
 
 
 def canonical_json(obj: Any) -> str:
-    """Stable serialization: sorted keys, two-space indent, LF endings."""
-    return json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=True) + "\n"
+    """Stable serialization: sorted keys, two-space indent, LF endings.
+
+    The text is that of ``json.dumps(obj, indent=2, sort_keys=True,
+    ensure_ascii=True) + "\n"`` byte for byte, from one direct writer,
+    with one difference: a non-finite float is written as the string
+    ``"inf"``, ``"-inf"`` or ``"nan"``, so the text is strict JSON.
+    Objects need string keys; tuples are written as arrays, and a float
+    subclass (``numpy.float64``) as its ``float.__repr__``.
+    """
+    out: list[str] = []
+    _write(obj, out, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(node: Any, out: list[str], newline: str) -> None:
+    """Append the text of ``node`` to ``out``; ``newline`` is a line
+    break plus the indent of the line ``node`` starts on."""
+    if isinstance(node, str):
+        out.append(encode_basestring_ascii(node))
+    elif node is None:
+        out.append("null")
+    elif node is True:
+        out.append("true")
+    elif node is False:
+        out.append("false")
+    elif isinstance(node, int):
+        out.append(int.__repr__(node))
+    elif isinstance(node, float):
+        out.append(float.__repr__(node) if -math.inf < node < math.inf
+                   else f'"{float(node)}"')
+    elif isinstance(node, dict):
+        if not node:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        head = "{" + inner
+        for key in sorted(node):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not "
+                                f"{type(key).__name__}")
+            out.append(head + encode_basestring_ascii(key) + ": ")
+            _write(node[key], out, inner)
+            head = "," + inner
+        out.append(newline + "}")
+    elif isinstance(node, (list, tuple)):
+        if not node:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        if set(map(type, node)) == {str}:  # a witness's ids, in one join
+            out.append("[" + inner + ("," + inner).join(
+                map(encode_basestring_ascii, node)) + newline + "]")
+            return
+        head = "[" + inner
+        for value in node:
+            out.append(head)
+            _write(value, out, inner)
+            head = "," + inner
+        out.append(newline + "]")
+    else:
+        raise TypeError(f"Object of type {type(node).__name__} "
+                        f"is not JSON serializable")
 
 
 def _vertex_ids(ids: list[str] | None, n: int) -> list[str]:
@@ -73,91 +136,177 @@ def graph_to_document(graph: Graph, potential: Potential | None = None,
     return {"vertices": vertices, "edges": edges}
 
 
-def _finite_number(entry: dict, key: str, where: str) -> float:
-    value = entry.get(key, 0.0)
-    # a bool is an int to Python but not a number in JSON; the bound
-    # rejects NaN, the infinities and integers no float can hold
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not abs(value) <= sys.float_info.max):
-        raise ValueError(f"{where}: {key} must be a finite number, "
-                         f"got {value!r}")
-    return float(value)
+_ABSENT = object()  # a key the entry does not have, unlike an explicit null
+
+
+def _objects(entries: list) -> list:
+    """``entries``, each one that is not a JSON object read as ``{}``."""
+    if set(map(type, entries)) <= {dict}:
+        return entries
+    return [e if isinstance(e, dict) else {} for e in entries]
+
+
+def _column(entries: list, key: str, default: Any) -> list:
+    """The value of ``key`` in each of the objects ``entries``."""
+    return list(map(dict.get, entries, repeat(key), repeat(default)))
+
+
+def _numbers(values: list) -> tuple[np.ndarray, np.ndarray]:
+    """``values`` as float64 (0 where faulty) and the mask of those that
+    are no finite JSON number: a bool, a non-number, NaN, an infinity,
+    or an integer no float can hold."""
+    if set(map(type, values)) <= {float, int}:
+        try:
+            column = np.array(values, dtype=np.float64)
+        except OverflowError:  # an integer past the float range
+            pass
+        else:
+            return column, ~np.isfinite(column)
+    ok = [not isinstance(x, bool) and isinstance(x, (int, float))
+          and abs(x) <= sys.float_info.max for x in values]
+    return (np.array([float(x) if k else 0.0 for x, k in zip(values, ok)]),
+            ~np.array(ok, dtype=bool))
+
+
+def _host_degrees(values: list):
+    """The host degrees as int64 (0 where absent or faulty) and three
+    masks: given, not an integer (a bool or a non-number), and above
+    ``_MAX_HOST_DEGREE``."""
+    n = len(values)
+    types = set(map(type, values))
+    if types <= {type(None)}:
+        none = np.zeros(n, dtype=bool)
+        return np.zeros(n, dtype=np.int64), none, none, none
+    given = np.ones(n, dtype=bool)
+    if type(None) in types:
+        given = np.array([h is not None for h in values], dtype=bool)
+    not_int = np.zeros(n, dtype=bool)
+    if not types <= {int, type(None)}:
+        not_int = given & np.array([isinstance(h, bool)
+                                    or not isinstance(h, int)
+                                    for h in values], dtype=bool)
+    if not given.all() or not_int.any():
+        values = [h if k else 0 for h, k in zip(values, given & ~not_int)]
+    column = np.array(values)
+    if column.dtype != np.int64:  # an integer past int64: compare exactly
+        column = np.array(values, dtype=object)
+    large = (column > _MAX_HOST_DEGREE).astype(bool)
+    return (np.where(large, 0, column).astype(np.int64), given, not_int,
+            large)
+
+
+def _raise_first(key: str, checks) -> None:
+    """Raise for the first entry of ``key`` that fails one of
+    ``checks``, ``(mask, message)`` pairs in the order they apply to one
+    entry; ``message(i)`` says what is wrong with entry ``i``."""
+    bad = np.logical_or.reduce([mask for mask, _ in checks])
+    if bad.any():
+        i = int(np.argmax(bad))
+        message = next(text for mask, text in checks if mask[i])
+        raise ValueError(f"{key}[{i}]: {message(i)}")
 
 
 def document_to_graph(doc: dict) -> tuple[Graph, Potential, PhaseField | None, list[str]]:
-    """Parse a graph document; errors name the offending entry."""
+    """Parse a graph document; errors name the offending entry.
+
+    The entries are read once into columns (ids, q, host degrees,
+    endpoint indices, theta), which are checked as arrays.  The checks
+    are those of a reading entry by entry: every vertex entry before any
+    edge entry, and within an entry in this order.  A vertex entry needs
+    an ``id`` that is a string not used before, a ``q`` (default 0) that
+    is a finite number, and a ``host_degree``, if given, that is an
+    integer up to 2**53.  An edge entry needs endpoints ``u`` and ``v``
+    that are the ids of two different vertices, joined by no edge
+    before, and a ``theta``, if given and not null, that is a finite
+    number.  Last, no host degree may be below the internal degree.
+    The first failing ``vertices[i]`` or ``edges[j]`` is found from the
+    masks, and its message names it and its first failing check.
+    """
     if not isinstance(doc, dict) or "vertices" not in doc or "edges" not in doc:
         raise ValueError("graph document needs 'vertices' and 'edges'")
     for key in ("vertices", "edges"):
         if not isinstance(doc[key], list):
             raise ValueError(f"{key} must be a list, got {doc[key]!r}")
-    ids: list[str] = []
-    q: list[float] = []
-    host: list[int | None] = []
-    index: dict[str, int] = {}
-    for i, entry in enumerate(doc["vertices"]):
-        where = f"vertices[{i}]"
-        if not isinstance(entry, dict) or "id" not in entry:
-            raise ValueError(f"{where}: missing id")
-        vid = entry["id"]
-        if not isinstance(vid, str):
-            raise ValueError(f"{where}: id must be a string, got {vid!r}")
-        if vid in index:
-            raise ValueError(f"{where}: duplicate id {vid!r}")
-        index[vid] = i
-        ids.append(vid)
-        q.append(_finite_number(entry, "q", where))
-        hd = entry.get("host_degree")
-        if hd is not None and (isinstance(hd, bool) or not isinstance(hd, int)):
-            raise ValueError(f"{where}: host_degree must be an integer, "
-                             f"got {hd!r}")
-        if hd is not None and hd > _MAX_HOST_DEGREE:
-            raise ValueError(f"{where}: host_degree {hd} too large "
-                             f"(limit 2**53)")
-        host.append(hd)
-    edges: list[tuple[int, int]] = []
-    thetas: dict[tuple[int, int], float] = {}
-    has_theta = False
-    for j, entry in enumerate(doc["edges"]):
-        where = f"edges[{j}]"
-        if not isinstance(entry, dict) or "u" not in entry or "v" not in entry:
-            raise ValueError(f"{where}: missing endpoint")
-        u, v = entry["u"], entry["v"]
-        if not (isinstance(u, str) and isinstance(v, str)):
-            key, bad = ("v", v) if isinstance(u, str) else ("u", u)
-            raise ValueError(f"{where}: {key} must be a string, got {bad!r}")
-        try:
-            u, v = index[u], index[v]
-        except KeyError as exc:
-            raise ValueError(f"{where}: unknown id {exc.args[0]!r}") from None
-        if u == v:
-            raise ValueError(f"{where}: self-loop at {entry['u']!r}")
-        key = (u, v) if u < v else (v, u)
-        if key in thetas:
-            raise ValueError(f"{where}: duplicate edge")
-        edges.append(key)
-        if "theta" in entry and entry["theta"] is not None:
-            has_theta = True
-            t = _finite_number(entry, "theta", where)
-            thetas[key] = t if u < v else -t
-        else:
-            thetas[key] = 0.0
-    internal = [0] * len(ids)
-    for (u, v) in edges:
-        internal[u] += 1
-        internal[v] += 1
-    host_degree = [internal[i] if host[i] is None else host[i]
-                   for i in range(len(ids))]
-    for i, hd in enumerate(host_degree):
-        if hd < internal[i]:
-            raise ValueError(
-                f"vertices[{i}]: host degree below internal degree")
-    graph = Graph(len(ids), edges, host_degree=host_degree)
-    potential = Potential(q)
+    vertices, edges = _objects(doc["vertices"]), _objects(doc["edges"])
+    n, m = len(vertices), len(edges)
+
+    ids = _column(vertices, "id", _ABSENT)
+    raw_q = _column(vertices, "q", 0.0)
+    raw_host = _column(vertices, "host_degree", None)
+    index = dict(zip(ids, range(n))) if set(map(type, ids)) <= {str} else {}
+    missing = not_str = repeat = np.zeros(n, dtype=bool)
+    if len(index) < n:  # a missing, non-string or repeated id
+        missing = np.array([x is _ABSENT for x in ids], dtype=bool)
+        not_str = np.array([not isinstance(x, str) for x in ids], dtype=bool)
+        repeat = np.zeros(n, dtype=bool)
+        index = {}
+        for i, x in enumerate(ids):
+            if isinstance(x, str):
+                repeat[i] = x in index
+                index.setdefault(x, i)
+    q, bad_q = _numbers(raw_q)
+    host, given, not_int, large = _host_degrees(raw_host)
+    _raise_first("vertices", [
+        (missing, lambda i: "missing id"),
+        (not_str, lambda i: f"id must be a string, got {ids[i]!r}"),
+        (repeat, lambda i: f"duplicate id {ids[i]!r}"),
+        (bad_q, lambda i: f"q must be a finite number, got {raw_q[i]!r}"),
+        (not_int, lambda i: f"host_degree must be an integer, "
+                            f"got {raw_host[i]!r}"),
+        (large, lambda i: f"host_degree {raw_host[i]} too large "
+                          f"(limit 2**53)"),
+    ])
+
+    us = _column(edges, "u", _ABSENT)
+    vs = _column(edges, "v", _ABSENT)
+    raw_theta = _column(edges, "theta", None)
+    missing = not_str = np.zeros(m, dtype=bool)
+    try:  # every endpoint a known id
+        rows = np.fromiter(map(index.__getitem__, us + vs), np.int64, 2 * m)
+    except (KeyError, TypeError):
+        missing = np.array([u is _ABSENT or v is _ABSENT
+                            for u, v in zip(us, vs)], dtype=bool)
+        not_str = np.array([not (isinstance(u, str) and isinstance(v, str))
+                            for u, v in zip(us, vs)], dtype=bool)
+        rows = np.array([index.get(x, -1) if isinstance(x, str) else -1
+                         for x in us + vs], dtype=np.int64)
+    rows = rows.reshape(2, m).T
+    unknown, loop, repeat, _, order = _edge_faults(rows, n)
+    has_theta = raw_theta.count(None) < m
+    theta, bad_theta = (_numbers([0.0 if t is None else t for t in raw_theta])
+                        if has_theta else (None, np.zeros(m, dtype=bool)))
+
+    def not_string(j: int) -> str:
+        key, value = ("v", vs[j]) if isinstance(us[j], str) else ("u", us[j])
+        return f"{key} must be a string, got {value!r}"
+
+    _raise_first("edges", [
+        (missing, lambda j: "missing endpoint"),
+        (not_str, not_string),
+        (unknown, lambda j: "unknown id "
+         + repr(us[j] if us[j] not in index else vs[j])),
+        (loop, lambda j: f"self-loop at {us[j]!r}"),
+        (repeat, lambda j: "duplicate edge"),
+        (bad_theta, lambda j: f"theta must be a finite number, "
+                              f"got {raw_theta[j]!r}"),
+    ])
+
+    internal = np.bincount(rows.ravel(), minlength=n)
+    host = np.where(given, host, internal)
+    below = np.flatnonzero(host < internal)
+    if below.size:
+        raise ValueError(f"vertices[{below[0]}]: host degree below "
+                         f"internal degree")
+    graph = Graph(n, rows, host_degree=host)
     phase = None
     if has_theta:
-        phase = PhaseField(graph, [thetas[e] for e in graph.edges])
-    return graph, potential, phase, ids
+        # stored for the written orientation; an absent theta is +0.0
+        flip = rows[:, 0] > rows[:, 1]
+        if None in raw_theta:
+            flip &= np.array([t is not None for t in raw_theta], dtype=bool)
+        theta[flip] = -theta[flip]
+        phase = PhaseField(graph, theta[order])
+    return graph, Potential(q), phase, ids
 
 
 def _graph_text(graph: Graph, potential: Potential | None,
@@ -209,22 +358,10 @@ def id_map_digest(ids: list[str]) -> str:
     return hashlib.sha256(json.dumps(list(ids)).encode()).hexdigest()
 
 
-def _strict(node):
-    """``node`` with each non-finite float as the string "inf", "-inf"
-    or "nan"; ``node`` itself is not changed."""
-    if isinstance(node, dict):
-        return {key: _strict(value) for key, value in node.items()}
-    if isinstance(node, (list, tuple)):
-        return [_strict(value) for value in node]
-    if isinstance(node, float) and not math.isfinite(node):
-        return str(float(node))
-    return node
-
-
 def write_report(path, report: dict) -> None:
-    """Write ``report`` as :func:`canonical_json` of strict JSON: a
-    non-finite float is written as a string (:func:`_strict`)."""
-    text = canonical_json(_strict(report))
+    """Write ``report`` as :func:`canonical_json`, which writes a
+    non-finite float as a string, so the report is strict JSON."""
+    text = canonical_json(report)
     if path is None:
         print(text, end="")
     else:

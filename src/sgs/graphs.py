@@ -59,6 +59,78 @@ def _as_index(value, name: str, position: int | None = None) -> int:
         raise ValueError(f"{what} is not an integer: {value!r}") from None
 
 
+def _edge_faults(rows: np.ndarray, n: int):
+    """Per-row masks of the ``(m, 2)`` int64 ``rows``: an endpoint
+    outside ``0 .. n-1``, a self-loop, and a repeat of an earlier row in
+    either orientation; then the rows' keys ``u * n + v`` (``u < v``)
+    and the stable order that sorts them.
+
+    A row out of range gets a key of its own below 0, so it repeats
+    nothing; every key of a row in range is at least 0.
+    """
+    lo, hi = rows.min(axis=1), rows.max(axis=1)
+    out = (lo < 0) | (hi >= n)
+    keys = np.where(out, -1 - np.arange(len(rows)), lo * n + hi)
+    order = np.argsort(keys, kind="stable")  # equal keys in row order
+    ranked = keys[order]
+    repeat = np.zeros(len(rows), dtype=bool)
+    repeat[order[1:][ranked[1:] == ranked[:-1]]] = True
+    return out, lo == hi, repeat, keys, order
+
+
+def _integer_rows(pairs, n: int):
+    """The pairs of ``pairs`` up to the first that is not a pair of
+    integers, as ``(m, 2)`` int64 rows (an endpoint outside ``0 ..
+    n-1`` as -1, so that Python integers of any width fit), and the
+    error that pair raises, or ``None``."""
+    rows = []
+    for pair in pairs:
+        try:
+            u, v = pair
+        except (TypeError, ValueError) as exc:
+            return rows, exc
+        try:
+            u, v = operator.index(u), operator.index(v)
+        except TypeError:
+            return rows, ValueError(f"edge ({u!r},{v!r}) has a "
+                                    f"non-integer endpoint")
+        rows.append((u if 0 <= u < n else -1, v if 0 <= v < n else -1))
+    return rows, None
+
+
+def _edge_keys(edges, n: int) -> np.ndarray:
+    """The sorted keys ``u * n + v`` (``u < v``) of the pairs of
+    ``edges``, checked as :class:`Graph` documents it."""
+    if not isinstance(edges, np.ndarray):
+        edges = list(edges)
+    try:
+        rows = np.asarray(edges)
+    except (ValueError, OverflowError):  # ragged, or wider than any dtype
+        rows = None
+    stop = None
+    if (rows is not None and rows.dtype.kind in "iu" and rows.ndim == 2
+            and rows.shape[1] == 2):
+        # an unsigned endpoint past int64 wraps below 0: out of range
+        rows = rows.astype(np.int64, copy=False)
+    else:
+        rows, stop = _integer_rows(edges, n)
+        rows = np.array(rows, dtype=np.int64).reshape(-1, 2)
+    out, loop, repeat, keys, order = _edge_faults(rows, n)
+    bad = np.flatnonzero(out | loop | repeat)
+    if bad.size:
+        j = int(bad[0])
+        if out[j]:
+            u, v = (operator.index(x) for x in edges[j])
+            raise ValueError(f"edge ({u},{v}) out of range for {n} vertices")
+        u, v = sorted(rows[j].tolist())
+        if loop[j]:
+            raise ValueError(f"self-loop at vertex {u}")
+        raise ValueError(f"duplicate edge ({u},{v})")
+    if stop is not None:
+        raise stop
+    return keys[order]
+
+
 class Graph:
     """Finite undirected simple graph on vertices ``0 .. n-1``.
 
@@ -73,10 +145,13 @@ class Graph:
     vertex_count:
         Number of vertices, a positive integer.
     edges:
-        Iterable of integer pairs ``(u, v)``; orientation and duplicates
-        with swapped endpoints are normalized away, real duplicates,
-        self-loops and non-integer endpoints are rejected, the first
-        offending pair in input order first.
+        An integer ``(m, 2)`` array of pairs ``(u, v)``, or an iterable
+        of integer pairs, converted to one array first.  Orientation is
+        normalized away.  The pairs are checked as arrays, not one by
+        one, but as if one by one: the first pair in input order with a
+        non-integer endpoint, an endpoint out of range, a self-loop or
+        an edge given before (in either orientation) raises
+        ``ValueError``, the checks in that order within a pair.
     host_degree:
         Optional per-vertex degree in an infinite host graph.  Defaults
         to the internal degree (zero deficit everywhere).  Must dominate
@@ -87,30 +162,13 @@ class Graph:
                  "_internal_degree", "_host_degree", "_deficit")
 
     def __init__(self, vertex_count: int,
-                 edges: Iterable[tuple[int, int]],
+                 edges: np.ndarray | Iterable[tuple[int, int]],
                  host_degree: Sequence[int] | None = None):
         n = _as_index(vertex_count, "vertex_count")
         if n <= 0:
             raise ValueError("vertex_count must be positive")
-        # edge {u, v} with u < v has the key u*n + v, so sorted keys are
-        # sorted edges
-        keys: set[int] = set()
-        for u, v in edges:
-            try:
-                u, v = operator.index(u), operator.index(v)
-            except TypeError:
-                raise ValueError(f"edge ({u!r},{v!r}) has a non-integer "
-                                 f"endpoint") from None
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range for {n} vertices")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            key = u * n + v if u < v else v * n + u
-            if key in keys:
-                raise ValueError(f"duplicate edge ({key // n},{key % n})")
-            keys.add(key)
         self._n = n
-        self._keys = _readonly(np.sort(np.fromiter(keys, np.int64, len(keys))))
+        self._keys = _readonly(_edge_keys(edges, n))
         self._edge_ends = _readonly(np.stack(np.divmod(self._keys, n), axis=1))
         self._edges = self._neighbors = None  # built on first use
         deg = np.bincount(self._edge_ends.ravel(), minlength=n)
@@ -118,7 +176,8 @@ class Graph:
         if host_degree is None:
             host = deg.copy()
         else:
-            values = list(host_degree)
+            values = (host_degree if isinstance(host_degree, np.ndarray)
+                      else list(host_degree))
             if len(values) != n:
                 raise ValueError("host_degree must have one entry per vertex")
             host = np.asarray(values)
@@ -241,8 +300,7 @@ class Graph:
             return self
         local = np.cumsum(keep) - 1
         ends = self._edge_ends[keep[self._edge_ends].all(axis=1)]
-        return Graph(int(local[-1]) + 1, local[ends].tolist(),
-                     self._host_degree[keep])
+        return Graph(int(local[-1]) + 1, local[ends], self._host_degree[keep])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Graph(n={self._n}, m={self.edge_count}, "

@@ -17,8 +17,8 @@ capacity alone:
   rounds see only the pattern's live pairs, those with capacity in
   either direction.  scipy keeps capacities, flows and residuals in
   int32, so each round solves the top 31 bits of the exact residual
-  capacities, sized by a cut whose capacity is known, and subtracts that
-  flow exactly; a network that fits int32 takes one round.
+  capacities, sized by the widest arc pair, and subtracts that flow
+  exactly; a network whose arc pairs fit int32 takes one round.
 * :class:`Dinic`, Dinic's blocking-flow algorithm over adjacency lists
   with plain Python integers, takes the smaller networks, and the
   residual of the rare round that cannot go on (:func:`_dinic_cut`).
@@ -36,9 +36,10 @@ __all__ = ["CutNetwork", "Dinic", "cut_network", "min_cut"]
 # truncates wider ones (one arc of 2**40 gives flow 0), and its int32
 # residual c(u, v) - f(u, v) reaches c(u, v) + c(v, u), which wraps
 # when that sum does not fit (it then returns less than the maximum
-# flow).  A round therefore keeps every capacity plus its reverse's,
-# and the capacity of one known cut, which bounds the flow value, below
-# 2**_ROUND_BITS.
+# flow).  A round therefore keeps every capacity plus its reverse's
+# below 2**_ROUND_BITS.  Each arc's flow then fits int32 too; the flow
+# value need not, so it is summed in int64 from the arcs leaving the
+# source.
 _ROUND_BITS = 31
 # Below this many arcs of nonzero capacity the Python Dinic finishes
 # before scipy's fixed cost of about 1.5 ms per cut (matrix build,
@@ -153,10 +154,12 @@ def _rounds_cut(network: CutNetwork, r: np.ndarray) -> tuple[int, list[int]]:
     1. clamps ``r`` to ``U + 1``, which changes neither the maximum-flow
        value nor any minimum cut: a cut through a clamped arc exceeds
        the missing flow;
-    2. takes ``shift`` so that, after ``r >> shift``, every capacity
-       plus its reverse's and ``U`` are below ``2**_ROUND_BITS``
-       (scipy's width rule, see above): the scaled flow value is at most
-       the scaled capacity of ``S``, which is at most ``U >> shift``;
+    2. takes as ``width`` the largest capacity plus its reverse's, and
+       ``shift`` so that, after ``r >> shift``, every such pair sum is
+       below ``2**_ROUND_BITS`` (scipy's width rule, see above).  ``U``
+       does not enter: the scaled flow value may pass int32, so it is
+       read as the exact int64 sum of the flow on the source's arcs,
+       not from scipy's ``flow_value``;
     3. runs scipy on ``r >> shift``, a network whose flows are feasible
        in ``r``, and subtracts that flow times ``2**shift`` from ``r``;
     4. takes as the new ``S`` what the source reaches in the scaled
@@ -167,13 +170,13 @@ def _rounds_cut(network: CutNetwork, r: np.ndarray) -> tuple[int, list[int]]:
     coincide) and the loop ends.  Why it ends: the arcs leaving ``S``
     are saturated in the scaled network, so in ``r`` each keeps less
     than ``2**shift``, and the new ``U`` is below ``|arcs leaving S| *
-    2**shift``.  Here ``2**shift`` is at most ``2**(1 - _ROUND_BITS)``
-    times the width, which after the clamp is at most ``2 * (U + 1)``.
-    ``U`` is a non-negative integer, and a round that fails to lower it
-    hands the residual to the exact Python :class:`Dinic` instead, so
-    the loop ends after finitely many rounds (2-6 on the 55-119-bit
-    networks of the benchmark corpora, one for a network that fits
-    int32).  scipy returns the flow on the input's own pattern, which is
+    2**shift``.  Here ``2**shift <= 2**(1 - _ROUND_BITS) * width <=
+    2**(-30) * 2 * (U + 1)``, since after the clamp no pair sum exceeds
+    ``2 * (U + 1)``.  ``U`` is a non-negative integer, and a round that
+    fails to lower it hands the residual to the exact Python
+    :class:`Dinic` instead, so the loop ends after finitely many rounds
+    (2-6 on the 55-119-bit networks of the benchmark corpora, one for a
+    network whose pairs fit int32).  scipy returns the flow on the input's own pattern, which is
     symmetric, so its data is read in place; a flow on any other pattern
     takes the same hand-off.
     """
@@ -198,7 +201,7 @@ def _rounds_cut(network: CutNetwork, r: np.ndarray) -> tuple[int, list[int]]:
         r = np.minimum(r, bound + 1)
         if bound + 1 < _INT64_SAFE:
             r = r.astype(np.int64, copy=False)
-        width = max(int((r + r[rev]).max(initial=0)), bound)
+        width = int((r + r[rev]).max(initial=0))
         shift = max(0, width.bit_length() - _ROUND_BITS)
         scaled = (r >> shift).astype(np.int32)
         result = maximum_flow(csr_array((scaled, indices, indptr),
@@ -207,7 +210,7 @@ def _rounds_cut(network: CutNetwork, r: np.ndarray) -> tuple[int, list[int]]:
                 and np.array_equal(result.flow.indices, indices)):
             break
         moved = result.flow.data
-        flow += int(result.flow_value) << shift
+        flow += int(moved[indptr[s]:indptr[s + 1]].sum(dtype=np.int64)) << shift
         r = r - (moved.astype(r.dtype) << shift)
         # csgraph treats explicit zeros as arcs: keep only residual > 0
         keep = scaled > moved

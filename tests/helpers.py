@@ -1,5 +1,9 @@
-"""Shared random-instance builders and the full-table brute-force
-reference for the test suite."""
+"""Shared random-instance builders, the full-table brute-force
+reference, and entry-by-entry oracles for the graph checks of the test
+suite."""
+import operator
+import sys
+
 import numpy as np
 
 from sgs import Graph, PhaseField, Potential
@@ -87,3 +91,105 @@ def full_cheeger_objective(twice_edges, deg, q):
     den = deg + q
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(den == 0.0, 0.0, -((deg - twice_edges) + q) / den)
+
+
+def edge_keys_by_pair(n, edges):
+    """Oracle for ``Graph``'s edge checks, one pair at a time: the
+    sorted keys ``u * n + v`` (``u < v``), or the ``ValueError`` of the
+    first offending pair."""
+    keys = set()
+    for u, v in edges:
+        try:
+            u, v = operator.index(u), operator.index(v)
+        except TypeError:
+            raise ValueError(f"edge ({u!r},{v!r}) has a non-integer "
+                             f"endpoint") from None
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u},{v}) out of range for {n} vertices")
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        key = u * n + v if u < v else v * n + u
+        if key in keys:
+            raise ValueError(f"duplicate edge ({key // n},{key % n})")
+        keys.add(key)
+    return sorted(keys)
+
+
+def _finite_number(entry, key, where):
+    value = entry.get(key, 0.0)
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max):
+        raise ValueError(f"{where}: {key} must be a finite number, "
+                         f"got {value!r}")
+    return float(value)
+
+
+def document_to_graph_by_entry(doc):
+    """Oracle for ``graphio.document_to_graph``: the graph document
+    read and checked one entry at a time, every vertex entry before any
+    edge entry."""
+    if not isinstance(doc, dict) or "vertices" not in doc or "edges" not in doc:
+        raise ValueError("graph document needs 'vertices' and 'edges'")
+    for key in ("vertices", "edges"):
+        if not isinstance(doc[key], list):
+            raise ValueError(f"{key} must be a list, got {doc[key]!r}")
+    ids, q, host, index = [], [], [], {}
+    for i, entry in enumerate(doc["vertices"]):
+        where = f"vertices[{i}]"
+        if not isinstance(entry, dict) or "id" not in entry:
+            raise ValueError(f"{where}: missing id")
+        vid = entry["id"]
+        if not isinstance(vid, str):
+            raise ValueError(f"{where}: id must be a string, got {vid!r}")
+        if vid in index:
+            raise ValueError(f"{where}: duplicate id {vid!r}")
+        index[vid] = i
+        ids.append(vid)
+        q.append(_finite_number(entry, "q", where))
+        hd = entry.get("host_degree")
+        if hd is not None and (isinstance(hd, bool) or not isinstance(hd, int)):
+            raise ValueError(f"{where}: host_degree must be an integer, "
+                             f"got {hd!r}")
+        if hd is not None and hd > 2**53:
+            raise ValueError(f"{where}: host_degree {hd} too large "
+                             f"(limit 2**53)")
+        host.append(hd)
+    edges, thetas, has_theta = [], {}, False
+    for j, entry in enumerate(doc["edges"]):
+        where = f"edges[{j}]"
+        if not isinstance(entry, dict) or "u" not in entry or "v" not in entry:
+            raise ValueError(f"{where}: missing endpoint")
+        u, v = entry["u"], entry["v"]
+        if not (isinstance(u, str) and isinstance(v, str)):
+            key, bad = ("v", v) if isinstance(u, str) else ("u", u)
+            raise ValueError(f"{where}: {key} must be a string, got {bad!r}")
+        try:
+            u, v = index[u], index[v]
+        except KeyError as exc:
+            raise ValueError(f"{where}: unknown id {exc.args[0]!r}") from None
+        if u == v:
+            raise ValueError(f"{where}: self-loop at {entry['u']!r}")
+        key = (u, v) if u < v else (v, u)
+        if key in thetas:
+            raise ValueError(f"{where}: duplicate edge")
+        edges.append(key)
+        if "theta" in entry and entry["theta"] is not None:
+            has_theta = True
+            t = _finite_number(entry, "theta", where)
+            thetas[key] = t if u < v else -t
+        else:
+            thetas[key] = 0.0
+    internal = [0] * len(ids)
+    for (u, v) in edges:
+        internal[u] += 1
+        internal[v] += 1
+    host = [internal[i] if h is None else h for i, h in enumerate(host)]
+    for i, h in enumerate(host):
+        if h < internal[i]:
+            raise ValueError(f"vertices[{i}]: host degree below internal "
+                             f"degree")
+    graph = Graph(len(ids), edges, host_degree=host)
+    phase = None
+    if has_theta:
+        phase = PhaseField(graph, [thetas[e] for e in graph.edges])
+    return graph, Potential(q), phase, ids

@@ -1,9 +1,12 @@
 import hashlib
 import json
+import math
+import re
 
 import numpy as np
 import pytest
 
+from helpers import document_to_graph_by_entry
 from sgs import (Graph, PhaseField, Potential, cycle_graph, path_graph,
                  regular_tree_ball)
 from sgs.graphio import (canonical_json, document_to_graph, graph_digest,
@@ -105,6 +108,111 @@ def test_parse_errors_are_positioned():
                                             {"id": "z"}],
                                "edges": [{"u": "x", "v": "y", "theta": 0.5},
                                          {"u": "y", "v": "z", "theta": bad}]})
+
+
+def _outcome(read, doc):
+    """What ``read(doc)`` gives: the error's type and message, or the
+    graph's arrays, its ids and the bits of its potential and phases."""
+    try:
+        graph, q, phase, ids = read(doc)
+    except (ValueError, TypeError) as exc:
+        return type(exc).__name__, str(exc)
+    return (graph.vertex_count, graph.edge_ends.tolist(),
+            graph.host_degree.tolist(), q.values.tobytes(),
+            None if phase is None else phase.values.tobytes(), ids)
+
+
+# faults planted into one entry (as the document had it before any
+# fault; the second argument is that document), by the message they make
+_VERTEX_FAULTS = {
+    "missing id": [lambda e, d: 5, lambda e, d: {"q": 1.0},
+                   lambda e, d: ["id"]],
+    "id must be a string": [lambda e, d, b=b: {**e, "id": b} for b in
+                            (None, 1.5, ["a"], 7, True, {"a": 1})],
+    "duplicate id": [lambda e, d: {**e, "id": d["vertices"][0]["id"]},
+                     lambda e, d: {**e, "id": d["vertices"][-1]["id"]}],
+    "q must be a finite number": [lambda e, d, b=b: {**e, "q": b} for b in
+                                  ("abc", math.nan, math.inf, None, True,
+                                   10**400)],
+    "host_degree must be an integer": [
+        lambda e, d, b=b: {**e, "host_degree": b}
+        for b in (2.7, True, "x", 2.0)],
+    "host_degree N too large": [lambda e, d, b=b: {**e, "host_degree": b}
+                                for b in (2**53 + 1, 10**30)],
+    "host degree below internal degree": [
+        lambda e, d, b=b: {**e, "host_degree": b} for b in (0, -2**63)],
+}
+_EDGE_FAULTS = {
+    "missing endpoint": [lambda e, d: 5, lambda e, d: {"u": e["u"]},
+                         lambda e, d: {"v": e["v"], "theta": 0.5}],
+    "u must be a string": [lambda e, d, b=b: {**e, "u": b} for b in
+                           (None, 1.5, ["a"], 7, True)],
+    "v must be a string": [lambda e, d, b=b: {**e, "v": b} for b in
+                           (None, 1.5, ["a"], 7, True)],
+    "unknown id": [lambda e, d: {**e, "u": "nowhere"},
+                   lambda e, d: {**e, "v": "nowhere"}],
+    "self-loop at": [lambda e, d: {**e, "v": e["u"]}],
+    "duplicate edge": [lambda e, d: dict(d["edges"][0]),
+                       lambda e, d: {"u": d["edges"][0]["v"],
+                                     "v": d["edges"][0]["u"]}],
+    "theta must be a finite number": [lambda e, d, b=b: {**e, "theta": b}
+                                      for b in (math.nan, -math.inf, "0.5",
+                                                True, 10**400)],
+}
+
+
+def _seeded_document(rng):
+    """A path-plus-chords graph document on 3-9 vertices, with q, some
+    host degrees and some phases, edges written in either orientation."""
+    n = int(rng.integers(3, 10))
+    vertices = [{"id": f"v{rng.integers(10**6)}-{i}",
+                 "q": float(rng.uniform(-1, 1))} for i in range(n)]
+    for i in rng.choice(n, n // 3, replace=False).tolist():
+        vertices[i]["host_degree"] = n
+    pairs = [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
+    edges = []
+    for u, v in pairs:
+        u, v = (v, u) if rng.random() < 0.5 else (u, v)
+        edge = {"u": vertices[u]["id"], "v": vertices[v]["id"]}
+        if rng.random() < 0.5:
+            edge["theta"] = float(rng.uniform(-3, 3))
+        edges.append(edge)
+    return {"vertices": vertices, "edges": edges}
+
+
+def test_loader_matches_the_entry_by_entry_oracle():
+    """Two different faults planted at two positions of seeded documents:
+    the column loader raises the oracle's message, naming the first
+    failing entry, for every message the loader knows."""
+    rng = np.random.default_rng(24)
+    faults = [("vertices", kind, f) for kind, fs in _VERTEX_FAULTS.items()
+              for f in fs]
+    faults += [("edges", kind, f) for kind, fs in _EDGE_FAULTS.items()
+               for f in fs]
+    seen = set()
+    for _ in range(600):
+        doc = _seeded_document(rng)
+        base = json.loads(json.dumps(doc))  # the entries before any fault
+        first, second = rng.choice(len(faults), 2, replace=False).tolist()
+        for key, _, fault in (faults[first], faults[second]):
+            at = int(rng.integers(len(doc[key])))
+            doc[key][at] = fault(base[key][at], base)
+        want = _outcome(document_to_graph_by_entry, doc)
+        assert _outcome(document_to_graph, doc) == want
+        if want[0] == "ValueError":
+            seen.add(re.sub(r"\d+", "N", want[1].split(": ", 1)[1]))
+    for kind in [*_VERTEX_FAULTS, *_EDGE_FAULTS]:
+        assert any(m.startswith(kind) for m in seen), kind
+    # a fault-free document of every shape loads as the oracle loads it
+    for _ in range(50):
+        doc = _seeded_document(rng)
+        assert (_outcome(document_to_graph, doc)
+                == _outcome(document_to_graph_by_entry, doc))
+    for doc in (5, {}, {"vertices": []}, {"vertices": 5, "edges": []},
+                {"vertices": [], "edges": None}, {"vertices": [], "edges": []},
+                {"vertices": [{"id": "x", "host_degree": None}], "edges": []}):
+        assert (_outcome(document_to_graph, doc)
+                == _outcome(document_to_graph_by_entry, doc))
 
 
 def test_digest_stability():

@@ -4,7 +4,7 @@ import pytest
 from sgs import (Graph, Potential, PhaseField, breadth_first_spheres,
                  path_graph, regular_tree_ball, subset_stats)
 
-from helpers import random_graph
+from helpers import edge_keys_by_pair, random_graph
 
 
 def test_asymmetric_relation_rejected():
@@ -71,6 +71,70 @@ def test_non_integer_endpoint_rejected():
     g = Graph(3, [(np.int64(2), np.uint8(0)), (True, 2)])
     assert g.edges == ((0, 2), (1, 2))
     assert all(type(x) is int for e in g.edges for x in e)
+
+
+def _first_error(build):
+    try:
+        build()
+    except (ValueError, TypeError) as exc:
+        return type(exc).__name__, str(exc)
+    return None
+
+
+def test_edge_arrays_and_lists_match_the_pair_by_pair_checks():
+    """Array and list input give the same ``edge_ends``, and bad input
+    the error of a check one pair at a time: the first offending pair in
+    input order, with a pair's checks in their order."""
+    rng = np.random.default_rng(24)
+    faults = {
+        "non-integer": lambda u, v, n: (u, rng.choice(
+            [1.5, "2", None, np.float64(1.0), 2.0**70])),
+        "out of range": lambda u, v, n: (int(rng.choice([-1, n, 2**70])), v),
+        "self-loop": lambda u, v, n: (u, u),
+        "duplicate": lambda u, v, n: None,  # a copy of an earlier pair
+    }
+    seen = set()
+    for trial in range(400):
+        graph = random_graph(rng, n_min=3, n_max=12, p_low=0.3)
+        n = graph.vertex_count
+        pairs = [(v, u) if rng.random() < 0.5 else (u, v)
+                 for u, v in graph.edges]
+        pairs = [pairs[i] for i in rng.permutation(len(pairs))]
+        if len(pairs) < 2:
+            continue
+        ends = Graph(n, pairs).edge_ends
+        assert ends.tolist() == [list(e) for e in graph.edges]
+        assert np.array_equal(Graph(n, np.array(pairs)).edge_ends, ends)
+        assert np.array_equal(Graph(n, np.array(pairs, np.uint32)).edge_ends,
+                              ends)
+        assert np.array_equal(Graph(n, iter(pairs)).edge_ends, ends)
+        # two different faults at two positions
+        kinds = rng.choice(list(faults), 2, replace=False).tolist()
+        for kind in kinds:
+            at = int(rng.integers(1, len(pairs)))
+            u, v = pairs[at]
+            pairs[at] = (faults[kind](u, v, n) if kind != "duplicate"
+                         else pairs[int(rng.integers(at))][::-1])
+        want = _first_error(lambda: edge_keys_by_pair(n, pairs))
+        assert want is not None
+        seen.add(want[1].split(" ")[0] + (" range" if "range" in want[1]
+                                          else ""))
+        assert _first_error(lambda: Graph(n, pairs)) == want
+        assert _first_error(lambda: Graph(n, iter(pairs))) == want
+        rows = np.array(pairs, dtype=object)
+        if all(type(x) is int and abs(x) < 2**62 for x in rows.ravel()):
+            assert _first_error(
+                lambda: Graph(n, rows.astype(np.int64))) == want
+    assert seen == {"edge", "edge range", "self-loop", "duplicate"}
+    # pairs that are no pairs fail as unpacking them would, in turn
+    assert _first_error(lambda: Graph(3, [(0, 1), (1, 2, 0)])) == (
+        "ValueError", "too many values to unpack (expected 2)")
+    assert _first_error(lambda: Graph(3, [(0, 1), (1, 1), 5])) == (
+        "ValueError", "self-loop at vertex 1")
+    assert _first_error(lambda: Graph(3, [(0, 5), 5])) == (
+        "ValueError", "edge (0,5) out of range for 3 vertices")
+    assert _first_error(lambda: Graph(3, [(0, 1), 5])) == (
+        "TypeError", "cannot unpack non-iterable int object")
 
 
 def test_subset_stats_degree_sum_is_exact():

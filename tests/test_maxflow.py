@@ -189,22 +189,11 @@ def _star(k, source_cap, sink_cap):
     return k + 2, tails, heads, [source_cap] * k + [sink_cap] * k
 
 
-def _reach(arcs, s):
-    """The nodes reachable from ``s`` along the nonzero entries of the
-    dense matrix ``arcs``."""
-    seen, stack = {s}, [s]
-    while stack:
-        for v in np.flatnonzero(arcs[stack.pop()]).tolist():
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return sorted(seen)
-
-
 def test_rounds_cut_at_narrow_width(monkeypatch):
     """The rounds at a width of 8 bits: 4-8-node networks take several
-    rounds, every scaled network obeys the width rule, and each side is
-    the smallest minimum cut."""
+    rounds, every scaled network obeys the width rule (its widest arc
+    pair alone sets the shift), and each side is the smallest minimum
+    cut."""
     bits = 8
     monkeypatch.setattr(maxflow, "_ROUND_BITS", bits)
     import scipy.sparse.csgraph as csgraph
@@ -227,16 +216,13 @@ def test_rounds_cut_at_narrow_width(monkeypatch):
         assert got == _dinic(n, tails, heads, caps)
         if enumerate_sides:
             assert got[1] == _smallest_min_cut_side(n, tails, heads, caps)
-        # each round's known cut: the smaller trivial cut, then the side
-        # the source reached in the previous round's scaled residual
-        source = sum(c for u, c in zip(tails, caps) if u == 0)
-        sink = sum(c for v, c in zip(heads, caps) if v == n - 1)
-        side = [0] if source <= sink else list(range(n - 1))
-        for c, f in solved:
+        # every pair fits, and the shift is the least that makes it so:
+        # a round with shift > 0 (each but the last) keeps the widest
+        # pair at 2**(bits - 1) - 1 or more, whatever the known cut
+        for i, (c, f) in enumerate(solved):
             assert (c + c.T).max() < 2**bits
-            outside = np.setdiff1d(np.arange(n), side)
-            assert c[np.ix_(side, outside)].sum() < 2**bits
-            side = _reach(c - f, 0)
+            if i < len(solved) - 1:
+                assert (c + c.T).max() >= 2**(bits - 1) - 1
         return len(solved), len(handed_off)
 
     rounds = []
@@ -253,9 +239,9 @@ def test_rounds_cut_at_narrow_width(monkeypatch):
     # pair, not the single capacities or the known cut, sets the width
     x = 2**20
     assert check(4, [0, 1, 2, 2], [1, 2, 1, 3], [x, 2 * x, 2 * x, x]) == (2, 0)
-    # 4 paths of 100: every pair fits 8 bits, but the flow of 400 does
-    # not, so the known cut {s} sets the width
-    assert check(*_star(4, 100, 100)) == (2, 0)
+    # 4 paths of 100: every pair fits 8 bits, so one exact round takes
+    # the flow of 400, which does not
+    assert check(*_star(4, 100, 100)) == (1, 0)
     # 12 saturated paths: the source arcs, clamped to 12c + 1, set the
     # width, the shifted sink arcs keep 4 bits, and each round lowers
     # the missing flow until the exact round
@@ -265,6 +251,24 @@ def test_rounds_cut_at_narrow_width(monkeypatch):
     # arcs to 0, so the first round moves no flow and the residual goes
     # to Dinic
     assert check(*_star(200, 2**40, c), enumerate_sides=False) == (1, 1)
+
+
+def test_one_round_carries_a_flow_past_int32(monkeypatch):
+    """A hub of 300 paths whose arcs fit int32 but whose flow, about
+    2**38, does not: one scipy round solves it, the flow value summed in
+    int64 from the source's arcs, and it matches the Python Dinic."""
+    solved = _spy_scipy(monkeypatch)
+    handed_off = _spy(monkeypatch, "_dinic_cut")
+    rng = np.random.default_rng(38)
+    k = 300
+    n, tails, heads, _ = _star(k, 0, 0)
+    caps = rng.integers(2**30, INT32_MAX, 2 * k).tolist()
+    net = cut_network(n, tails, heads, 0, n - 1)
+    flow, side = maxflow._rounds_cut(net, _load(net, caps))
+    assert (flow, side) == _dinic(n, tails, heads, caps)
+    assert flow > 2**37 and len(solved) == 1 and not handed_off
+    del solved[:]
+    assert min_cut(net, caps) == side and len(solved) == 1
 
 
 def test_min_cut_rejects_negative_capacity():
@@ -334,10 +338,10 @@ def test_scipy_returns_the_flow_on_a_symmetric_pattern(monkeypatch):
 
 
 def test_scipy_flow_value_is_not_the_source_total():
-    # the rounds size scipy's int32 network by a known cut, not by the
-    # source and sink totals: here 16 source arcs of 2**31 - 1 sum past
-    # int32 while the maximum flow, 16 * 5, does not.  A scipy that sums
-    # the source capacities in int32 fails here
+    # the rounds size scipy's int32 network by its arc pairs alone, not
+    # by the source and sink totals: here 16 source arcs of 2**31 - 1
+    # sum past int32 while the maximum flow, 16 * 5, does not.  A scipy
+    # that sums the source capacities in int32 fails here
     from scipy.sparse import csr_array
     from scipy.sparse.csgraph import maximum_flow
     n, tails, heads, caps = _star(16, INT32_MAX, 5)
