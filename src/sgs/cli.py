@@ -192,13 +192,10 @@ def _analyze_cheeger(args, graph, potential, ids) -> dict:
              else Potential(potential.values[list(region)]))
 
     def entry(cert) -> dict:
-        if sub is not graph:
-            # back to the file's numbering (the restriction numbers the
-            # region in order), with the quotient read off the witness's
-            # stats there, so its float sums take q in that numbering
-            cert = sparseness._cheeger_certificate(
-                graph, potential, tuple(region[x] for x in cert.witness))
-        return {"ratio": cert.ratio, "witness": _witness_ids(cert.witness, ids),
+        # back to the file's numbering: the restriction numbers the
+        # region in order
+        witness = [region[x] for x in cert.witness]
+        return {"ratio": cert.ratio, "witness": _witness_ids(witness, ids),
                 "region_size": len(region)}
 
     out: dict = {"region_size": len(region)}

@@ -440,7 +440,9 @@ def subset_stats(graph: Graph, potential: Potential | None,
         members.add(x)
     if not members:
         return SubsetStats(0, 0, 0, 0, 0.0, 0.0)
-    idx = np.fromiter(members, dtype=np.int64)
+    # sorted, so that the float sums do not depend on the order of a
+    # set, and a monotone renumbering (Graph.restrict) keeps their bits
+    idx = np.sort(np.fromiter(members, dtype=np.int64))
     inside = np.zeros(n, dtype=bool)
     inside[idx] = True
     ends = inside[graph.edge_ends]
