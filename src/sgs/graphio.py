@@ -234,22 +234,21 @@ def document_to_graph(doc: dict) -> tuple[Graph, Potential, PhaseField | None, l
     raw_q = _column(vertices, "q", 0.0)
     raw_host = _column(vertices, "host_degree", None)
     index = dict(zip(ids, range(n))) if set(map(type, ids)) <= {str} else {}
-    missing = not_str = repeat = np.zeros(n, dtype=bool)
+    missing, not_str, again = (np.zeros(n, dtype=bool) for _ in range(3))
     if len(index) < n:  # a missing, non-string or repeated id
-        missing = np.array([x is _ABSENT for x in ids], dtype=bool)
-        not_str = np.array([not isinstance(x, str) for x in ids], dtype=bool)
-        repeat = np.zeros(n, dtype=bool)
+        missing[:] = [x is _ABSENT for x in ids]
+        not_str[:] = [not isinstance(x, str) for x in ids]
         index = {}
         for i, x in enumerate(ids):
             if isinstance(x, str):
-                repeat[i] = x in index
+                again[i] = x in index
                 index.setdefault(x, i)
     q, bad_q = _numbers(raw_q)
     host, given, not_int, large = _host_degrees(raw_host)
     _raise_first("vertices", [
         (missing, lambda i: "missing id"),
         (not_str, lambda i: f"id must be a string, got {ids[i]!r}"),
-        (repeat, lambda i: f"duplicate id {ids[i]!r}"),
+        (again, lambda i: f"duplicate id {ids[i]!r}"),
         (bad_q, lambda i: f"q must be a finite number, got {raw_q[i]!r}"),
         (not_int, lambda i: f"host_degree must be an integer, "
                             f"got {raw_host[i]!r}"),
@@ -271,7 +270,7 @@ def document_to_graph(doc: dict) -> tuple[Graph, Potential, PhaseField | None, l
         rows = np.array([index.get(x, -1) if isinstance(x, str) else -1
                          for x in us + vs], dtype=np.int64)
     rows = rows.reshape(2, m).T
-    unknown, loop, repeat, _, order = _edge_faults(rows, n)
+    unknown, loop, again, _, order = _edge_faults(rows, n)
     has_theta = raw_theta.count(None) < m
     theta, bad_theta = (_numbers([0.0 if t is None else t for t in raw_theta])
                         if has_theta else (None, np.zeros(m, dtype=bool)))
@@ -284,9 +283,9 @@ def document_to_graph(doc: dict) -> tuple[Graph, Potential, PhaseField | None, l
         (missing, lambda j: "missing endpoint"),
         (not_str, not_string),
         (unknown, lambda j: "unknown id "
-         + repr(us[j] if us[j] not in index else vs[j])),
+         f"{us[j] if us[j] not in index else vs[j]!r}"),
         (loop, lambda j: f"self-loop at {us[j]!r}"),
-        (repeat, lambda j: "duplicate edge"),
+        (again, lambda j: "duplicate edge"),
         (bad_theta, lambda j: f"theta must be a finite number, "
                               f"got {raw_theta[j]!r}"),
     ])
