@@ -13,6 +13,12 @@ load/save round-trips are byte-stable.  The saved text is
 ``canonical_json`` of ``graph_to_document``, byte for byte, but written
 directly from the graph's arrays, and :func:`graph_digest` hashes the
 same text.
+
+Both directions work on whole columns, not on one entry at a time:
+:func:`document_to_graph` reads each field of the entries in one pass
+and checks the columns as arrays, naming the first failing entry as an
+entry-by-entry reading would; :func:`canonical_json` is one direct
+writer, which also writes a report's non-finite floats as strings.
 """
 from __future__ import annotations
 

@@ -430,7 +430,10 @@ class SubsetStats:
 
 def subset_stats(graph: Graph, potential: Potential | None,
                  subset: Iterable[int]) -> SubsetStats:
-    """Count |W|, |E_W|, |dW|, deg(W) and potential sums for ``subset``."""
+    """Count |W|, |E_W|, |dW|, deg(W) and potential sums for ``subset``.
+
+    The potential sums add q over W in increasing vertex order, so a
+    graph and its :meth:`Graph.restrict` give the same bits."""
     n = graph.vertex_count
     members = set()
     for i, x in enumerate(subset):
@@ -440,8 +443,7 @@ def subset_stats(graph: Graph, potential: Potential | None,
         members.add(x)
     if not members:
         return SubsetStats(0, 0, 0, 0, 0.0, 0.0)
-    # sorted, so that the float sums do not depend on the order of a
-    # set, and a monotone renumbering (Graph.restrict) keeps their bits
+    # sorted: the float sums must not follow the order of a set
     idx = np.sort(np.fromiter(members, dtype=np.int64))
     inside = np.zeros(n, dtype=bool)
     inside[idx] = True
