@@ -68,9 +68,12 @@ def _edge_faults(rows: np.ndarray, n: int):
     A row out of range gets a key of its own below 0, so it repeats
     nothing; every key of a row in range is at least 0.
     """
-    lo, hi = rows.min(axis=1), rows.max(axis=1)
+    lo = np.minimum(rows[:, 0], rows[:, 1])
+    hi = np.maximum(rows[:, 0], rows[:, 1])
     out = (lo < 0) | (hi >= n)
-    keys = np.where(out, -1 - np.arange(len(rows)), lo * n + hi)
+    keys = lo * n + hi
+    if out.any():
+        keys[out] = -1 - np.flatnonzero(out)
     order = np.argsort(keys, kind="stable")  # equal keys in row order
     ranked = keys[order]
     repeat = np.zeros(len(rows), dtype=bool)
