@@ -16,9 +16,10 @@ same text.
 
 Both directions work on whole columns, not on one entry at a time:
 :func:`document_to_graph` reads each field of the entries in one pass
-and checks the columns as arrays, naming the first failing entry as an
-entry-by-entry reading would; :func:`canonical_json` is one direct
-writer, which also writes a report's non-finite floats as strings.
+and checks the columns as whole arrays; only a document that fails is
+read again, entry by entry, to name the first faulty entry.
+:func:`canonical_json` is one direct writer, which also writes a
+report's non-finite floats as strings.
 """
 from __future__ import annotations
 
@@ -26,14 +27,13 @@ import hashlib
 import json
 import math
 import sys
-from itertools import repeat
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from typing import Any
 
 import numpy as np
 
-from .graphs import (Graph, PhaseField, Potential, _edge_faults,
-                     subset_stats)
+from .graphs import Graph, PhaseField, Potential, subset_stats
 
 __all__ = [
     "graph_to_document", "document_to_graph", "save_graph", "load_graph",
@@ -113,11 +113,18 @@ def _write(node: Any, out: list[str], newline: str) -> None:
                         f"is not JSON serializable")
 
 
+def _all_of(values: list, *types: type) -> bool:
+    """Whether every one of ``values`` is an instance of ``types`` and
+    none is a bool (a JSON ``true`` is no number)."""
+    return all(issubclass(t, types) and not issubclass(t, bool)
+               for t in set(map(type, values)))
+
+
 def _vertex_ids(ids: list[str] | None, n: int) -> list[str]:
     if ids is None:
         return [str(i) for i in range(n)]
-    if len(ids) != n or len(set(ids)) != n:
-        raise ValueError("ids must be unique, one per vertex")
+    if len(ids) != n or not _all_of(ids, str) or len(set(ids)) != n:
+        raise ValueError("ids must be unique strings, one per vertex")
     return ids
 
 
@@ -142,176 +149,138 @@ def graph_to_document(graph: Graph, potential: Potential | None = None,
     return {"vertices": vertices, "edges": edges}
 
 
-_ABSENT = object()  # a key the entry does not have, unlike an explicit null
+def _finite(value) -> bool:
+    """Whether ``value`` is a finite JSON number."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
-def _objects(entries: list) -> list:
-    """``entries``, each one that is not a JSON object read as ``{}``."""
-    if set(map(type, entries)) <= {dict}:
-        return entries
-    return [e if isinstance(e, dict) else {} for e in entries]
+def _first_fault(vertices: list, edges: list) -> str | None:
+    """The message naming the first faulty entry of a graph document,
+    read one entry at a time in the order :func:`document_to_graph`
+    documents; ``None`` if no entry is at fault."""
+    index: dict[str, int] = {}
+    host = []
+    for i, entry in enumerate(vertices):
+        where = f"vertices[{i}]"
+        if not isinstance(entry, dict) or "id" not in entry:
+            return f"{where}: missing id"
+        vid, q = entry["id"], entry.get("q", 0.0)
+        h = entry.get("host_degree")
+        if not isinstance(vid, str):
+            return f"{where}: id must be a string, got {vid!r}"
+        if vid in index:
+            return f"{where}: duplicate id {vid!r}"
+        index[vid] = i
+        if not _finite(q):
+            return f"{where}: q must be a finite number, got {q!r}"
+        if h is not None and (isinstance(h, bool) or not isinstance(h, int)):
+            return f"{where}: host_degree must be an integer, got {h!r}"
+        if h is not None and h > _MAX_HOST_DEGREE:
+            return f"{where}: host_degree {h} too large (limit 2**53)"
+        host.append(h)
+    internal = [0] * len(vertices)
+    pairs = set()
+    for j, entry in enumerate(edges):
+        where = f"edges[{j}]"
+        if not isinstance(entry, dict) or "u" not in entry or "v" not in entry:
+            return f"{where}: missing endpoint"
+        u, v, theta = entry["u"], entry["v"], entry.get("theta")
+        if not isinstance(u, str):
+            return f"{where}: u must be a string, got {u!r}"
+        if not isinstance(v, str):
+            return f"{where}: v must be a string, got {v!r}"
+        for x in (u, v):
+            if x not in index:
+                return f"{where}: unknown id {x!r}"
+        if u == v:
+            return f"{where}: self-loop at {u!r}"
+        pair = frozenset((u, v))
+        if pair in pairs:
+            return f"{where}: duplicate edge"
+        pairs.add(pair)
+        if theta is not None and not _finite(theta):
+            return f"{where}: theta must be a finite number, got {theta!r}"
+        internal[index[u]] += 1
+        internal[index[v]] += 1
+    for i, (h, d) in enumerate(zip(host, internal)):
+        if h is not None and h < d:
+            return f"vertices[{i}]: host degree below internal degree"
+    return None
 
 
-def _column(entries: list, key: str, default: Any) -> list:
-    """The value of ``key`` in each of the objects ``entries``."""
-    return list(map(dict.get, entries, repeat(key), repeat(default)))
-
-
-def _numbers(values: list) -> tuple[np.ndarray, np.ndarray]:
-    """``values`` as float64 (0 where faulty) and the mask of those that
-    are no finite JSON number: a bool, a non-number, NaN, an infinity,
-    or an integer no float can hold."""
-    if set(map(type, values)) <= {float, int}:
-        try:
-            column = np.array(values, dtype=np.float64)
-        except OverflowError:  # an integer past the float range
-            pass
-        else:
-            return column, ~np.isfinite(column)
-    ok = [not isinstance(x, bool) and isinstance(x, (int, float))
-          and abs(x) <= sys.float_info.max for x in values]
-    return (np.array([float(x) if k else 0.0 for x, k in zip(values, ok)]),
-            ~np.array(ok, dtype=bool))
-
-
-def _host_degrees(values: list):
-    """The host degrees as int64 (0 where absent or faulty) and three
-    masks: given, not an integer (a bool or a non-number), and above
-    ``_MAX_HOST_DEGREE``."""
-    n = len(values)
-    types = set(map(type, values))
-    if types <= {type(None)}:
-        none = np.zeros(n, dtype=bool)
-        return np.zeros(n, dtype=np.int64), none, none, none
-    given = np.ones(n, dtype=bool)
-    if type(None) in types:
-        given = np.array([h is not None for h in values], dtype=bool)
-    not_int = np.zeros(n, dtype=bool)
-    if not types <= {int, type(None)}:
-        not_int = given & np.array([isinstance(h, bool)
-                                    or not isinstance(h, int)
-                                    for h in values], dtype=bool)
-    if not given.all() or not_int.any():
-        values = [h if k else 0 for h, k in zip(values, given & ~not_int)]
-    column = np.array(values)
-    if column.dtype != np.int64:  # an integer past int64: compare exactly
-        column = np.array(values, dtype=object)
-    large = (column > _MAX_HOST_DEGREE).astype(bool)
-    return (np.where(large, 0, column).astype(np.int64), given, not_int,
-            large)
-
-
-def _raise_first(key: str, checks) -> None:
-    """Raise for the first entry of ``key`` that fails one of
-    ``checks``, ``(mask, message)`` pairs in the order they apply to one
-    entry; ``message(i)`` says what is wrong with entry ``i``."""
-    bad = np.logical_or.reduce([mask for mask, _ in checks])
-    if bad.any():
-        i = int(np.argmax(bad))
-        message = next(text for mask, text in checks if mask[i])
-        raise ValueError(f"{key}[{i}]: {message(i)}")
+def _read(vertices: list, edges: list
+          ) -> tuple[Graph, Potential, PhaseField | None, list[str]]:
+    """The graph, potential, phases and ids of the entries, read as
+    columns and checked as whole arrays; a fault raises, unnamed."""
+    if not (_all_of(vertices, dict) and _all_of(edges, dict)):
+        raise TypeError("graph entries must be objects")
+    n, m = len(vertices), len(edges)
+    ids = list(map(itemgetter("id"), vertices))
+    index = dict(zip(ids, range(n)))
+    q = [e.get("q", 0.0) for e in vertices]
+    raw_host = [e.get("host_degree") for e in vertices]
+    if not (len(index) == n and _all_of(ids, str) and _all_of(q, int, float)
+            and _all_of(raw_host, int, type(None))):
+        raise TypeError("ids must be unique strings, q numbers and host "
+                        "degrees integers")
+    potential = Potential(np.array(q, dtype=np.float64))
+    ends = list(map(itemgetter("u"), edges)) + list(map(itemgetter("v"), edges))
+    rows = np.fromiter(map(index.__getitem__, ends), np.int64, 2 * m)
+    rows = rows.reshape(2, m).T
+    host = None
+    if raw_host.count(None) < n:
+        internal = np.bincount(rows.ravel(), minlength=n).tolist()
+        host = np.array([d if h is None else h
+                         for h, d in zip(raw_host, internal)], dtype=np.int64)
+        if host.max() > _MAX_HOST_DEGREE:
+            raise ValueError("host degree too large")
+    graph = Graph(n, rows, host_degree=host)
+    raw_theta = [e.get("theta") for e in edges]
+    phase = None
+    if raw_theta.count(None) < m:
+        if not _all_of(raw_theta, int, float, type(None)):
+            raise TypeError("phases must be numbers")
+        given = np.array([t is not None for t in raw_theta])
+        theta = np.array([0.0 if t is None else t for t in raw_theta],
+                         dtype=np.float64)
+        # stored for the written orientation; an absent theta is +0.0
+        flip = given & (rows[:, 0] > rows[:, 1])
+        theta[flip] = -theta[flip]
+        lo, hi = np.sort(rows, axis=1).T
+        phase = PhaseField(graph, theta[np.argsort(lo * n + hi)])
+    return graph, potential, phase, ids
 
 
 def document_to_graph(doc: dict) -> tuple[Graph, Potential, PhaseField | None, list[str]]:
     """Parse a graph document; errors name the offending entry.
 
     The entries are read once into columns (ids, q, host degrees,
-    endpoint indices, theta), which are checked as arrays.  The checks
-    are those of a reading entry by entry: every vertex entry before any
-    edge entry, and within an entry in this order.  A vertex entry needs
-    an ``id`` that is a string not used before, a ``q`` (default 0) that
-    is a finite number, and a ``host_degree``, if given, that is an
-    integer up to 2**53.  An edge entry needs endpoints ``u`` and ``v``
-    that are the ids of two different vertices, joined by no edge
-    before, and a ``theta``, if given and not null, that is a finite
-    number.  Last, no host degree may be below the internal degree.
-    The first failing ``vertices[i]`` or ``edges[j]`` is found from the
-    masks, and its message names it and its first failing check.
+    endpoint indices, theta), which are checked as whole arrays, partly
+    by the :class:`Graph`, :class:`Potential` and :class:`PhaseField`
+    constructors.  Only if they fail is the document read again, one
+    entry at a time, to name the first faulty entry: every vertex entry
+    before any edge entry, and within an entry the checks in this order.
+    A vertex entry needs an ``id`` that is a string not used before, a
+    ``q`` (default 0) that is a finite number, and a ``host_degree``, if
+    given, that is an integer up to 2**53.  An edge entry needs
+    endpoints ``u`` and ``v`` that are the ids of two different
+    vertices, joined by no edge before, and a ``theta``, if given and
+    not null, that is a finite number.  Last, no host degree may be
+    below the internal degree.
     """
     if not isinstance(doc, dict) or "vertices" not in doc or "edges" not in doc:
         raise ValueError("graph document needs 'vertices' and 'edges'")
     for key in ("vertices", "edges"):
         if not isinstance(doc[key], list):
             raise ValueError(f"{key} must be a list, got {doc[key]!r}")
-    vertices, edges = _objects(doc["vertices"]), _objects(doc["edges"])
-    n, m = len(vertices), len(edges)
-
-    ids = _column(vertices, "id", _ABSENT)
-    raw_q = _column(vertices, "q", 0.0)
-    raw_host = _column(vertices, "host_degree", None)
-    index = dict(zip(ids, range(n))) if set(map(type, ids)) <= {str} else {}
-    missing, not_str, again = (np.zeros(n, dtype=bool) for _ in range(3))
-    if len(index) < n:  # a missing, non-string or repeated id
-        missing[:] = [x is _ABSENT for x in ids]
-        not_str[:] = [not isinstance(x, str) for x in ids]
-        index = {}
-        for i, x in enumerate(ids):
-            if isinstance(x, str):
-                again[i] = x in index
-                index.setdefault(x, i)
-    q, bad_q = _numbers(raw_q)
-    host, given, not_int, large = _host_degrees(raw_host)
-    _raise_first("vertices", [
-        (missing, lambda i: "missing id"),
-        (not_str, lambda i: f"id must be a string, got {ids[i]!r}"),
-        (again, lambda i: f"duplicate id {ids[i]!r}"),
-        (bad_q, lambda i: f"q must be a finite number, got {raw_q[i]!r}"),
-        (not_int, lambda i: f"host_degree must be an integer, "
-                            f"got {raw_host[i]!r}"),
-        (large, lambda i: f"host_degree {raw_host[i]} too large "
-                          f"(limit 2**53)"),
-    ])
-
-    us = _column(edges, "u", _ABSENT)
-    vs = _column(edges, "v", _ABSENT)
-    raw_theta = _column(edges, "theta", None)
-    missing = not_str = np.zeros(m, dtype=bool)
-    try:  # every endpoint a known id
-        rows = np.fromiter(map(index.__getitem__, us + vs), np.int64, 2 * m)
-    except (KeyError, TypeError):
-        missing = np.array([u is _ABSENT or v is _ABSENT
-                            for u, v in zip(us, vs)], dtype=bool)
-        not_str = np.array([not (isinstance(u, str) and isinstance(v, str))
-                            for u, v in zip(us, vs)], dtype=bool)
-        rows = np.array([index.get(x, -1) if isinstance(x, str) else -1
-                         for x in us + vs], dtype=np.int64)
-    rows = rows.reshape(2, m).T
-    unknown, loop, again, _, order = _edge_faults(rows, n)
-    has_theta = raw_theta.count(None) < m
-    theta, bad_theta = (_numbers([0.0 if t is None else t for t in raw_theta])
-                        if has_theta else (None, np.zeros(m, dtype=bool)))
-
-    def not_string(j: int) -> str:
-        key, value = ("v", vs[j]) if isinstance(us[j], str) else ("u", us[j])
-        return f"{key} must be a string, got {value!r}"
-
-    _raise_first("edges", [
-        (missing, lambda j: "missing endpoint"),
-        (not_str, not_string),
-        (unknown, lambda j: "unknown id "
-         f"{us[j] if us[j] not in index else vs[j]!r}"),
-        (loop, lambda j: f"self-loop at {us[j]!r}"),
-        (again, lambda j: "duplicate edge"),
-        (bad_theta, lambda j: f"theta must be a finite number, "
-                              f"got {raw_theta[j]!r}"),
-    ])
-
-    internal = np.bincount(rows.ravel(), minlength=n)
-    host = np.where(given, host, internal)
-    below = np.flatnonzero(host < internal)
-    if below.size:
-        raise ValueError(f"vertices[{below[0]}]: host degree below "
-                         f"internal degree")
-    graph = Graph(n, rows, host_degree=host)
-    phase = None
-    if has_theta:
-        # stored for the written orientation; an absent theta is +0.0
-        flip = rows[:, 0] > rows[:, 1]
-        if None in raw_theta:
-            flip &= np.array([t is not None for t in raw_theta], dtype=bool)
-        theta[flip] = -theta[flip]
-        phase = PhaseField(graph, theta[order])
-    return graph, Potential(q), phase, ids
+    try:
+        return _read(doc["vertices"], doc["edges"])
+    except (KeyError, TypeError, OverflowError, ValueError):
+        message = _first_fault(doc["vertices"], doc["edges"])
+        if message is None:
+            raise
+    raise ValueError(message)
 
 
 def _graph_text(graph: Graph, potential: Potential | None,

@@ -17,6 +17,9 @@ way, so a region's constants are those of its restriction.
 A graph stores its edges once, as the read-only int64 array
 ``Graph.edge_ends`` of sorted ``(u, v)`` rows with ``u < v``; every
 per-edge array (phases, operator entries, cut arcs) follows its rows.
+Edge input is checked as a whole array when it is one; only input that
+is no integer array, or fails, is read pair by pair, to name the pair
+at fault.
 
 All objects in this module are immutable after construction and safe to
 share across threads (a ``Graph`` fills in its ``edges`` and
@@ -41,6 +44,7 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * np.pi
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -59,79 +63,49 @@ def _as_index(value, name: str, position: int | None = None) -> int:
         raise ValueError(f"{what} is not an integer: {value!r}") from None
 
 
-def _edge_faults(rows: np.ndarray, n: int):
-    """Per-row masks of the ``(m, 2)`` int64 ``rows``: an endpoint
-    outside ``0 .. n-1``, a self-loop, and a repeat of an earlier row in
-    either orientation; then the rows' keys ``u * n + v`` (``u < v``)
-    and the stable order that sorts them.
-
-    A row out of range gets a key of its own below 0, so it repeats
-    nothing; every key of a row in range is at least 0.
-    """
-    lo = np.minimum(rows[:, 0], rows[:, 1])
-    hi = np.maximum(rows[:, 0], rows[:, 1])
-    out = (lo < 0) | (hi >= n)
-    keys = lo * n + hi
-    if out.any():
-        keys[out] = -1 - np.flatnonzero(out)
-    order = np.argsort(keys, kind="stable")  # equal keys in row order
-    ranked = keys[order]
-    repeat = np.zeros(len(rows), dtype=bool)
-    repeat[order[1:][ranked[1:] == ranked[:-1]]] = True
-    return out, lo == hi, repeat, keys, order
-
-
-def _integer_rows(pairs, n: int):
-    """The pairs of ``pairs`` up to the first that is not a pair of
-    integers, as ``(m, 2)`` int64 rows (an endpoint outside ``0 ..
-    n-1`` as -1, so that Python integers of any width fit), and the
-    error that pair raises, or ``None``."""
-    rows = []
-    for pair in pairs:
-        try:
-            u, v = pair
-        except (TypeError, ValueError) as exc:
-            return rows, exc
+def _keys_by_pair(edges, n: int) -> np.ndarray:
+    """The sorted keys ``u * n + v`` (``u < v``) of ``edges``, read one
+    pair at a time; the first offending pair raises ``ValueError``."""
+    keys = set()
+    for u, v in edges:
         try:
             u, v = operator.index(u), operator.index(v)
         except TypeError:
-            return rows, ValueError(f"edge ({u!r},{v!r}) has a "
-                                    f"non-integer endpoint")
-        rows.append((u if 0 <= u < n else -1, v if 0 <= v < n else -1))
-    return rows, None
+            raise ValueError(f"edge ({u!r},{v!r}) has a non-integer "
+                             f"endpoint") from None
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u},{v}) out of range for {n} vertices")
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        key = u * n + v if u < v else v * n + u
+        if key in keys:
+            raise ValueError(f"duplicate edge ({key // n},{key % n})")
+        keys.add(key)
+    return np.array(sorted(keys), dtype=np.int64)
 
 
 def _edge_keys(edges, n: int) -> np.ndarray:
     """The sorted keys ``u * n + v`` (``u < v``) of the pairs of
-    ``edges``, checked as :class:`Graph` documents it."""
+    ``edges``, checked as :class:`Graph` documents it: an integer
+    ``(m, 2)`` array in one pass, and anything else, or an array that
+    fails, by :func:`_keys_by_pair`, which names the pair at fault."""
     if not isinstance(edges, np.ndarray):
         edges = list(edges)
     try:
         rows = np.asarray(edges)
     except (ValueError, OverflowError):  # ragged, or wider than any dtype
         rows = None
-    stop = None
     if (rows is not None and rows.dtype.kind in "iu" and rows.ndim == 2
             and rows.shape[1] == 2):
         # an unsigned endpoint past int64 wraps below 0: out of range
         rows = rows.astype(np.int64, copy=False)
-    else:
-        rows, stop = _integer_rows(edges, n)
-        rows = np.array(rows, dtype=np.int64).reshape(-1, 2)
-    out, loop, repeat, keys, order = _edge_faults(rows, n)
-    bad = np.flatnonzero(out | loop | repeat)
-    if bad.size:
-        j = int(bad[0])
-        if out[j]:
-            u, v = (operator.index(x) for x in edges[j])
-            raise ValueError(f"edge ({u},{v}) out of range for {n} vertices")
-        u, v = sorted(rows[j].tolist())
-        if loop[j]:
-            raise ValueError(f"self-loop at vertex {u}")
-        raise ValueError(f"duplicate edge ({u},{v})")
-    if stop is not None:
-        raise stop
-    return keys[order]
+        lo = np.minimum(rows[:, 0], rows[:, 1])
+        hi = np.maximum(rows[:, 0], rows[:, 1])
+        keys = np.sort(lo * n + hi)
+        if ((lo >= 0).all() and (hi < n).all() and (lo < hi).all()
+                and (keys[1:] > keys[:-1]).all()):
+            return keys
+    return _keys_by_pair(edges, n)
 
 
 class Graph:
@@ -150,15 +124,17 @@ class Graph:
     edges:
         An integer ``(m, 2)`` array of pairs ``(u, v)``, or an iterable
         of integer pairs, converted to one array first.  Orientation is
-        normalized away.  The pairs are checked as arrays, not one by
-        one, but as if one by one: the first pair in input order with a
-        non-integer endpoint, an endpoint out of range, a self-loop or
-        an edge given before (in either orientation) raises
-        ``ValueError``, the checks in that order within a pair.
+        normalized away.  An integer array is checked in one pass; other
+        input, or an array that fails, is read one pair at a time, and
+        the first pair in input order with a non-integer endpoint, an
+        endpoint out of range, a self-loop or an edge given before (in
+        either orientation) raises ``ValueError``, the checks in that
+        order within a pair.
     host_degree:
         Optional per-vertex degree in an infinite host graph.  Defaults
-        to the internal degree (zero deficit everywhere).  Must dominate
-        the internal degree pointwise.
+        to the internal degree (zero deficit everywhere).  Must be
+        integers that dominate the internal degree pointwise, compared
+        exactly, and fit int64.
     """
 
     __slots__ = ("_n", "_edge_ends", "_keys", "_edges", "_neighbors",
@@ -184,7 +160,8 @@ class Graph:
             if len(values) != n:
                 raise ValueError("host_degree must have one entry per vertex")
             host = np.asarray(values)
-            if host.dtype.kind not in "iu":  # floats, or Python ints past int64
+            if not np.can_cast(host.dtype, np.int64):
+                # floats, uint64 or Python ints past int64: exact ints
                 for x, h in enumerate(values):
                     integral = isinstance(h, (int, np.integer)) or (
                         isinstance(h, (float, np.floating))
@@ -192,17 +169,20 @@ class Graph:
                     if not integral:
                         raise ValueError(f"host degree at vertex {x} is not "
                                          f"an integer: {h!r}")
-                host = np.array([int(h) for h in values])
+                host = np.array([int(h) for h in values], dtype=object)
+            bad = np.flatnonzero((host < deg) | (host > _INT64_MAX))
+            if bad.size:
+                x = int(bad[0])
+                h = int(host[x])
+                if h < deg[x]:
+                    raise ValueError(
+                        f"host degree below internal degree at vertex {x} "
+                        f"({h} < {int(deg[x])})")
+                raise ValueError(f"host degree at vertex {x} is too large: "
+                                 f"{h}")
             host = host.astype(np.int64)
-        deficit = host - deg
-        bad = np.flatnonzero(deficit < 0)
-        if bad.size:
-            x = int(bad[0])
-            raise ValueError(
-                f"host degree below internal degree at vertex {x} "
-                f"({int(host[x])} < {int(deg[x])})")
         self._host_degree = _readonly(host)
-        self._deficit = _readonly(deficit)
+        self._deficit = _readonly(host - deg)
 
     @classmethod
     def from_matrix(cls, matrix, host_degree: Sequence[int] | None = None) -> "Graph":

@@ -414,6 +414,13 @@ def test_oversized_host_degree_exits_two(tmp_path, capsys):
                                "edges": [{"u": "x", "v": "y"}]}))
     assert run(["analyze", "sparsity", bad]) == 2
     assert "vertices[1]: host_degree" in capsys.readouterr().err
+    # at or below -2**64 it escaped as an OverflowError as well
+    bad.write_text(json.dumps({"vertices": [{"id": "a",
+                                             "host_degree": -2**64}],
+                               "edges": []}))
+    assert run(["analyze", "sparsity", bad]) == 2
+    assert ("vertices[0]: host degree below internal degree"
+            in capsys.readouterr().err)
 
 
 def test_huge_host_degrees_are_summed_exactly(tmp_path):

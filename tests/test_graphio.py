@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from helpers import document_to_graph_by_entry
-from sgs import (Graph, PhaseField, Potential, cycle_graph, path_graph,
+from sgs import (Graph, PhaseField, Potential, RadialFamilySpec, cycle_graph,
+                 graphio, graphs, grid_graph, make_radial_family, path_graph,
                  regular_tree_ball)
 from sgs.graphio import (canonical_json, document_to_graph, graph_digest,
                          graph_to_document, load_graph, save_graph,
@@ -138,9 +139,10 @@ _VERTEX_FAULTS = {
         lambda e, d, b=b: {**e, "host_degree": b}
         for b in (2.7, True, "x", 2.0)],
     "host_degree N too large": [lambda e, d, b=b: {**e, "host_degree": b}
-                                for b in (2**53 + 1, 10**30)],
+                                for b in (2**53 + 1, 2**64, 10**30)],
     "host degree below internal degree": [
-        lambda e, d, b=b: {**e, "host_degree": b} for b in (0, -2**63)],
+        lambda e, d, b=b: {**e, "host_degree": b}
+        for b in (0, -2**63, -2**64)],
 }
 _EDGE_FAULTS = {
     "missing endpoint": [lambda e, d: 5, lambda e, d: {"u": e["u"]},
@@ -215,6 +217,37 @@ def test_loader_matches_the_entry_by_entry_oracle():
                 == _outcome(document_to_graph_by_entry, doc))
 
 
+def test_right_input_takes_the_array_path(tmp_path, monkeypatch):
+    """Fault-free documents and edge input are checked as whole arrays:
+    neither the entry-by-entry reading nor the per-pair edge reader runs
+    on them, so loading stays as fast as the arrays are."""
+    rng = np.random.default_rng(25)
+    docs = [_seeded_document(rng) for _ in range(50)]
+    ball, grid = regular_tree_ball(3, 10), grid_graph(60)
+    files = [(ball, None), (grid, Potential(rng.uniform(0, 3, 3600))),
+             (make_radial_family(RadialFamilySpec(beta=(4,), gamma=(0, 2),
+                                                  depth=6)), None)]
+    pairs = [(v, u) for u, v in grid.edges[::-1]]
+
+    def reached(*args):
+        raise AssertionError("the array path fell back")
+
+    monkeypatch.setattr(graphio, "_first_fault", reached)
+    monkeypatch.setattr(graphs, "_keys_by_pair", reached)
+    for doc in docs:
+        document_to_graph(doc)
+    path = tmp_path / "g.json"
+    for graph, q in files:
+        save_graph(path, graph, q)
+        loaded, potential, _, _ = load_graph(path)
+        assert np.array_equal(loaded.edge_ends, graph.edge_ends)
+        assert np.array_equal(loaded.host_degree, graph.host_degree)
+        assert q is None or np.array_equal(potential.values, q.values)
+    for edges in (pairs, np.array(pairs), np.array(pairs, np.uint32),
+                  iter(pairs)):
+        assert np.array_equal(Graph(3600, edges).edge_ends, grid.edge_ends)
+
+
 def test_digest_stability():
     g = path_graph(3)
     assert graph_digest(g) == graph_digest(path_graph(3))
@@ -244,8 +277,14 @@ def test_graph_text_is_canonical_json(tmp_path):
                 == hashlib.sha256(text.encode()).hexdigest())
         save_graph(path, graph, potential, phase, ids)
         assert path.read_bytes() == text.encode()
-    with pytest.raises(ValueError, match="ids must be unique"):
-        graph_digest(host, ids=["a", "a", "b", "c"])
+    # ids of other types used to fail inside the writer, or write a file
+    # the loader rejects
+    for ids in (["a", "a", "b", "c"], [0, 1, 2, 3], ["a", "b", ["c"], "d"]):
+        for write in (graph_digest, graph_to_document,
+                      lambda graph, ids: save_graph(path, graph, ids=ids)):
+            with pytest.raises(ValueError, match=r"^ids must be unique "
+                                                 r"strings, one per vertex$"):
+                write(host, ids=ids)
 
 
 def test_canonical_json_floats():

@@ -36,6 +36,23 @@ def test_host_degree_below_internal_rejected():
         Graph(3, [(0, 1), (1, 2), (0, 2)], host_degree=[2, 2, 1])
 
 
+def test_host_degree_check_is_exact():
+    # int64 arithmetic used to wrap -2**63 to a deficit of 2**63 - 1, and
+    # a Python int past int64 escaped as an OverflowError
+    for host in ([-2**63, 1], [-2**70, 1]):
+        with pytest.raises(ValueError, match=r"^host degree below internal "
+                                             r"degree at vertex 0 \(-\d+ < 1\)"):
+            Graph(2, [(0, 1)], host_degree=host)
+    for host in ([2**70, 1], [2**63, 1], np.array([2**63, 1], np.uint64),
+                 [1, 1e30]):
+        x = 0 if host[0] != 1 else 1
+        with pytest.raises(ValueError, match=rf"^host degree at vertex {x} "
+                                             rf"is too large: \d+$"):
+            Graph(2, [(0, 1)], host_degree=host)
+    g = Graph(2, [(0, 1)], host_degree=[2**63 - 1, np.uint64(1)])
+    assert g.deficit.tolist() == [2**63 - 2, 0]
+
+
 def test_non_integer_host_degree_rejected():
     # numpy used to truncate 1.5 to 1 and 0.9 to 0 without a word, and
     # NaN failed with "cannot convert float NaN to integer"
