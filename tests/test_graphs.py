@@ -34,11 +34,9 @@ def test_self_loop_rejected():
 def test_host_degree_below_internal_rejected():
     with pytest.raises(ValueError, match="host degree below internal"):
         Graph(3, [(0, 1), (1, 2), (0, 2)], host_degree=[2, 2, 1])
-
-
-def test_host_degree_check_is_exact():
-    # int64 arithmetic used to wrap -2**63 to a deficit of 2**63 - 1, and
-    # a Python int past int64 escaped as an OverflowError
+    # the check is exact: int64 arithmetic used to wrap -2**63 to a
+    # deficit of 2**63 - 1, and an int past int64 escaped as an
+    # OverflowError
     for host in ([-2**63, 1], [-2**70, 1]):
         with pytest.raises(ValueError, match=r"^host degree below internal "
                                              r"degree at vertex 0 \(-\d+ < 1\)"):
