@@ -41,9 +41,8 @@ def test_host_degree_below_internal_rejected():
         with pytest.raises(ValueError, match=r"^host degree below internal "
                                              r"degree at vertex 0 \(-\d+ < 1\)"):
             Graph(2, [(0, 1)], host_degree=host)
-    for host in ([2**70, 1], [2**63, 1], np.array([2**63, 1], np.uint64),
-                 [1, 1e30]):
-        x = 0 if host[0] != 1 else 1
+    for host, x in (([2**70, 1], 0), ([2**63, 1], 0),
+                    (np.array([2**63, 1], np.uint64), 0), ([1, 1e30], 1)):
         with pytest.raises(ValueError, match=rf"^host degree at vertex {x} "
                                              rf"is too large: \d+$"):
             Graph(2, [(0, 1)], host_degree=host)
