@@ -155,6 +155,16 @@ def _finite(value) -> bool:
             and abs(value) <= sys.float_info.max)
 
 
+def _floats(values: list) -> np.ndarray:
+    """Numbers as float64; numpy rounds an integer just past the largest
+    float down to it, so the entries there are checked as given."""
+    x = np.array(values, dtype=np.float64)
+    edge = np.flatnonzero(np.abs(x) == sys.float_info.max).tolist()
+    if not all(_finite(values[i]) for i in edge):
+        raise OverflowError("number past the largest float")
+    return x
+
+
 def _first_fault(vertices: list, edges: list) -> str | None:
     """The message naming the first faulty entry of a graph document,
     read one entry at a time in the order :func:`document_to_graph`
@@ -224,7 +234,7 @@ def _read(vertices: list, edges: list
             and _all_of(raw_host, int, type(None))):
         raise TypeError("ids must be unique strings, q numbers and host "
                         "degrees integers")
-    potential = Potential(np.array(q, dtype=np.float64))
+    potential = Potential(_floats(q))
     ends = list(map(itemgetter("u"), edges)) + list(map(itemgetter("v"), edges))
     rows = np.fromiter(map(index.__getitem__, ends), np.int64, 2 * m)
     rows = rows.reshape(2, m).T
@@ -242,8 +252,7 @@ def _read(vertices: list, edges: list
         if not _all_of(raw_theta, int, float, type(None)):
             raise TypeError("phases must be numbers")
         given = np.array([t is not None for t in raw_theta])
-        theta = np.array([0.0 if t is None else t for t in raw_theta],
-                         dtype=np.float64)
+        theta = _floats([0.0 if t is None else t for t in raw_theta])
         # stored for the written orientation; an absent theta is +0.0
         flip = given & (rows[:, 0] > rows[:, 1])
         theta[flip] = -theta[flip]

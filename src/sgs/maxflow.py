@@ -9,7 +9,7 @@ smallest minimum-cut source side: the nodes reachable from the source
 in the residual graph of a maximum flow.  That side is the same for
 every maximum flow, so it does not depend on the path or on arc order.
 There are two exact paths, chosen by the number of arcs of nonzero
-capacity alone:
+capacity alone, counted after parallel arcs are added (:func:`_cut`):
 
 * networks of at least ``_SCIPY_MIN_ARCS`` such arcs run on scipy's
   compiled Dinic (``scipy.sparse.csgraph.maximum_flow``) in bit-scaling
@@ -18,7 +18,10 @@ capacity alone:
   either direction.  scipy keeps capacities, flows and residuals in
   int32, so each round solves the top 31 bits of the exact residual
   capacities, sized by the widest arc pair, and subtracts that flow
-  exactly; a network whose arc pairs fit int32 takes one round.
+  exactly; a network whose arc pairs fit int32 takes one round.  After
+  a round, what no minimum cut separates is merged, and the contracted
+  network is solved by the same rule: one scipy round a cut on the
+  benchmark corpora.
 * :class:`Dinic`, Dinic's blocking-flow algorithm over adjacency lists
   with plain Python integers, takes the smaller networks, and the
   residual of the rare round that cannot go on (:func:`_dinic_cut`).
@@ -128,16 +131,24 @@ def min_cut(network: CutNetwork, caps: Sequence[int]) -> list[int]:
         raise ValueError(f"capacities must be integers, got {bad!r}")
     if len(caps) and caps.min() < 0:
         raise ValueError("capacities must be non-negative")
-    # the exact residual capacities on the pattern
+    return _cut(network, caps, total)[1]
+
+
+def _cut(network: CutNetwork, caps: np.ndarray,
+         total: int) -> tuple[int, list[int]]:
+    """Flow value and smallest source side of ``network`` with the arc
+    capacities ``caps`` (summing to ``total``) by the path rule of
+    :func:`min_cut`, which the contracted networks take too."""
+    # the exact residual capacities on the pattern, parallel arcs added
     r = np.zeros(len(network.indices),
                  dtype=object if total >= _INT64_SAFE else np.int64)
     if network.parallel:
         np.add.at(r, network.slot, caps.astype(r.dtype))
     else:
         r[network.slot] = caps
-    if np.count_nonzero(caps) >= _SCIPY_MIN_ARCS:
-        return _rounds_cut(network, r)[1]
-    return _dinic_cut(network, r)[1]
+    if np.count_nonzero(r) >= _SCIPY_MIN_ARCS:
+        return _rounds_cut(network, r)
+    return _dinic_cut(network, r)
 
 
 def _rounds_cut(network: CutNetwork, r: np.ndarray) -> tuple[int, list[int]]:
@@ -163,7 +174,17 @@ def _rounds_cut(network: CutNetwork, r: np.ndarray) -> tuple[int, list[int]]:
     3. runs scipy on ``r >> shift``, a network whose flows are feasible
        in ``r``, and subtracts that flow times ``2**shift`` from ``r``;
     4. takes as the new ``S`` what the source reaches in the scaled
-       residual, and as ``U`` its exact residual capacity.
+       residual, and as ``U`` its exact residual capacity;
+    5. merges the ends of each pair with more than ``U`` left both ways
+       and, if any merged, solves the contracted network by :func:`_cut`.
+
+    A cut between those ends costs more than ``U``, the missing flow, so
+    no minimum cut separates them (Padberg-Rinaldi 1990), and s and t,
+    which ``S`` separates, stay apart.  The contracted network, parallel
+    arcs added, keeps every minimum cut (a cut's capacity is its
+    residual one plus the flow so far), so its smallest source side, the
+    intersection of the minimum ones (Picard-Queyranne 1980), mapped back
+    is the witness.
 
     The round with ``shift == 0`` solves the exact residual, so ``S`` is
     the witness (the residual graph of ``r`` and the scaled one then
@@ -172,18 +193,20 @@ def _rounds_cut(network: CutNetwork, r: np.ndarray) -> tuple[int, list[int]]:
     than ``2**shift``, and the new ``U`` is below ``|arcs leaving S| *
     2**shift``.  Here ``2**shift <= 2**(1 - _ROUND_BITS) * width <=
     2**(-30) * 2 * (U + 1)``, since after the clamp no pair sum exceeds
-    ``2 * (U + 1)``.  ``U`` is a non-negative integer, and a round that
+    ``2 * (U + 1)``.  ``U`` is a non-negative integer, a round that
     fails to lower it hands the residual to the exact Python
-    :class:`Dinic` instead, so the loop ends after finitely many rounds
-    (2-6 on the 55-119-bit networks of the benchmark corpora, one for a
-    network whose pairs fit int32).  scipy returns the flow on the input's own pattern, which is
-    symmetric, so its data is read in place; a flow on any other pattern
-    takes the same hand-off.
+    :class:`Dinic` instead, and a contraction has fewer nodes, so the
+    rounds end: after one on the 55-119-bit networks of the benchmark
+    corpora, whose first round leaves 2-3 super-nodes for Dinic.  scipy
+    returns the flow on the input's own pattern, which is symmetric, so
+    its data is read in place; a flow on any other pattern takes the
+    same hand-off.
     """
     # imported on first use: a process whose networks all stay below
     # _SCIPY_MIN_ARCS never loads scipy (160 modules, about 0.3 s)
     from scipy.sparse import csr_array
-    from scipy.sparse.csgraph import breadth_first_order, maximum_flow
+    from scipy.sparse.csgraph import (breadth_first_order,
+                                      connected_components, maximum_flow)
     n, s, t = network.n, network.s, network.t
     # the live pairs, renumbered (slot and parallel are not read below)
     live = (r != 0) | (r[network.rev] != 0)
@@ -197,6 +220,12 @@ def _rounds_cut(network: CutNetwork, r: np.ndarray) -> tuple[int, list[int]]:
     bound = min(_total(r[indptr[s]:indptr[s + 1]]),
                 _total(r[rev[indptr[t]:indptr[t + 1]]]))
     flow = 0
+
+    def arcs(mask):  # csgraph takes explicit zeros for arcs: mask them
+        kept = np.concatenate(([0], np.cumsum(mask, dtype=np.int32)))[indptr]
+        return csr_array((np.ones(kept[-1], np.int8), indices[mask], kept),
+                         shape=(n, n))
+
     while True:
         r = np.minimum(r, bound + 1)
         if bound + 1 < _INT64_SAFE:
@@ -212,13 +241,8 @@ def _rounds_cut(network: CutNetwork, r: np.ndarray) -> tuple[int, list[int]]:
         moved = result.flow.data
         flow += int(moved[indptr[s]:indptr[s + 1]].sum(dtype=np.int64)) << shift
         r = r - (moved.astype(r.dtype) << shift)
-        # csgraph treats explicit zeros as arcs: keep only residual > 0
-        keep = scaled > moved
-        kept = np.concatenate(([0], np.cumsum(keep, dtype=np.int32)))[indptr]
-        residual = csr_array((np.ones(kept[-1], np.int8), indices[keep],
-                              kept), shape=(n, n))
         side = np.zeros(n, dtype=bool)
-        side[breadth_first_order(residual, s, directed=True,
+        side[breadth_first_order(arcs(scaled > moved), s, directed=True,
                                  return_predecessors=False)] = True
         if shift == 0:
             return flow, np.flatnonzero(side).tolist()
@@ -226,6 +250,16 @@ def _rounds_cut(network: CutNetwork, r: np.ndarray) -> tuple[int, list[int]]:
         if left >= bound:
             break
         bound = left
+        # no minimum cut separates a pair with more than U left both ways
+        merge = np.minimum(r, r[rev]) > bound
+        if merge.any():
+            count, label = connected_components(arcs(merge), directed=False)
+            cross = (label[rows] != label[indices]) & (r != 0)
+            caps = r[cross]
+            rest, inner = _cut(cut_network(
+                count, label[rows[cross]], label[indices[cross]],
+                int(label[s]), int(label[t])), caps, _total(caps))
+            return flow + rest, np.flatnonzero(np.isin(label, inner)).tolist()
     rest, witness = _dinic_cut(network, r)
     return flow + rest, witness
 

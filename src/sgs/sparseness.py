@@ -45,11 +45,11 @@ Each cut goes through :func:`sgs.maxflow.min_cut`, which holds every
 network as one symmetric CSR pattern.  Networks of at least 512 arcs
 of nonzero capacity run on scipy's compiled Dinic in exact bit-scaling
 rounds, one round when the capacities fit int32 (as for most networks
-of integer potentials) and a few for the wide capacities of float
-potentials; smaller networks run on the exact Python Dinic, built from
-the same pattern.  Both give the same witness: the vertices the source
-reaches in the residual graph of a maximum flow, which form the
-smallest minimum cut.
+of integer potentials); the wide capacities of float potentials take
+one round and a contracted network of a few nodes.  Smaller networks
+run on the exact Python Dinic, built from the same pattern.  Both give
+the same witness: the vertices the source reaches in the residual
+graph of a maximum flow, which form the smallest minimum cut.
 """
 from __future__ import annotations
 

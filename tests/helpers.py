@@ -1,12 +1,13 @@
 """Shared random-instance builders, the full-table brute-force
-reference, and entry-by-entry oracles for the graph checks of the test
-suite."""
+reference, max-flow oracles and a spy on scipy's maximum flow, and
+entry-by-entry oracles for the graph checks of the test suite."""
 import operator
 import sys
 
 import numpy as np
 
 from sgs import Graph, PhaseField, Potential
+from sgs.maxflow import Dinic
 
 
 def random_graph(rng, n_min=2, n_max=12, p_low=0.15, p_high=0.9) -> Graph:
@@ -91,6 +92,50 @@ def full_cheeger_objective(twice_edges, deg, q):
     den = deg + q
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(den == 0.0, 0.0, -((deg - twice_edges) + q) / den)
+
+
+def cut_value(tails, heads, caps, side):
+    inside = set(side)
+    return sum(c for u, v, c in zip(tails, heads, caps)
+               if u in inside and v not in inside)
+
+
+def smallest_min_cut_side(n, tails, heads, caps):
+    """By enumeration: the intersection of all minimum source sides."""
+    sides, best = [], None
+    for mask in range(1, 1 << (n - 1), 2):
+        side = [x for x in range(n) if mask >> x & 1]
+        value = cut_value(tails, heads, caps, side)
+        if best is None or value < best:
+            sides, best = [], value
+        if value == best:
+            sides.append(set(side))
+    return sorted(set.intersection(*sides))
+
+
+def dinic_reference(n, tails, heads, caps):
+    """Flow value and smallest source side by the public :class:`Dinic`,
+    one arc pair per arc, source 0 and sink n-1."""
+    net = Dinic(n)
+    for u, v, c in zip(tails, heads, caps):
+        net.add_edge(u, v, c)
+    return net.max_flow(0, n - 1), net.min_cut_source_side(0)
+
+
+def spy_maximum_flow(monkeypatch):
+    """Record ``(matrix, result)`` of every call to scipy's
+    ``maximum_flow``, which ``sgs.maxflow`` looks up on each cut."""
+    import scipy.sparse.csgraph as csgraph
+    solved = []
+    maximum_flow = csgraph.maximum_flow
+
+    def spy(matrix, s, t, method):
+        result = maximum_flow(matrix, s, t, method=method)
+        solved.append((matrix, result))
+        return result
+
+    monkeypatch.setattr(csgraph, "maximum_flow", spy)
+    return solved
 
 
 def edge_keys_by_pair(n, edges):

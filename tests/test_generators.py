@@ -150,6 +150,18 @@ def test_ball_truncation_examples():
     assert regular_tree_ball(3, 8).vertex_count == 766
 
 
+def test_tree_balls_exhaust_the_tree():
+    # ball r is ball r + 1 restricted to its first r spheres: the same
+    # edges, and host degree d everywhere, the dropped edges as deficit
+    for d in (3, 4):
+        for r in range(1, 7):
+            small, large = regular_tree_ball(d, r), regular_tree_ball(d, r + 1)
+            inner = large.restrict(range(small.vertex_count))
+            assert np.array_equal(inner.edge_ends, small.edge_ends)
+            assert np.array_equal(inner.host_degree, small.host_degree)
+            assert np.array_equal(inner.deficit, small.deficit)
+
+
 def test_tree_kmin_is_tree_density():
     rng = np.random.default_rng(5)
     for depth in (2, 3):

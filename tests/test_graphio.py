@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -46,6 +47,11 @@ def test_save_load_byte_stable(tmp_path):
     assert second.read_bytes() == third.read_bytes()
     # orientation flip: theta stored for (a, b) is the negated angle
     assert ph.theta(0, 1) == pytest.approx(-0.25)
+
+
+# an integer past the largest float, but below the midpoint to the next
+# power of two, from which numpy raises instead of rounding down
+_PAST_FLOAT = int(sys.float_info.max) + 2**969
 
 
 def test_parse_errors_are_positioned():
@@ -99,11 +105,13 @@ def test_parse_errors_are_positioned():
     graph = document_to_graph({"vertices": [{"id": "x", "host_degree": 2 ** 53}],
                                "edges": []})[0]
     assert graph.host_degree.tolist() == [2 ** 53]
-    for bad in ("abc", float("nan"), float("inf"), None, True, 10 ** 400):
+    # past the largest float: numpy rounds the first two down to it
+    past = (_PAST_FLOAT, -_PAST_FLOAT, 10 ** 400)
+    for bad in ("abc", float("nan"), float("inf"), None, True, *past):
         with pytest.raises(ValueError, match=r"vertices\[1\]: q"):
             document_to_graph({"vertices": [{"id": "x"}, {"id": "y", "q": bad}],
                                "edges": []})
-    for bad in (float("nan"), -float("inf"), "0.5"):
+    for bad in (float("nan"), -float("inf"), "0.5", *past):
         with pytest.raises(ValueError, match=r"edges\[1\]: theta"):
             document_to_graph({"vertices": [{"id": "x"}, {"id": "y"},
                                             {"id": "z"}],
@@ -134,7 +142,7 @@ _VERTEX_FAULTS = {
                      lambda e, d: {**e, "id": d["vertices"][-1]["id"]}],
     "q must be a finite number": [lambda e, d, b=b: {**e, "q": b} for b in
                                   ("abc", math.nan, math.inf, None, True,
-                                   10**400)],
+                                   10**400, _PAST_FLOAT, -_PAST_FLOAT)],
     "host_degree must be an integer": [
         lambda e, d, b=b: {**e, "host_degree": b}
         for b in (2.7, True, "x", 2.0)],
@@ -159,7 +167,8 @@ _EDGE_FAULTS = {
                                      "v": d["edges"][0]["u"]}],
     "theta must be a finite number": [lambda e, d, b=b: {**e, "theta": b}
                                       for b in (math.nan, -math.inf, "0.5",
-                                                True, 10**400)],
+                                                True, 10**400, _PAST_FLOAT,
+                                                -_PAST_FLOAT)],
 }
 
 

@@ -6,6 +6,9 @@ import pytest
 from sgs import maxflow
 from sgs.maxflow import Dinic, cut_network, min_cut
 
+from helpers import (cut_value, dinic_reference, smallest_min_cut_side,
+                     spy_maximum_flow)
+
 INT32_MAX = 2**31 - 1
 
 
@@ -87,34 +90,6 @@ def _network(rng, kind, n):
     return tails, heads, caps
 
 
-def _cut_value(tails, heads, caps, side):
-    inside = set(side)
-    return sum(c for u, v, c in zip(tails, heads, caps)
-               if u in inside and v not in inside)
-
-
-def _smallest_min_cut_side(n, tails, heads, caps):
-    """By enumeration: the intersection of all minimum source sides."""
-    sides, best = [], None
-    for mask in range(1, 1 << (n - 1), 2):
-        side = [x for x in range(n) if mask >> x & 1]
-        value = _cut_value(tails, heads, caps, side)
-        if best is None or value < best:
-            sides, best = [], value
-        if value == best:
-            sides.append(set(side))
-    return sorted(set.intersection(*sides))
-
-
-def _dinic(n, tails, heads, caps):
-    """Flow value and smallest source side by the public :class:`Dinic`,
-    one arc pair per arc, source 0 and sink n-1."""
-    net = Dinic(n)
-    for u, v, c in zip(tails, heads, caps):
-        net.add_edge(u, v, c)
-    return net.max_flow(0, n - 1), net.min_cut_source_side(0)
-
-
 def _load(network, caps):
     """The capacities ``caps`` as residuals on the network's pattern,
     parallel arcs added up, as :func:`min_cut` loads them."""
@@ -136,26 +111,12 @@ def _spy(monkeypatch, name):
     return calls
 
 
-def _spy_scipy(monkeypatch):
-    """Record every matrix min_cut hands to scipy's maximum_flow."""
-    import scipy.sparse.csgraph as csgraph
-    solved = []
-    maximum_flow = csgraph.maximum_flow
-
-    def spy(matrix, s, t, method):
-        solved.append(matrix)
-        return maximum_flow(matrix, s, t, method=method)
-
-    monkeypatch.setattr(csgraph, "maximum_flow", spy)
-    return solved
-
-
 @pytest.mark.parametrize("kind, narrow", [
     ("small", True), ("int32_max", True),
     ("wide_source", False), ("wide_arc", False), ("wide_pair", False)])
 def test_min_cut_backends_agree_across_int32_cutover(monkeypatch, kind,
                                                      narrow):
-    solved = _spy_scipy(monkeypatch)
+    solved = spy_maximum_flow(monkeypatch)
     rounds_cut = maxflow._rounds_cut
     compiled = _spy(monkeypatch, "_rounds_cut")
     rng = np.random.default_rng(sum(map(ord, kind)))
@@ -165,10 +126,10 @@ def test_min_cut_backends_agree_across_int32_cutover(monkeypatch, kind,
         n = int(n)
         tails, heads, caps = _network(rng, kind, n)
         s, t = 0, n - 1
-        flow, side = _dinic(n, tails, heads, caps)
-        assert _cut_value(tails, heads, caps, side) == flow
+        flow, side = dinic_reference(n, tails, heads, caps)
+        assert cut_value(tails, heads, caps, side) == flow
         if n < 9:
-            assert side == _smallest_min_cut_side(n, tails, heads, caps)
+            assert side == smallest_min_cut_side(n, tails, heads, caps)
         del solved[:]
         net = cut_network(n, tails, heads, s, t)
         assert rounds_cut(net, _load(net, caps)) == (flow, side)
@@ -176,8 +137,9 @@ def test_min_cut_backends_agree_across_int32_cutover(monkeypatch, kind,
             assert len(solved) == 1
         del compiled[:]
         assert min_cut(net, caps) == side
-        # the floor counts the arcs of nonzero capacity only
-        large = np.count_nonzero(caps) >= maxflow._SCIPY_MIN_ARCS
+        # the floor counts the arcs of nonzero capacity only, parallel
+        # arcs added up (one arc is given twice)
+        large = np.count_nonzero(_load(net, caps)) >= maxflow._SCIPY_MIN_ARCS
         assert len(compiled) == large
         assert (len(caps) >= maxflow._SCIPY_MIN_ARCS) == (n > 8)
 
@@ -193,71 +155,78 @@ def test_rounds_cut_at_narrow_width(monkeypatch):
     """The rounds at a width of 8 bits: 4-8-node networks take several
     rounds, every scaled network obeys the width rule (its widest arc
     pair alone sets the shift), and each side is the smallest minimum
-    cut."""
+    cut.  ``check`` counts scipy rounds, contracted solves and hand-offs
+    of a full residual to the Python Dinic, with contracted networks
+    below the arc floor (on Dinic) and, with the floor at one arc, back
+    through the rounds."""
     bits = 8
     monkeypatch.setattr(maxflow, "_ROUND_BITS", bits)
-    import scipy.sparse.csgraph as csgraph
-    maximum_flow = csgraph.maximum_flow
-    solved = []  # (scaled capacities, flow) of each round, dense
-
-    def spy(matrix, s, t, method):
-        result = maximum_flow(matrix, s, t, method=method)
-        solved.append((matrix.toarray().astype(np.int64),
-                       result.flow.toarray().astype(np.int64)))
-        return result
-
-    monkeypatch.setattr(csgraph, "maximum_flow", spy)
-    handed_off = _spy(monkeypatch, "_dinic_cut")
+    solved = spy_maximum_flow(monkeypatch)
+    contracted = _spy(monkeypatch, "_cut")
+    dinic = _spy(monkeypatch, "_dinic_cut")
 
     def check(n, tails, heads, caps, enumerate_sides=True):
-        del solved[:], handed_off[:]
+        del solved[:], contracted[:], dinic[:]
         net = cut_network(n, tails, heads, 0, n - 1)
         got = maxflow._rounds_cut(net, _load(net, caps))
-        assert got == _dinic(n, tails, heads, caps)
+        assert got == dinic_reference(n, tails, heads, caps)
         if enumerate_sides:
-            assert got[1] == _smallest_min_cut_side(n, tails, heads, caps)
-        # every pair fits, and the shift is the least that makes it so:
-        # a round with shift > 0 (each but the last) keeps the widest
-        # pair at 2**(bits - 1) - 1 or more, whatever the known cut
-        for i, (c, f) in enumerate(solved):
+            assert got[1] == smallest_min_cut_side(n, tails, heads, caps)
+        # every pair fits, and the shift is the least that makes it so: a
+        # round followed by one on the same network (contracted networks
+        # are smaller) had shift > 0, and keeps the widest pair at
+        # 2**(bits - 1) - 1 or more, whatever the known cut
+        for i, (matrix, _) in enumerate(solved):
+            c = matrix.toarray().astype(np.int64)
             assert (c + c.T).max() < 2**bits
-            if i < len(solved) - 1:
+            if i + 1 < len(solved) and solved[i + 1][0].shape == c.shape:
                 assert (c + c.T).max() >= 2**(bits - 1) - 1
-        return len(solved), len(handed_off)
+        inner = [args[0] for args in contracted]
+        handed_off = [args for args in dinic
+                      if not any(args[0] is network for network in inner)]
+        return len(solved), len(contracted), len(handed_off)
 
-    rounds = []
-    for kind in ("small", "int32_max", "wide_source", "wide_arc",
-                 "wide_pair"):
-        rng = np.random.default_rng(sum(map(ord, kind)))
-        for n in rng.integers(4, 9, 20):
-            rounds.append(check(int(n), *_network(rng, kind, int(n)))[0])
-    assert max(rounds) >= 4
-    # the clamp: an arc of 2**60 that no minimum cut crosses leaves the
-    # width, and so the single round, to the flow of at most 5
-    assert check(*_star(1, 2**60, 5)) == (1, 0)
-    # a bidirected pair of 2**21 each way, clamped to 2**20 + 1: the
-    # pair, not the single capacities or the known cut, sets the width
-    x = 2**20
-    assert check(4, [0, 1, 2, 2], [1, 2, 1, 3], [x, 2 * x, 2 * x, x]) == (2, 0)
-    # 4 paths of 100: every pair fits 8 bits, so one exact round takes
-    # the flow of 400, which does not
-    assert check(*_star(4, 100, 100)) == (1, 0)
-    # 12 saturated paths: the source arcs, clamped to 12c + 1, set the
-    # width, the shifted sink arcs keep 4 bits, and each round lowers
-    # the missing flow until the exact round
-    c = 2**20 - 1
-    assert check(*_star(12, 2**40, c)) == (7, 0)
-    # 200 such paths: source arcs clamped to 200c + 1 shift the sink
-    # arcs to 0, so the first round moves no flow and the residual goes
-    # to Dinic
-    assert check(*_star(200, 2**40, c), enumerate_sides=False) == (1, 1)
+    c, x = 2**20 - 1, 2**20
+    for forced in (False, True):
+        if forced:  # contracted networks go back through the rounds
+            monkeypatch.setattr(maxflow, "_SCIPY_MIN_ARCS", 1)
+        counts = []
+        for kind in ("small", "int32_max", "wide_source", "wide_arc",
+                     "wide_pair"):
+            rng = np.random.default_rng(sum(map(ord, kind)))
+            for n in rng.integers(4, 9, 20):
+                counts.append(check(int(n), *_network(rng, kind, int(n))))
+        assert max(rounds for rounds, _, _ in counts) >= 4
+        assert sum(merged for _, merged, _ in counts) >= 5
+        # the clamp: an arc of 2**60 that no minimum cut crosses leaves
+        # the width, and so the single round, to the flow of at most 5
+        assert check(*_star(1, 2**60, 5)) == (1, 0, 0)
+        # a bidirected pair of 2**21 each way, clamped to 2**20 + 1: the
+        # pair, not the single capacities or the known cut, sets the
+        # width; the first round merges what no minimum cut separates
+        assert check(4, [0, 1, 2, 2], [1, 2, 1, 3],
+                     [x, 2 * x, 2 * x, x]) == (1 + forced, 1, 0)
+        # 4 paths of 100: every pair fits 8 bits, so one exact round
+        # takes the flow of 400, which does not
+        assert check(*_star(4, 100, 100)) == (1, 0, 0)
+        # 12 saturated paths: the source arcs, clamped to 12c + 1, set
+        # the width and the shifted sink arcs keep 4 bits.  The first
+        # round leaves more than U both ways on every source arc, so s
+        # and the path nodes merge: two super-nodes, whose one arc of
+        # 12 * (2**16 - 1) takes 3 more rounds at 8 bits
+        assert check(*_star(12, 2**40, c)) == (1 + 3 * forced, 1, 0)
+        # 200 such paths: source arcs clamped to 200c + 1 shift the sink
+        # arcs to 0, so the first round moves no flow, lowers no U, and
+        # the full residual goes to Dinic
+        assert check(*_star(200, 2**40, c),
+                     enumerate_sides=False) == (1, 0, 1)
 
 
 def test_one_round_carries_a_flow_past_int32(monkeypatch):
     """A hub of 300 paths whose arcs fit int32 but whose flow, about
     2**38, does not: one scipy round solves it, the flow value summed in
     int64 from the source's arcs, and it matches the Python Dinic."""
-    solved = _spy_scipy(monkeypatch)
+    solved = spy_maximum_flow(monkeypatch)
     handed_off = _spy(monkeypatch, "_dinic_cut")
     rng = np.random.default_rng(38)
     k = 300
@@ -265,10 +234,113 @@ def test_one_round_carries_a_flow_past_int32(monkeypatch):
     caps = rng.integers(2**30, INT32_MAX, 2 * k).tolist()
     net = cut_network(n, tails, heads, 0, n - 1)
     flow, side = maxflow._rounds_cut(net, _load(net, caps))
-    assert (flow, side) == _dinic(n, tails, heads, caps)
+    assert (flow, side) == dinic_reference(n, tails, heads, caps)
     assert flow > 2**37 and len(solved) == 1 and not handed_off
     del solved[:]
     assert min_cut(net, caps) == side and len(solved) == 1
+
+
+def _watch_contractions(monkeypatch):
+    """Check every contraction of the rounds, at every level, against
+    the Python Dinic on the network the rounds were given: s and t lie
+    in two super-nodes, each super-node on one side of Dinic's smallest
+    source side, and the rounds return Dinic's flow and side.  Returns
+    a function that counts the networks given to the shared dispatch
+    (the contracted ones, when the rounds are called directly) by the
+    path they took."""
+    import scipy.sparse.csgraph as csgraph
+    components, rounds_cut = csgraph.connected_components, maxflow._rounds_cut
+    exact_cut = maxflow._dinic_cut
+    levels = []  # (network, its exact side) of each running round loop
+    dispatched = _spy(monkeypatch, "_cut")
+    to_dinic, to_rounds = _spy(monkeypatch, "_dinic_cut"), []
+
+    def spy_components(graph, **kwargs):
+        count, label = components(graph, **kwargs)
+        network, side = levels[-1]
+        assert label[network.s] != label[network.t]
+        # the share of each super-node inside the side is 0 or 1
+        share = np.bincount(label, side) / np.bincount(label)
+        assert set(share.tolist()) <= {0.0, 1.0}
+        return count, label
+
+    def spy_rounds(network, r):
+        to_rounds.append((network, r))
+        exact = exact_cut(network, r)
+        side = np.zeros(network.n)
+        side[exact[1]] = 1
+        levels.append((network, side))
+        try:
+            assert rounds_cut(network, r) == exact
+        finally:
+            levels.pop()
+        return exact
+
+    monkeypatch.setattr(csgraph, "connected_components", spy_components)
+    monkeypatch.setattr(maxflow, "_rounds_cut", spy_rounds)
+
+    def arms():
+        """How many networks given to the shared dispatch went back
+        through the rounds, and how many to Dinic."""
+        return tuple(sum(any(net is network for net, _ in calls)
+                         for network, *_ in dispatched)
+                     for calls in (to_rounds, to_dinic))
+
+    return arms
+
+
+def _wide_network(rng, n):
+    """Random arcs on ``n`` nodes, source 0 and sink n-1, with
+    capacities of 0 to 80 bits: several rounds at any width."""
+    arcs = {}
+    for _ in range(3 * n):
+        u, v = (int(x) for x in rng.choice(n, 2, replace=False))
+        arcs[u, v] = int(rng.integers(0, 2**62)) >> int(rng.integers(0, 62))
+        arcs[u, v] <<= int(rng.integers(0, 19))
+    tails, heads, caps = (list(x) for x in zip(*[(u, v, c) for (u, v), c
+                                                 in arcs.items()]))
+    return tails, heads, caps
+
+
+def test_contraction_keeps_every_minimum_cut(monkeypatch):
+    """At a width of 8 bits, on wide random networks, the rounds merge
+    only what no minimum cut separates (never s with t) and return the
+    Python Dinic's flow and smallest side, whether a contracted network
+    goes to Dinic (below the arc floor) or back through the rounds."""
+    monkeypatch.setattr(maxflow, "_ROUND_BITS", 8)
+    arms = _watch_contractions(monkeypatch)
+    rng = np.random.default_rng(71)
+    for floor in (maxflow._SCIPY_MIN_ARCS, 6):
+        monkeypatch.setattr(maxflow, "_SCIPY_MIN_ARCS", floor)
+        for n in [*rng.integers(4, 9, 20), *rng.integers(60, 81, 5)]:
+            n = int(n)
+            tails, heads, caps = _wide_network(rng, n)
+            net = cut_network(n, tails, heads, 0, n - 1)
+            got = maxflow._rounds_cut(net, _load(net, caps))
+            assert got == dinic_reference(n, tails, heads, caps)
+            if n < 9:
+                assert got[1] == smallest_min_cut_side(n, tails, heads,
+                                                        caps)
+    rounds_arm, dinic_arm = arms()
+    assert rounds_arm >= 5 and dinic_arm >= 5
+
+
+def test_one_scipy_round_per_cut_on_float_potentials(monkeypatch):
+    # float q gives capacities far past int32, and every cut of this
+    # grid is past the arc floor: the first round leaves at most three
+    # super-nodes, which the Python Dinic finishes, so each cut takes
+    # one scipy round (before the contraction, 13 rounds for 5 cuts)
+    from sgs import Potential, grid_graph, kmin_flow, sparseness
+    solved = spy_maximum_flow(monkeypatch)
+    cuts = []
+    solve = sparseness.min_cut
+    monkeypatch.setattr(sparseness, "min_cut",
+                        lambda *args: cuts.append(args) or solve(*args))
+    graph = grid_graph(40)
+    q = np.random.default_rng(40).uniform(0.0, 3.0, graph.vertex_count)
+    kmin_flow(graph, Potential(q), [0, 0.5, 1, 2])
+    assert len(cuts) >= 4 and len(solved) == len(cuts)
+    assert max(int(c.max()).bit_length() for _, c in cuts) > 60
 
 
 def test_min_cut_rejects_negative_capacity():
@@ -333,7 +405,7 @@ def test_scipy_returns_the_flow_on_a_symmetric_pattern(monkeypatch):
         assert np.array_equal(flow.indptr, net.indptr)
         assert np.array_equal(flow.indices, net.indices)
         assert np.count_nonzero(caps) >= maxflow._SCIPY_MIN_ARCS
-        assert min_cut(net, caps) == _dinic(n, tails, heads, caps)[1]
+        assert min_cut(net, caps) == dinic_reference(n, tails, heads, caps)[1]
         assert not handed_off
 
 
@@ -360,7 +432,7 @@ def test_rounds_run_on_the_live_pairs(monkeypatch):
     # capacity 0 both ways with its reverse: scipy sees only the pairs
     # with capacity in either direction, and each side is Dinic's
     from sgs import Potential, grid_graph, kmin_flow, sparseness
-    solved = _spy_scipy(monkeypatch)
+    solved = spy_maximum_flow(monkeypatch)
     cuts = []
 
     def spy(network, caps):
@@ -382,7 +454,7 @@ def test_rounds_run_on_the_live_pairs(monkeypatch):
             pair[u, v] = pair.get((u, v), 0) + c
             pair[v, u] = pair.get((v, u), 0) + c
         live = sum(c > 0 for c in pair.values())
-        for matrix in matrices:
+        for matrix, _ in matrices:
             assert matrix.nnz == live <= 2 * np.count_nonzero(caps)
             compacted += matrix.nnz < len(network.indices)
         net = Dinic(network.n)
@@ -419,8 +491,8 @@ def test_rounds_hand_off_a_flow_on_another_pattern(monkeypatch):
             net = cut_network(n, tails, heads, 0, n - 1)
             del handed_off[:]
             rounds = len(pruned)
-            assert maxflow._rounds_cut(
-                net, _load(net, caps)) == _dinic(n, tails, heads, caps)
+            got = maxflow._rounds_cut(net, _load(net, caps))
+            assert got == dinic_reference(n, tails, heads, caps)
             # the rounds end at the first flow on another pattern
             assert pruned[rounds:-1].count(True) == 0
             if pruned[-1]:

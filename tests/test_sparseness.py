@@ -13,7 +13,7 @@ from sgs.sparseness import ENUMERATION_LIMIT
 
 from helpers import (full_best_subset, full_cheeger_objective,
                      full_kmin_objective, full_subset_tables, random_graph,
-                     restricted, uniform_potential)
+                     restricted, spy_maximum_flow, uniform_potential)
 
 
 def test_kmin_path_examples():
@@ -474,11 +474,10 @@ def test_exact_potential_matches_fractions():
 
 def test_compiled_cuts_match_dinic_on_wide_capacities(monkeypatch):
     # float q gives 55-119-bit capacities; on networks of at least 512
-    # arcs min_cut solves them in several scipy rounds, and the
-    # certificates must equal those of a run where every cut is Dinic's
-    import scipy.sparse.csgraph as csgraph
-
-    from sgs import grid_graph, maxflow
+    # arcs min_cut solves them in scipy rounds on the full and the
+    # contracted networks, and the certificates must equal those of a
+    # run where every cut is Dinic's
+    from sgs import grid_graph, maxflow, sparseness
     rng = np.random.default_rng(47)
     cases = []
     for g in (grid_graph(16), regular_tree_ball(3, 6)):
@@ -500,19 +499,41 @@ def test_compiled_cuts_match_dinic_on_wide_capacities(monkeypatch):
             out.append((cert.witness, repr(cert.ratio)))
         return out
 
-    cuts, rounds = [], []
-    rounds_cut, maximum_flow = maxflow._rounds_cut, csgraph.maximum_flow
-    monkeypatch.setattr(maxflow, "_rounds_cut",
-                        lambda *a: cuts.append(a) or rounds_cut(*a))
-    monkeypatch.setattr(csgraph, "maximum_flow",
-                        lambda *a, **k: rounds.append(a) or
-                        maximum_flow(*a, **k))
-    compiled = certificates()
-    assert len(cuts) >= 10 and len(rounds) > 2 * len(cuts)
+    def spy(module, name):
+        calls, original = [], getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *a: calls.append(a) or original(*a))
+        return calls
+
+    solved = spy_maximum_flow(monkeypatch)
+    cuts, dispatched = spy(sparseness, "min_cut"), spy(maxflow, "_cut")
+    compiled_cuts = spy(maxflow, "_rounds_cut")
+    dinic = spy(maxflow, "_dinic_cut")
+
+    def run():
+        """The certificates, and the counts of cuts, of compiled cuts
+        (contracted ones included), of scipy rounds, of contracted
+        solves and of hand-offs of a full residual to Dinic."""
+        for calls in (solved, cuts, dispatched, compiled_cuts, dinic):
+            del calls[:]
+        out = certificates()
+        inner = [a[0] for a in dispatched]
+        handed_off = [a for a in dinic if not any(a[0] is x for x in inner)]
+        return out, (len(cuts), len(compiled_cuts), len(solved),
+                     len(dispatched) - len(cuts), len(handed_off))
+
+    # each compiled cut takes one scipy round, and Dinic finishes its
+    # contracted network
+    compiled, (count, entered, rounds, contracted, handed_off) = run()
+    assert entered >= 10 and rounds == entered
+    assert contracted >= 10 and not handed_off
+    # contracted networks back through the rounds: several a cut
+    monkeypatch.setattr(maxflow, "_SCIPY_MIN_ARCS", 1)
+    out, (count, entered, rounds, contracted, handed_off) = run()
+    assert out == compiled and rounds > 2 * count and contracted >= 10
     monkeypatch.setattr(maxflow, "_SCIPY_MIN_ARCS", 10**9)
-    del cuts[:]
-    assert certificates() == compiled
-    assert not cuts
+    out, (_, entered, *_) = run()
+    assert out == compiled and not entered
 
 
 def test_one_network_per_ratio_driver(monkeypatch):
@@ -890,3 +911,59 @@ def test_region_witness_sums_do_not_depend_on_the_numbering():
         local = rng.permutation(sub.vertex_count)[:rng.integers(1, 40)]
         assert (subset_stats(sub, sub_q, local)
                 == subset_stats(g, q, region[local]))
+
+
+def _exact_counts(graph, q, witness):
+    """The witness's integer counts and its exact potential sum."""
+    stats = subset_stats(graph, None, witness)
+    return stats, sum(map(Fraction, q.values[list(witness)].tolist()),
+                      Fraction(0))
+
+
+def test_restriction_lowers_kmin_and_raises_cheeger(monkeypatch):
+    """Every subset of G.restrict(U) is a subset of G with the same
+    counts, since the restriction keeps host degrees.  So k_min of a
+    restriction is at most G's and its Cheeger constant at least G's:
+    exact relations, checked as rationals from the witnesses on float-q
+    hosts whose cuts take the contracted path."""
+    from sgs import grid_graph, maxflow, sparseness
+
+    def kmin(graph, q, a, witness):
+        stats, qw = _exact_counts(graph, q, witness)
+        return (2 * stats.induced_edges
+                - Fraction(a) * (stats.boundary + qw)) / stats.size
+
+    def cheeger_ratio(graph, q, witness):
+        stats, qw = _exact_counts(graph, q, witness)
+        return (stats.boundary + qw) / (stats.degree_sum + qw)
+
+    cuts, solve = [], sparseness.min_cut
+    monkeypatch.setattr(sparseness, "min_cut",
+                        lambda *a: cuts.append(a) or solve(*a))
+    dispatched, dispatch = [], maxflow._cut
+    monkeypatch.setattr(maxflow, "_cut",
+                        lambda *a: dispatched.append(a) or dispatch(*a))
+    rng = np.random.default_rng(67)
+    grid, ball = grid_graph(60), regular_tree_ball(3, 10)
+    x, y = np.divmod(np.arange(3600), 60)
+    cases = [(grid, [np.flatnonzero(rng.random(3600) < 0.7),
+                     np.flatnonzero((x < 45) & (y > 10)),
+                     np.flatnonzero((x - 30)**2 + (y - 30)**2 > 15**2)]),
+             (ball, [np.flatnonzero(rng.random(ball.vertex_count) < 0.7),
+                     np.arange(regular_tree_ball(3, 9).vertex_count),
+                     np.arange(2, ball.vertex_count)])]
+    grid_a = (0, 0.5, 1, 2)
+    for graph, regions in cases:
+        q = Potential(rng.uniform(0.0, 3.0, graph.vertex_count))
+        whole = [kmin(graph, q, a, cert.witness)
+                 for a, cert in zip(grid_a, kmin_flow(graph, q, grid_a))]
+        lowest = cheeger_ratio(graph, q, cheeger(graph, q).witness)
+        for region in regions:
+            sub, sub_q = restricted(graph, q, region)
+            certs = kmin_flow(sub, sub_q, grid_a)
+            for a, k, cert in zip(grid_a, whole, certs):
+                assert kmin(sub, sub_q, a, cert.witness) <= k
+            assert cheeger_ratio(sub, sub_q,
+                                 cheeger(sub, sub_q).witness) >= lowest
+    # most cuts contract after their first round
+    assert len(dispatched) - len(cuts) > len(cuts) // 2
