@@ -1,6 +1,6 @@
 """Shared random-instance builders, the full-table brute-force
-reference, max-flow oracles and a spy on scipy's maximum flow, and
-entry-by-entry oracles for the graph checks of the test suite."""
+reference, max-flow oracles, call spies and entry-by-entry oracles
+for the graph checks of the test suite."""
 import operator
 import sys
 
@@ -120,6 +120,19 @@ def dinic_reference(n, tails, heads, caps):
     for u, v, c in zip(tails, heads, caps):
         net.add_edge(u, v, c)
     return net.max_flow(0, n - 1), net.min_cut_source_side(0)
+
+
+def spy(monkeypatch, module, name):
+    """Record the arguments of every call to ``module.<name>``."""
+    calls = []
+    original = getattr(module, name)
+
+    def record(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, record)
+    return calls
 
 
 def spy_maximum_flow(monkeypatch):

@@ -13,7 +13,7 @@ from sgs.sparseness import ENUMERATION_LIMIT
 
 from helpers import (full_best_subset, full_cheeger_objective,
                      full_kmin_objective, full_subset_tables, random_graph,
-                     restricted, spy_maximum_flow, uniform_potential)
+                     restricted, spy, spy_maximum_flow, uniform_potential)
 
 
 def test_kmin_path_examples():
@@ -499,16 +499,11 @@ def test_compiled_cuts_match_dinic_on_wide_capacities(monkeypatch):
             out.append((cert.witness, repr(cert.ratio)))
         return out
 
-    def spy(module, name):
-        calls, original = [], getattr(module, name)
-        monkeypatch.setattr(module, name,
-                            lambda *a: calls.append(a) or original(*a))
-        return calls
-
     solved = spy_maximum_flow(monkeypatch)
-    cuts, dispatched = spy(sparseness, "min_cut"), spy(maxflow, "_cut")
-    compiled_cuts = spy(maxflow, "_rounds_cut")
-    dinic = spy(maxflow, "_dinic_cut")
+    cuts = spy(monkeypatch, sparseness, "min_cut")
+    dispatched = spy(monkeypatch, maxflow, "_cut")
+    compiled_cuts = spy(monkeypatch, maxflow, "_rounds_cut")
+    dinic = spy(monkeypatch, maxflow, "_dinic_cut")
 
     def run():
         """The certificates, and the counts of cuts, of compiled cuts
@@ -937,12 +932,8 @@ def test_restriction_lowers_kmin_and_raises_cheeger(monkeypatch):
         stats, qw = _exact_counts(graph, q, witness)
         return (stats.boundary + qw) / (stats.degree_sum + qw)
 
-    cuts, solve = [], sparseness.min_cut
-    monkeypatch.setattr(sparseness, "min_cut",
-                        lambda *a: cuts.append(a) or solve(*a))
-    dispatched, dispatch = [], maxflow._cut
-    monkeypatch.setattr(maxflow, "_cut",
-                        lambda *a: dispatched.append(a) or dispatch(*a))
+    cuts = spy(monkeypatch, sparseness, "min_cut")
+    dispatched = spy(monkeypatch, maxflow, "_cut")
     rng = np.random.default_rng(67)
     grid, ball = grid_graph(60), regular_tree_ball(3, 10)
     x, y = np.divmod(np.arange(3600), 60)
