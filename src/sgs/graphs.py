@@ -416,18 +416,27 @@ def subset_stats(graph: Graph, potential: Potential | None,
     """Count |W|, |E_W|, |dW|, deg(W) and potential sums for ``subset``.
 
     The potential sums add q over W in increasing vertex order, so a
-    graph and its :meth:`Graph.restrict` give the same bits."""
+    graph and its :meth:`Graph.restrict` give the same bits.
+
+    A tuple or list of Python ints, or a 1-d integer array, is checked
+    as a whole: its types as a set, then the range of its distinct
+    members.  Any other input, or a failing one, is read one entry at a
+    time, and its first faulty entry is named."""
     n = graph.vertex_count
-    members = set()
-    for i, x in enumerate(subset):
-        x = _as_index(x, "subset", i)
-        if not (0 <= x < n):
-            raise ValueError(f"vertex index {x} out of range")
-        members.add(x)
+    if (isinstance(subset, np.ndarray) and subset.ndim == 1
+            and subset.dtype.kind in "iu"):
+        subset = subset.tolist()
+    members = None
+    if isinstance(subset, (tuple, list)) and set(map(type, subset)) <= {int}:
+        # sorted: the float sums must not follow the order of a set
+        members = sorted(set(subset))
+        if members and not (members[0] >= 0 and members[-1] < n):
+            members = None
+    if members is None:
+        members = _members(subset, n)
     if not members:
         return SubsetStats(0, 0, 0, 0, 0.0, 0.0)
-    # sorted: the float sums must not follow the order of a set
-    idx = np.sort(np.fromiter(members, dtype=np.int64))
+    idx = np.array(members, dtype=np.int64)
     inside = np.zeros(n, dtype=bool)
     inside[idx] = True
     ends = inside[graph.edge_ends]
@@ -442,7 +451,21 @@ def subset_stats(graph: Graph, potential: Potential | None,
             raise ValueError("potential length does not match graph")
         q_sum = float(potential.values[idx].sum())
         q_plus = float(potential.plus[idx].sum())
-    return SubsetStats(len(members), induced, boundary, degree_sum, q_sum, q_plus)
+    return SubsetStats(len(members), induced, boundary, degree_sum, q_sum,
+                       q_plus)
+
+
+def _members(subset: Iterable[int], n: int) -> list[int]:
+    """The distinct vertices of ``subset`` in increasing order, read one
+    entry at a time: the first entry that is no integer, or out of
+    range, raises ``ValueError``."""
+    members = set()
+    for i, x in enumerate(subset):
+        x = _as_index(x, "subset", i)
+        if not (0 <= x < n):
+            raise ValueError(f"vertex index {x} out of range")
+        members.add(x)
+    return sorted(members)
 
 
 def breadth_first_spheres(graph: Graph, root: int = 0) -> list[list[int]]:

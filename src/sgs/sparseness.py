@@ -320,6 +320,43 @@ def _kmin_certificate(graph: Graph, potential: Potential, a: float,
                                  clamped=ratio < 0.0)
 
 
+def _pendant_trees(graph: Graph) -> tuple[list[tuple[int, int]],
+                                          np.ndarray | None, list[int]]:
+    """The degree-one vertices of ``graph``, peeled leaf to root, and
+    the core they leave.
+
+    Returns the pairs (v, p) of each vertex v peeled at degree one and
+    its one remaining neighbour p, in peel order; the core, the vertices
+    left with degree at least two, in increasing order; and the roots,
+    the unpeeled vertices left with no edge.  Of a lone edge only the
+    first end peels; the other is its root.  A graph with no degree-one
+    vertex gives ``([], None, [])``.  O(n + m): a queue, with each vertex's
+    remaining neighbours held as the xor of their indices.
+    """
+    queue = np.flatnonzero(graph.internal_degree == 1).tolist()
+    if not queue:
+        return [], None, []
+    iu, iv = graph.edge_ends.T
+    xor = np.zeros(graph.vertex_count, dtype=np.int64)
+    np.bitwise_xor.at(xor, iu, iv)
+    np.bitwise_xor.at(xor, iv, iu)
+    xor, left = xor.tolist(), graph.internal_degree.tolist()
+    pairs = []
+    for v in queue:  # grows while it is read
+        if left[v] != 1:  # its last neighbour peeled first: a root
+            continue
+        p = xor[v]
+        pairs.append((v, p))
+        left[v] = 0
+        left[p] -= 1
+        xor[p] ^= v
+        if left[p] == 1:
+            queue.append(p)
+    left = np.array(left)
+    left[[v for v, _ in pairs]] = -1
+    return pairs, np.flatnonzero(left >= 2), np.flatnonzero(left == 0).tolist()
+
+
 class _RatioSearch:
     """Dinkelbach's ratio iteration over the nonempty vertex subsets W
     of one graph, on one cut network built once for every ratio it is
@@ -366,10 +403,19 @@ class _RatioSearch:
                         int(deficit.max()))
         self._narrow = ((deg, exact_q.astype(np.int64), deficit)
                         if self._bounds[1] < 2**63 else self._exact)
+        # the cut network spans the core: every vertex when nothing peels
+        self._pendant, self._core, self._roots = _pendant_trees(graph)
+        if self._pendant:
+            local = np.full(m, -1)
+            local[self._core] = np.arange(len(self._core))
+            kept = (local[iu] >= 0) & (local[iv] >= 0)
+            iu, iv, m = local[iu[kept]], local[iv[kept]], len(self._core)
+        self._arcs = 2 * len(iu)
         s, t = m, m + 1
         self._net = cut_network(
             m + 2, np.concatenate((np.full(m, s), np.arange(m), iu, iv)),
-            np.concatenate((np.arange(m), np.full(m, t), iv, iu)), s, t)
+            np.concatenate((np.arange(m), np.full(m, t), iv, iu)),
+            s, t) if m else None
         # witness -> its counts (deg W, qd q_+(W), |W|, |dW|)
         self._found: dict[tuple[int, ...], tuple[int, int, int, int]] = {}
 
@@ -382,6 +428,38 @@ class _RatioSearch:
         inner = int(np.count_nonzero(inside[self._iu] & inside[self._iv]))
         return (degsum, sum(self._exact_q[members].tolist()), len(members),
                 degsum - 2 * inner)
+
+    def _side(self, w: np.ndarray, unit: int) -> np.ndarray:
+        """The smallest W maximizing w(W) - unit |inner edges leaving W|,
+        for the terminal weights ``w`` of every vertex: the pendant trees
+        folded leaf to root, one cut of the core, and the trees unfolded
+        root to leaf by the strict rule."""
+        if not self._pendant:
+            return self._cut(w, unit)
+        w = w.tolist()
+        for v, p in self._pendant:
+            x = w[v]
+            w[p] += unit if x > unit else -unit if x < -unit else x
+        inside = [False] * len(w)
+        for x in self._roots:
+            inside[x] = w[x] > 0
+        core = self._core
+        if len(core):
+            folded = [w[x] for x in core.tolist()]
+            wide = max(unit, max(folded), -min(folded)) >= 2**63
+            for x in core[self._cut(np.array(
+                    folded, dtype=object if wide else np.int64), unit)].tolist():
+                inside[x] = True
+        for v, p in reversed(self._pendant):
+            inside[v] = w[v] > (-unit if inside[p] else unit)
+        return np.flatnonzero(inside)
+
+    def _cut(self, w: np.ndarray, unit: int) -> np.ndarray:
+        """The smallest side of the core network's minimum cut, with
+        terminal weights ``w`` on the core and ``unit`` on inner arcs."""
+        caps = np.concatenate((np.maximum(w, 0), np.maximum(-w, 0),
+                               np.full(self._arcs, unit, dtype=w.dtype)))
+        return np.array(min_cut(self._net, caps), dtype=np.int64)[:-1]  # drop s
 
     def maximize(self, num, den, start: tuple[int, ...] | None = None
                  ) -> tuple[tuple[int, ...], Fraction | None]:
@@ -415,7 +493,7 @@ class _RatioSearch:
             # only the iteration concludes that a ratio is infinite
             if None not in (r, found_r) and found_r > r:
                 witness, counts, r = found, found_counts, found_r
-        (dmax, qmax, omax), iu = self._bounds, self._iu
+        dmax, qmax, omax = self._bounds
         for _ in range(_MAX_RATIO_ITERATIONS):
             if r is None:
                 break
@@ -430,11 +508,7 @@ class _RatioSearch:
             fits = (abs(da) * dmax + abs(dq) * qmax + abs(c)
                     + unit * (omax + 1)) < 2**63
             d, qx, o = self._narrow if fits else self._exact
-            w = da * d + dq * qx + c - unit * o
-            caps = np.concatenate((np.maximum(w, 0), np.maximum(-w, 0),
-                                   np.full(2 * len(iu), unit, dtype=w.dtype)))
-            side = np.array(min_cut(self._net, caps),
-                            dtype=np.int64)[:-1]  # drop s
+            side = self._side(da * d + dq * qx + c - unit * o, unit)
             if not len(side):
                 break
             witness = tuple(side.tolist())

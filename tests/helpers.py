@@ -1,12 +1,13 @@
 """Shared random-instance builders, the full-table brute-force
-reference, max-flow oracles, call spies and entry-by-entry oracles
-for the graph checks of the test suite."""
+reference, max-flow oracles, the whole-network ratio search, call spies
+and entry-by-entry oracles for the graph checks of the test suite."""
+import contextlib
 import operator
 import sys
 
 import numpy as np
 
-from sgs import Graph, PhaseField, Potential
+from sgs import Graph, PhaseField, Potential, regular_tree_ball
 from sgs.maxflow import Dinic
 
 
@@ -21,6 +22,45 @@ def random_graph(rng, n_min=2, n_max=12, p_low=0.15, p_high=0.9) -> Graph:
 def random_tree(rng, n) -> Graph:
     edges = [(int(rng.integers(0, i)), i) for i in range(1, n)]
     return Graph(n, edges)
+
+
+def tree_ball_with_chords(d, radius, chords, rng) -> Graph:
+    """``regular_tree_ball(d, radius)`` with ``chords`` edges between
+    distinct boundary vertices, each chord end's host degree raised by
+    one (so every deficit is kept): pendant trees around a core."""
+    ball = regular_tree_ball(d, radius)
+    leaves = np.flatnonzero(ball.internal_degree == 1)
+    ends = rng.choice(leaves, size=(chords, 2), replace=False)
+    host = ball.host_degree.copy()
+    np.add.at(host, ends.ravel(), 1)
+    return Graph(ball.vertex_count, np.concatenate((ball.edge_ends, ends)),
+                 host_degree=host)
+
+
+def has_cycle(graph) -> bool:
+    """Whether ``graph`` is not a forest: more edges than its vertices
+    minus its components."""
+    from scipy.sparse import coo_array
+    from scipy.sparse.csgraph import connected_components
+    n = graph.vertex_count
+    u, v = graph.edge_ends.T
+    count, _ = connected_components(
+        coo_array((np.ones(len(u)), (u, v)), shape=(n, n)), directed=False)
+    return graph.edge_count > n - count
+
+
+@contextlib.contextmanager
+def whole_network_cuts():
+    """Inside this block every ratio search cuts its whole network, as
+    on a graph without degree-one vertices: the reference for the
+    folded pendant trees."""
+    from sgs import sparseness
+    peel = sparseness._pendant_trees
+    sparseness._pendant_trees = lambda graph: ([], None, [])
+    try:
+        yield
+    finally:
+        sparseness._pendant_trees = peel
 
 
 def uniform_potential(rng, n, low, high) -> Potential:
@@ -171,6 +211,22 @@ def edge_keys_by_pair(n, edges):
             raise ValueError(f"duplicate edge ({key // n},{key % n})")
         keys.add(key)
     return sorted(keys)
+
+
+def subset_members_by_entry(n, subset):
+    """Oracle for ``subset_stats``'s member check, one entry at a time:
+    the sorted distinct members, or the ``ValueError`` of the first
+    faulty entry."""
+    members = set()
+    for i, x in enumerate(subset):
+        try:
+            x = operator.index(x)
+        except TypeError:
+            raise ValueError(f"subset[{i}] is not an integer: {x!r}") from None
+        if not 0 <= x < n:
+            raise ValueError(f"vertex index {x} out of range")
+        members.add(x)
+    return sorted(members)
 
 
 def _finite_number(entry, key, where):

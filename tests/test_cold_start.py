@@ -1,6 +1,6 @@
 """Cold start: a fresh ``sgs`` process loads only the layers its
 subcommand reaches.  ``gen``, ``--version`` and the flow analyses of
-small graphs load no scipy; ``spectrum`` does.  The package's lazy
+small graphs and of trees load no scipy; ``spectrum`` does.  The package's lazy
 names keep the public surface of an eager import."""
 import json
 import os
@@ -61,6 +61,19 @@ def test_scipy_free_paths(tmp_path, grid4, case):
         "cheeger": _main("analyze", "cheeger", grid4, "--method", "both",
                          "--out", out),
     }[case]
+    assert _scipy(_modules_after(source)) == set()
+
+
+@pytest.mark.parametrize("argv", [("sparsity", "--a-grid", "0,0.5,1,2"),
+                                  ("cheeger", "--region", "all-but-border")])
+def test_tree_flow_loads_no_scipy(tmp_path, argv):
+    # ball r=7: its whole network has 1526 arcs, past the 512 at which
+    # cuts go to scipy, but a tree folds leaf to root and cuts nothing
+    ball = tmp_path / "ball7.json"
+    assert main(["gen", "ball", "--host", "regular-tree", "--d", "3",
+                 "--radius", "7", "--out", str(ball)]) == 0
+    source = _main("analyze", argv[0], ball, *argv[1:],
+                   "--out", tmp_path / "out.json")
     assert _scipy(_modules_after(source)) == set()
 
 

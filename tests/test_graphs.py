@@ -4,7 +4,7 @@ import pytest
 from sgs import (Graph, Potential, PhaseField, breadth_first_spheres,
                  path_graph, regular_tree_ball, subset_stats)
 
-from helpers import edge_keys_by_pair, random_graph
+from helpers import edge_keys_by_pair, random_graph, subset_members_by_entry
 
 
 def test_asymmetric_relation_rejected():
@@ -196,6 +196,37 @@ def test_subset_stats_out_of_range():
             subset_stats(path_graph(3), None, subset)
     st = subset_stats(path_graph(3), None, np.array([1, 2]))
     assert (st.size, st.induced_edges) == (2, 1)
+
+
+def test_subset_stats_array_check_matches_the_entry_by_entry_reading():
+    # tuples and lists of ints and integer arrays are checked as arrays;
+    # every input has the outcome of one reading per entry, repeats,
+    # bools, numpy scalars, ints past int64, floats and strings included
+    g = regular_tree_ball(3, 3)
+    n = g.vertex_count
+    q = Potential(np.random.default_rng(97).uniform(-1.0, 2.0, n))
+    cases = [
+        lambda: (5, 0, 21, 5), lambda: [n - 1, 3, 3], lambda: tuple(range(n)),
+        lambda: np.array([7, 2, 7]), lambda: np.array([4, 1], dtype=np.uint64),
+        lambda: np.array([3], dtype=np.int8), lambda: (True, 2),
+        lambda: (np.True_, 2), lambda: (np.int64(1), 2), lambda: [2**63],
+        lambda: (2**70, 1), lambda: (-1, 2**63), lambda: (1, -2**70),
+        lambda: (n,), lambda: [-1], lambda: (1.0, 2), lambda: ("1",),
+        lambda: (None, 1), lambda: ((1, 2),), lambda: (), lambda: [],
+        lambda: np.array([], dtype=np.int64), lambda: np.array([1.0]),
+        lambda: np.array([[1, 2]]), lambda: np.array([True, False]),
+        lambda: np.array([n], dtype=np.uint64), lambda: np.array([-3]),
+        lambda: range(4), lambda: iter([9, 0]), lambda: {3, 1},
+    ]
+    for case in cases:
+        try:
+            expected = subset_stats(g, q, subset_members_by_entry(n, case()))
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                subset_stats(g, q, case())
+            assert str(got.value) == str(exc)
+        else:
+            assert subset_stats(g, q, case()) == expected
 
 
 def test_non_integer_vertex_count_rejected():

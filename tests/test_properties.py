@@ -9,10 +9,13 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from sgs import maxflow  # noqa: E402
+from sgs import (Graph, Potential, cheeger, maxflow,  # noqa: E402
+                 sparsity_flow)
 from sgs.graphio import canonical_json  # noqa: E402
+from sgs.sparseness import _RatioSearch  # noqa: E402
 
-from helpers import dinic_reference, smallest_min_cut_side  # noqa: E402
+from helpers import (dinic_reference, smallest_min_cut_side,  # noqa: E402
+                     whole_network_cuts)
 
 PROPERTY = settings(derandomize=True, max_examples=150, deadline=None,
                     database=None)
@@ -93,3 +96,57 @@ def test_rounds_with_contraction_are_dinic(network, floor):
         got = maxflow._cut(net, np.array(caps, dtype=object), sum(caps))
     assert got == dinic_reference(n, tails, heads, caps)
     assert got[1] == smallest_min_cut_side(n, tails, heads, caps)
+
+
+@st.composite
+def _pendant_graphs(draw):
+    """A graph on 1-12 vertices: a random forest (lone edges and
+    isolated vertices included) with 0-3 chords, deficits of 0-2."""
+    n = draw(st.integers(1, 12))
+    # most vertices hang from an earlier one; the others start a tree
+    edges = {(draw(st.integers(0, x - 1)), x) for x in range(1, n)
+             if draw(st.integers(0, 3))}
+    for _ in range(draw(st.integers(0, 3))):
+        u, v = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if u != v:
+            edges.add((min(u, v), max(u, v)))
+    internal = Graph(n, sorted(edges)).internal_degree
+    deficit = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    return Graph(n, sorted(edges), host_degree=internal + np.array(deficit))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(_pendant_graphs(), st.data())
+def test_folded_step_is_the_whole_cut(graph, data):
+    # one step: small weights tie at -unit, 0 and unit, where the strict
+    # rule decides; wide ones take Python-integer capacities
+    n = graph.vertex_count
+    weight = st.integers(-4, 4) | st.integers(-2**70, 2**70)
+    w = np.array(data.draw(st.lists(weight, min_size=n, max_size=n)),
+                 dtype=object)
+    unit = data.draw(st.sampled_from([0, 1, 2, 3, 2**64]))
+    folded = _RatioSearch(graph, Potential.zero(graph))._side(w, unit)
+    with whole_network_cuts():
+        whole = _RatioSearch(graph, Potential.zero(graph))._side(w, unit)
+    assert folded.tolist() == whole.tolist()
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(_pendant_graphs(), st.data())
+def test_folded_search_gives_the_whole_network_certificates(graph, data):
+    # the k_min grid, the threshold and the Cheeger constant, witnesses
+    # included, with zero, integer and float q
+    n = graph.vertex_count
+    values = data.draw(st.sampled_from([
+        st.just(0.0), st.integers(-2, 3).map(float),
+        st.floats(-2.0, 3.0)]).flatmap(
+            lambda value: st.lists(value, min_size=n, max_size=n)))
+    q = Potential(values)
+
+    def certificates():
+        return (sparsity_flow(graph, q, (0, 0.5, 1, 2)),
+                cheeger(graph, Potential(np.abs(q.values))))
+
+    folded = certificates()
+    with whole_network_cuts():
+        assert certificates() == folded

@@ -12,8 +12,10 @@ from sgs import (Graph, Potential, RadialFamilySpec, amin_zero_k, cheeger,
 from sgs.sparseness import ENUMERATION_LIMIT
 
 from helpers import (full_best_subset, full_cheeger_objective,
-                     full_kmin_objective, full_subset_tables, random_graph,
-                     restricted, spy, spy_maximum_flow, uniform_potential)
+                     full_kmin_objective, full_subset_tables, has_cycle,
+                     random_graph, restricted, spy, spy_maximum_flow,
+                     tree_ball_with_chords, uniform_potential,
+                     whole_network_cuts)
 
 
 def test_kmin_path_examples():
@@ -476,11 +478,13 @@ def test_compiled_cuts_match_dinic_on_wide_capacities(monkeypatch):
     # float q gives 55-119-bit capacities; on networks of at least 512
     # arcs min_cut solves them in scipy rounds on the full and the
     # contracted networks, and the certificates must equal those of a
-    # run where every cut is Dinic's
+    # run where every cut is Dinic's.  The tree ball's chords leave a
+    # core past 512 arcs, into which its pendant trees fold
     from sgs import grid_graph, maxflow, sparseness
     rng = np.random.default_rng(47)
     cases = []
-    for g in (grid_graph(16), regular_tree_ball(3, 6)):
+    for g in (grid_graph(16),
+              tree_ball_with_chords(3, 6, 40, np.random.default_rng(1))):
         top = g.internal_degree.max()
         inner = tuple(x for x in range(g.vertex_count)
                       if g.internal_degree[x] == top)
@@ -665,7 +669,8 @@ def test_flow_grid_equals_per_a_calls(monkeypatch):
     for g, q in cases:
         networks.clear()
         certs = kmin_flow(g, q, grid)
-        assert len(networks) == 1
+        # a forest with edges folds into its roots and builds no network
+        assert len(networks) == (has_cycle(g) or not g.edge_count)
         singles = [kmin_flow(g, q, a) for a in grid]
         assert isinstance(certs, list) and certs == singles
         assert [repr(c) for c in certs] == [repr(c) for c in singles]
@@ -673,7 +678,7 @@ def test_flow_grid_equals_per_a_calls(monkeypatch):
             assert abs(cert.k - brute.k) <= 1e-9
         networks.clear()
         shared, threshold = sparsity_flow(g, q, grid)
-        assert len(networks) == 1
+        assert len(networks) == (has_cycle(g) or not g.edge_count)
         assert shared == certs
         assert threshold == amin_zero_k(g, q)
     assert kmin_flow(triangles, None, np.array([0.0, 1.0]))[1] == \
@@ -692,27 +697,28 @@ def test_flow_grid_equals_per_a_calls(monkeypatch):
 def test_shared_search_takes_fewer_cuts(monkeypatch):
     # on float q the a-grid's optima sit close together, so starting
     # each a, and then the threshold, from the best earlier witness
-    # saves most of the per-a calls' cuts
+    # saves most of the per-a calls' cuts.  The chords leave a core to
+    # cut: a tree ball alone folds without one
     from sgs import sparseness
 
     cuts = []
     solve = sparseness.min_cut
     monkeypatch.setattr(sparseness, "min_cut",
                         lambda net, caps: cuts.append(1) or solve(net, caps))
-    g = regular_tree_ball(3, 6)
+    g = tree_ball_with_chords(3, 6, 16, np.random.default_rng(83))
     q = Potential(np.random.default_rng(83).uniform(0.0, 3.0,
                                                     g.vertex_count))
     grid = (0, 0.5, 1, 2)
     singles = [kmin_flow(g, q, a) for a in grid]
-    assert len(cuts) == 14
+    assert len(cuts) == 16
     threshold = amin_zero_k(g, q)
-    assert len(cuts) == 19
+    assert len(cuts) == 21
     cuts.clear()
     assert kmin_flow(g, q, grid) == singles
-    assert len(cuts) == 8
+    assert len(cuts) == 11
     cuts.clear()
     assert sparsity_flow(g, q, grid) == (singles, threshold)
-    assert len(cuts) == 9
+    assert len(cuts) == 12
 
 
 def test_in_place_objectives_equal_their_expressions(monkeypatch):
@@ -920,7 +926,8 @@ def test_restriction_lowers_kmin_and_raises_cheeger(monkeypatch):
     counts, since the restriction keeps host degrees.  So k_min of a
     restriction is at most G's and its Cheeger constant at least G's:
     exact relations, checked as rationals from the witnesses on float-q
-    hosts whose cuts take the contracted path."""
+    hosts: a grid, whose cuts take the contracted path, and a tree ball,
+    which folds without a cut."""
     from sgs import grid_graph, maxflow, sparseness
 
     def kmin(graph, q, a, witness):
@@ -958,3 +965,26 @@ def test_restriction_lowers_kmin_and_raises_cheeger(monkeypatch):
                                  cheeger(sub, sub_q).witness) >= lowest
     # most cuts contract after their first round
     assert len(dispatched) - len(cuts) > len(cuts) // 2
+
+
+def test_tree_balls_fold_without_a_cut(monkeypatch):
+    """A tree folds leaf to root into its root: sparsity_flow and cheeger
+    on a float-q tree ball and on its interior call min_cut not once,
+    and give the certificates, witnesses included, of cuts on the whole
+    network."""
+    from sgs import sparseness
+    ball = regular_tree_ball(3, 10)
+    q = Potential(np.random.default_rng(89).uniform(0.0, 3.0,
+                                                    ball.vertex_count))
+    inner = restricted(ball, q, range(regular_tree_ball(3, 9).vertex_count))
+
+    def certificates():
+        return (sparsity_flow(ball, q, (0, 0.5, 1, 2)), cheeger(ball, q),
+                cheeger(*inner))
+
+    cuts = spy(monkeypatch, sparseness, "min_cut")
+    folded = certificates()
+    assert not cuts
+    with whole_network_cuts():
+        assert certificates() == folded
+    assert len(cuts) > 10
