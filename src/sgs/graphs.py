@@ -451,8 +451,7 @@ def subset_stats(graph: Graph, potential: Potential | None,
             raise ValueError("potential length does not match graph")
         q_sum = float(potential.values[idx].sum())
         q_plus = float(potential.plus[idx].sum())
-    return SubsetStats(len(members), induced, boundary, degree_sum, q_sum,
-                       q_plus)
+    return SubsetStats(len(members), induced, boundary, degree_sum, q_sum, q_plus)
 
 
 def _members(subset: Iterable[int], n: int) -> list[int]:

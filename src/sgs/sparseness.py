@@ -41,6 +41,13 @@ converted losslessly to fractions, capacities are rescaled to
 integers, subset sums are taken in Python integers, and the iteration
 terminates because the achievable ratios form a finite set.
 
+Pendant trees are folded, not cut: a search peels the degree-one
+vertices once, leaf to root, and builds its network on the core that
+is left.  Each step folds the terminal weights of the peeled vertices
+into the vertex each hangs from, cuts the core, and unfolds the trees
+by a strict rule that keeps the smallest maximizing subset
+(:class:`_RatioSearch`).  So a tree takes no cut at all.
+
 Each cut goes through :func:`sgs.maxflow.min_cut`, which holds every
 network as one symmetric CSR pattern.  Networks of at least 512 arcs
 of nonzero capacity run on scipy's compiled Dinic in exact bit-scaling
@@ -330,8 +337,8 @@ def _pendant_trees(graph: Graph) -> tuple[list[tuple[int, int]],
     left with degree at least two, in increasing order; and the roots,
     the unpeeled vertices left with no edge.  Of a lone edge only the
     first end peels; the other is its root.  A graph with no degree-one
-    vertex gives ``([], None, [])``.  O(n + m): a queue, with each vertex's
-    remaining neighbours held as the xor of their indices.
+    vertex gives ``([], None, [])``.  O(n + m): a queue, with each
+    vertex's remaining neighbours held as the xor of their indices.
     """
     queue = np.flatnonzero(graph.internal_degree == 1).tolist()
     if not queue:
@@ -382,6 +389,26 @@ class _RatioSearch:
     it, in Python integers otherwise.  The vertices the source reaches in
     the residual graph form the smallest minimum cut, so the side is
     empty exactly when no W beats the empty set.
+
+    Pendant trees are folded into the core.  Write u for ``unit``; a
+    step maximizes w(W) - u |inner edges leaving W| over the terminal
+    weights w.  The search peels the degree-one vertices once
+    (:func:`_pendant_trees`), and the network spans the core, the
+    vertices left with degree at least two.  For a peeled v with
+    neighbour p, v's subtree gains ``clamp(w[v], -u, u)`` more when p
+    is in W than when p is not, so each step folds ``w[p] +=
+    clamp(w[v], -u, u)`` leaf to root in Python integers.  It cuts the
+    core on int64 capacities when the folded weights fit, and on Python
+    integers otherwise.  A root, a vertex left with no edge, is in W
+    exactly when its folded weight is positive.  Unfolding root to
+    leaf, v is in W exactly when ``w[v] > -u`` if p is, and when
+    ``w[v] > u`` if not.  The maximizers form a lattice, and on a tie
+    these strict rules leave v out, together with its subtree, whose
+    rules only tighten when v is out.  The core's smallest minimum
+    cut is the least core part of a maximizer, so the unfolded subset
+    is the least maximizer: the witness the whole network gives.  A
+    graph without degree-one vertices cuts its whole network as
+    before, with no added step.
 
     Every witness :meth:`maximize` returns is kept, and a later ratio
     starts from the best, by its own exact ratio, of its ``start`` and
@@ -447,8 +474,9 @@ class _RatioSearch:
         if len(core):
             folded = [w[x] for x in core.tolist()]
             wide = max(unit, max(folded), -min(folded)) >= 2**63
-            for x in core[self._cut(np.array(
-                    folded, dtype=object if wide else np.int64), unit)].tolist():
+            side = self._cut(np.array(
+                folded, dtype=object if wide else np.int64), unit)
+            for x in core[side].tolist():
                 inside[x] = True
         for v, p in reversed(self._pendant):
             inside[v] = w[v] > (-unit if inside[p] else unit)
@@ -459,7 +487,8 @@ class _RatioSearch:
         terminal weights ``w`` on the core and ``unit`` on inner arcs."""
         caps = np.concatenate((np.maximum(w, 0), np.maximum(-w, 0),
                                np.full(self._arcs, unit, dtype=w.dtype)))
-        return np.array(min_cut(self._net, caps), dtype=np.int64)[:-1]  # drop s
+        side = np.array(min_cut(self._net, caps), dtype=np.int64)
+        return side[:-1]  # drop s
 
     def maximize(self, num, den, start: tuple[int, ...] | None = None
                  ) -> tuple[tuple[int, ...], Fraction | None]:

@@ -131,7 +131,7 @@ def test_folded_step_is_the_whole_cut(graph, data):
     assert folded.tolist() == whole.tolist()
 
 
-@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@PROPERTY
 @given(_pendant_graphs(), st.data())
 def test_folded_search_gives_the_whole_network_certificates(graph, data):
     # the k_min grid, the threshold and the Cheeger constant, witnesses
