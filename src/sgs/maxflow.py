@@ -8,23 +8,25 @@ loads the exact residual capacities on the pattern and returns the
 smallest minimum-cut source side: the nodes reachable from the source
 in the residual graph of a maximum flow.  That side is the same for
 every maximum flow, so it does not depend on the path or on arc order.
-There are two exact paths, chosen by the number of arcs of nonzero
-capacity alone, counted after parallel arcs are added (:func:`_cut`):
+Both exact paths run on the pattern's live pairs, those with capacity
+in either direction, renumbered by :func:`_live`, and both leave their
+final residual on that one representation.  They are chosen by the
+number of arcs of nonzero capacity alone, counted after parallel arcs
+are added (:func:`_cut`):
 
 * networks of at least ``_SCIPY_MIN_ARCS`` such arcs run on scipy's
   compiled Dinic (``scipy.sparse.csgraph.maximum_flow``) in bit-scaling
-  rounds (:func:`_rounds_cut`), whatever their capacity width.  The
-  rounds see only the pattern's live pairs, those with capacity in
-  either direction.  scipy keeps capacities, flows and residuals in
-  int32, so each round solves the top 31 bits of the exact residual
-  capacities, sized by the widest arc pair, and subtracts that flow
-  exactly; a network whose arc pairs fit int32 takes one round.  After
-  a round, what no minimum cut separates is merged, and the contracted
-  network is solved by the same rule: one scipy round a cut on the
-  benchmark corpora.
-* :class:`Dinic`, Dinic's blocking-flow algorithm over adjacency lists
-  with plain Python integers, takes the smaller networks, and the
+  rounds (:func:`_rounds_cut`), whatever their capacity width.  scipy
+  keeps capacities, flows and residuals in int32, so each round solves
+  the top 31 bits of the exact residual capacities, sized by the widest
+  arc pair, and subtracts that flow exactly; a network whose arc pairs
+  fit int32 takes one round.  After a round, what no minimum cut
+  separates is merged, and the contracted network is solved by the
+  same rule: one scipy round a cut on the benchmark corpora.
+* :class:`Dinic`, Dinic's blocking-flow algorithm with plain Python
+  integers on the same pattern, takes the smaller networks, and the
   residual of the rare round that cannot go on (:func:`_dinic_cut`).
+  Its side is what the last, failing level search of the flow reached.
 """
 from __future__ import annotations
 
@@ -157,10 +159,11 @@ def _rounds_cut(network: CutNetwork, r: np.ndarray) -> tuple[int, list[int]]:
 
     ``r`` holds the exact residual capacities on the network's pattern,
     an int64 or object array.  The rounds and the hand-off run on its
-    live pairs only: a pair of capacity 0 both ways carries no flow, so
-    it stays 0 in every round.  ``U`` (``bound``) is the residual
-    capacity of a known cut ``S``, so it bounds the flow still missing:
-    at first the cut {s} or V - {t}, whichever is smaller.  Each round
+    live pairs only (:func:`_live`): a pair of capacity 0 both ways
+    carries no flow, so it stays 0 in every round.  ``U`` (``bound``) is
+    the residual capacity of a known cut ``S``, so it bounds the flow
+    still missing: at first the cut {s} or V - {t}, whichever is
+    smaller.  Each round
 
     1. clamps ``r`` to ``U + 1``, which changes neither the maximum-flow
        value nor any minimum cut: a cut through a clamped arc exceeds
@@ -208,14 +211,9 @@ def _rounds_cut(network: CutNetwork, r: np.ndarray) -> tuple[int, list[int]]:
     from scipy.sparse.csgraph import (breadth_first_order,
                                       connected_components, maximum_flow)
     n, s, t = network.n, network.s, network.t
-    # the live pairs, renumbered (slot and parallel are not read below)
-    live = (r != 0) | (r[network.rev] != 0)
-    at = np.concatenate(([0], np.cumsum(live, dtype=np.int32)))
-    keep = np.flatnonzero(live)
-    indptr, rev = at[network.indptr], at[network.rev[keep]]
-    network = network._replace(indptr=indptr, indices=network.indices[keep],
-                               rows=network.rows[keep], rev=rev)
-    indices, rows, r = network.indices, network.rows, r[keep]
+    network, r = _live(network, r)
+    indptr, indices, rows, rev = (network.indptr, network.indices,
+                                  network.rows, network.rev)
     # the arcs leaving s, then those entering t
     bound = min(_total(r[indptr[s]:indptr[s + 1]]),
                 _total(r[rev[indptr[t]:indptr[t + 1]]]))
@@ -270,48 +268,45 @@ def _total(x: np.ndarray) -> int:
     return (int((x >> 31).sum()) << 31) + int((x & 0x7FFFFFFF).sum())
 
 
+def _live(network: CutNetwork,
+          r: np.ndarray) -> tuple[CutNetwork, np.ndarray]:
+    """The network on its live pairs, those with capacity in either
+    direction, renumbered, and the residuals ``r`` on them.  A dead pair
+    carries no flow, so no cut changes.  ``slot`` and ``parallel`` keep
+    the input's arcs and are not read on the live network."""
+    live = (r != 0) | (r[network.rev] != 0)
+    at = np.concatenate(([0], np.cumsum(live, dtype=np.int32)))
+    keep = np.flatnonzero(live)
+    return network._replace(
+        indptr=at[network.indptr], indices=network.indices[keep],
+        rows=network.rows[keep], rev=at[network.rev[keep]]), r[keep]
+
+
 def _dinic_cut(network: CutNetwork,
                r: np.ndarray) -> tuple[int, list[int]]:
     """Flow value and smallest source side by the Python :class:`Dinic`
-    on the residual capacities ``r`` of the network's pattern.
-
-    Each entry and its reverse (``rev``) become one arc pair, as with
-    :meth:`Dinic.add_edge`'s ``rcap``; pairs without capacity are left
-    out.
-    """
-    rev = network.rev
-    pairs = np.flatnonzero((np.arange(len(rev)) < rev)
-                           & ((r != 0) | (r[rev] != 0)))
-    net = Dinic(network.n)
-    for u, v, cap, rcap in zip(network.rows[pairs].tolist(),
-                               network.indices[pairs].tolist(),
-                               r[pairs].tolist(), r[rev[pairs]].tolist()):
-        net.add_edge(u, v, cap, rcap)
-    s = network.s
+    on the live pairs of the residual capacities ``r`` on the pattern."""
+    network, r = _live(network, r)
+    net, s = Dinic(network, r), network.s
     return net.max_flow(s, network.t), net.min_cut_source_side(s)
 
 
 class Dinic:
-    """Max-flow network with ``n`` nodes indexed ``0 .. n-1``."""
+    """Dinic's blocking-flow algorithm (Dinic 1970) in plain Python
+    integers on the pattern of ``network``, whose entries hold the
+    residual capacities ``r``: the arcs leaving ``u`` are ``head[u]``,
+    the entries of row ``u``, and the reverse of arc ``a`` is
+    ``rev[a]``."""
 
-    def __init__(self, n: int):
-        self.n = n
-        self.head: list[list[int]] = [[] for _ in range(n)]
-        self.to: list[int] = []
-        self.cap: list[int] = []
+    def __init__(self, network: CutNetwork, r: np.ndarray):
+        self.n = network.n
+        ptr = network.indptr.tolist()
+        self.head = [range(ptr[u], ptr[u + 1]) for u in range(self.n)]
+        self.to: list[int] = network.indices.tolist()
+        self.rev: list[int] = network.rev.tolist()
+        self.cap: list[int] = r.tolist()
 
-    def add_edge(self, u: int, v: int, cap: int, rcap: int = 0) -> None:
-        """Directed arc u->v with capacity ``cap``; ``rcap`` on the reverse arc."""
-        if cap < 0 or rcap < 0:
-            raise ValueError("capacities must be non-negative")
-        self.head[u].append(len(self.to))
-        self.to.append(v)
-        self.cap.append(cap)
-        self.head[v].append(len(self.to))
-        self.to.append(u)
-        self.cap.append(rcap)
-
-    def _levels(self, s: int, t: int) -> list[int] | None:
+    def _levels(self, s: int) -> list[int]:
         level = [-1] * self.n
         level[s] = 0
         queue = deque([s])
@@ -323,11 +318,11 @@ class Dinic:
                 if cap[a] > 0 and level[v] < 0:
                     level[v] = level[u] + 1
                     queue.append(v)
-        return level if level[t] >= 0 else None
+        return level
 
     def _blocking_flow(self, s: int, t: int, level: list[int]) -> int:
-        to, cap, head = self.to, self.cap, self.head
-        it = [0] * self.n
+        to, cap, head, rev = self.to, self.cap, self.head, self.rev
+        it = [arcs.start for arcs in head]
         total = 0
         path: list[int] = []  # arcs of the current partial path
         u = s
@@ -336,7 +331,7 @@ class Dinic:
                 push = min(cap[a] for a in path)
                 for a in path:
                     cap[a] -= push
-                    cap[a ^ 1] += push
+                    cap[rev[a]] += push
                 total += push
                 # retreat to the first saturated arc; stale iterator
                 # entries skip saturated arcs on their next scan
@@ -346,16 +341,12 @@ class Dinic:
                         break
                 u = s if not path else to[path[-1]]
                 continue
-            arc = -1
-            while it[u] < len(head[u]):
-                a = head[u][it[u]]
+            for a in range(it[u], head[u].stop):
                 if cap[a] > 0 and level[to[a]] == level[u] + 1:
-                    arc = a
+                    it[u] = a
+                    path.append(a)
+                    u = to[a]
                     break
-                it[u] += 1
-            if arc >= 0:
-                path.append(arc)
-                u = to[arc]
             else:
                 if u == s:
                     break
@@ -367,22 +358,14 @@ class Dinic:
     def max_flow(self, s: int, t: int) -> int:
         flow = 0
         while True:
-            level = self._levels(s, t)
-            if level is None:
+            level = self._levels(s)
+            if level[t] < 0:
+                self._reached = level
                 return flow
             flow += self._blocking_flow(s, t, level)
 
     def min_cut_source_side(self, s: int) -> list[int]:
-        """Nodes reachable from ``s`` in the residual graph (after max_flow)."""
-        seen = [False] * self.n
-        seen[s] = True
-        queue = deque([s])
-        to, cap, head = self.to, self.cap, self.head
-        while queue:
-            u = queue.popleft()
-            for a in head[u]:
-                v = to[a]
-                if cap[a] > 0 and not seen[v]:
-                    seen[v] = True
-                    queue.append(v)
-        return [v for v in range(self.n) if seen[v]]
+        """Nodes reachable from ``s`` in the residual graph after
+        ``max_flow(s, t)``: those its last, failing level search
+        reached."""
+        return [v for v, d in enumerate(self._reached) if d >= 0]

@@ -54,8 +54,8 @@ of nonzero capacity run on scipy's compiled Dinic in exact bit-scaling
 rounds, one round when the capacities fit int32 (as for most networks
 of integer potentials); the wide capacities of float potentials take
 one round and a contracted network of a few nodes.  Smaller networks
-run on the exact Python Dinic, built from the same pattern.  Both give
-the same witness: the vertices the source reaches in the residual
+run on the exact Python Dinic on the same pattern's live pairs.  Both
+give the same witness: the vertices the source reaches in the residual
 graph of a maximum flow, which form the smallest minimum cut.
 """
 from __future__ import annotations

@@ -35,13 +35,13 @@ __all__ = [
 
 DENSE_EIGEN_LIMIT = 4000
 # Extremal eigenvalues (the offsets k_tilde) are dense eigvalsh up to this
-# dimension and the Lanczos batch of _top_eigenvalues above it.  The 9
-# default slopes' 18 offsets, dense against one batch (2-core x86-64,
-# best of 7): random graph n=60 2.5 and 12 ms, n=120 9.3 and 8.9 ms; grids
-# m=10 6.3 and 24 ms, m=16 48 and 12 ms, m=20 127 and 20 ms; ball r=6
-# (n=190) 19 and 2.4 ms; magnetic grid m=16 123 and 22 ms.  One slope
-# alone crosses at about n=200.  The limit stays at 256, so every report
-# at or below it keeps its bytes.
+# dimension and the Lanczos batch of _top_eigenvalues above it.  The 18
+# default offsets, dense/batch in ms (2-core x86-64, best of 7): random
+# n=60 2.5/12, n=120 9.3/8.9; grid m=10 6.3/24, m=16 48/12, m=20 127/20;
+# ball r=6 19/2.4; magnetic grid m=16 123/22.  One slope crosses at about
+# n=200.  The limit keeps every report at or below it byte-identical, and
+# it bounds robustness too: at limit 0 the batch fails to converge on a
+# magnetic 19-vertex graph of test_criterion_6; none above it is known to.
 EXTREMAL_DENSE_LIMIT = 256
 # Seed of the Lanczos start vector.  A fixed vector keeps reports
 # byte-deterministic; it must be generic, because a structured one can be

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 
 from sgs import Graph, PhaseField, Potential, regular_tree_ball
-from sgs.maxflow import Dinic
+from sgs.maxflow import Dinic, cut_network
 
 
 def random_graph(rng, n_min=2, n_max=12, p_low=0.15, p_high=0.9) -> Graph:
@@ -153,12 +153,27 @@ def smallest_min_cut_side(n, tails, heads, caps):
     return sorted(set.intersection(*sides))
 
 
+def loaded(network, caps):
+    """The capacities ``caps`` as Python-integer residuals on the
+    network's pattern, parallel arcs added up, as ``min_cut`` loads
+    them."""
+    r = np.zeros(len(network.indices), dtype=object)
+    np.add.at(r, network.slot, np.array(caps, dtype=object))
+    return r
+
+
+def pattern_dinic(n, tails, heads, caps, s, t):
+    """The public :class:`Dinic` on the whole pattern of the network
+    with arcs ``tails[i] -> heads[i]`` of capacity ``caps[i]``, dead
+    pairs included."""
+    network = cut_network(n, tails, heads, s, t)
+    return Dinic(network, loaded(network, caps))
+
+
 def dinic_reference(n, tails, heads, caps):
-    """Flow value and smallest source side by the public :class:`Dinic`,
-    one arc pair per arc, source 0 and sink n-1."""
-    net = Dinic(n)
-    for u, v, c in zip(tails, heads, caps):
-        net.add_edge(u, v, c)
+    """Flow value and smallest source side by the public :class:`Dinic`
+    on the network's whole pattern, source 0 and sink n-1."""
+    net = pattern_dinic(n, tails, heads, caps, 0, n - 1)
     return net.max_flow(0, n - 1), net.min_cut_source_side(0)
 
 

@@ -6,40 +6,36 @@ import pytest
 from sgs import maxflow
 from sgs.maxflow import Dinic, cut_network, min_cut
 
-from helpers import (cut_value, dinic_reference, smallest_min_cut_side, spy,
-                     spy_maximum_flow)
+from helpers import (cut_value, dinic_reference, loaded, pattern_dinic,
+                     smallest_min_cut_side, spy, spy_maximum_flow)
 
 INT32_MAX = 2**31 - 1
 
 
+TEXTBOOK = [(0, 1, 3), (0, 2, 3), (1, 2, 2), (1, 3, 3),
+            (2, 4, 2), (3, 4, 4), (3, 5, 2), (4, 5, 3)]
+
+
 def test_textbook_instance():
     # classic 6-node network with max flow 5
-    net = Dinic(6)
-    for u, v, c in [(0, 1, 3), (0, 2, 3), (1, 2, 2), (1, 3, 3),
-                    (2, 4, 2), (3, 4, 4), (3, 5, 2), (4, 5, 3)]:
-        net.add_edge(u, v, c)
+    net = pattern_dinic(6, *zip(*TEXTBOOK), 0, 5)
     assert net.max_flow(0, 5) == 5
     side = set(net.min_cut_source_side(0))
     assert 0 in side and 5 not in side
     # cut capacity across the side equals the flow value
-    cut = sum(c for u, v, c in [(0, 1, 3), (0, 2, 3), (1, 2, 2), (1, 3, 3),
-                                (2, 4, 2), (3, 4, 4), (3, 5, 2), (4, 5, 3)]
-              if u in side and v not in side)
+    cut = sum(c for u, v, c in TEXTBOOK if u in side and v not in side)
     assert cut == 5
 
 
 def test_bidirected_arcs_and_big_integers():
     big = 10 ** 30
-    net = Dinic(4)
-    net.add_edge(0, 1, big)
-    net.add_edge(1, 2, big // 2, big // 2)
-    net.add_edge(2, 3, big)
+    net = pattern_dinic(4, [0, 1, 2, 2], [1, 2, 1, 3],
+                        [big, big // 2, big // 2, big], 0, 3)
     assert net.max_flow(0, 3) == big // 2
 
 
 def test_disconnected_sink():
-    net = Dinic(3)
-    net.add_edge(0, 1, 7)
+    net = pattern_dinic(3, [0], [1], [7], 0, 2)
     assert net.max_flow(0, 2) == 0
     assert set(net.min_cut_source_side(0)) == {0, 1}
 
@@ -50,11 +46,9 @@ def test_random_against_matrix_oracle():
         n = int(rng.integers(2, 8))
         cap = rng.integers(0, 6, size=(n, n))
         np.fill_diagonal(cap, 0)
-        net = Dinic(n)
-        for i in range(n):
-            for j in range(n):
-                if cap[i, j]:
-                    net.add_edge(i, j, int(cap[i, j]))
+        tails, heads = np.nonzero(cap)
+        net = pattern_dinic(n, tails, heads, cap[tails, heads].tolist(),
+                            0, n - 1)
         flow = net.max_flow(0, n - 1)
         # oracle: minimum over all cuts separating 0 from n-1
         best = None
@@ -64,6 +58,68 @@ def test_random_against_matrix_oracle():
                             if (mask >> i) & 1 and not (mask >> j) & 1)
                 best = value if best is None else min(best, value)
         assert flow == best
+
+
+BIG = 10 ** 30
+# source 0, sink n - 1
+PATTERN_CASES = {
+    # 1 <-> 2 has capacity 0 both ways, 0 -> 3 is an arc of capacity 0
+    "dead_pairs": (5, [0, 1, 2, 1, 3, 0, 2], [1, 2, 1, 3, 4, 3, 4],
+                   [4, 0, 0, 3, 9, 0, 2]),
+    "parallel_arcs": (4, [0, 0, 1, 1, 2, 1], [1, 1, 2, 2, 3, 3],
+                      [2, 3, 1, 1, 4, 1]),
+    "both_directions": (4, [0, 1, 2, 2, 1], [1, 2, 1, 3, 3], [5, 2, 4, 6, 1]),
+    # only arcs leaving the sink
+    "unreachable_sink": (5, [0, 1, 2, 4, 4], [1, 2, 0, 3, 1], [3, 3, 1, 5, 2]),
+    "wide": (4, [0, 0, 1, 1, 2], [1, 2, 2, 3, 3],
+             [BIG, 3, BIG + 1, BIG - 1, BIG]),
+    # the flow takes 0 -> 1 -> 3 -> 4 first (row order), and the side
+    # then reaches 1 only through the reverse of 1 -> 3
+    "reached_by_a_reverse": (5, [0, 0, 1, 2, 3], [1, 2, 3, 3, 4],
+                             [1, 1, 1, 1, 1]),
+}
+
+
+def _pattern_networks(rng, count):
+    """The cases above, then ``count`` random networks of 2-7 nodes
+    whose arcs repeat and run both ways, with capacities 0, small or
+    about 10**30."""
+    yield from PATTERN_CASES.values()
+    for _ in range(count):
+        n = int(rng.integers(2, 8))
+        arcs = [rng.choice(n, 2, replace=False).tolist()
+                for _ in range(int(rng.integers(0, 3 * n)))]
+        caps = [[0, 1, 2, 5, BIG, BIG + 3][int(rng.integers(6))]
+                for _ in arcs]
+        yield n, [u for u, _ in arcs], [v for _, v in arcs], caps
+
+
+def test_python_path_on_the_pattern_is_enumeration():
+    # the Python Dinic reads the pattern that cut_network builds, so it
+    # is checked against enumeration on what that pattern brings in:
+    # dead pairs, parallel arcs, arcs both ways, an unreachable sink and
+    # capacities of 10**30, through _dinic_cut (live pairs), through
+    # Dinic on the whole pattern (dead pairs kept) and through min_cut
+    seen = dict.fromkeys(["dead", "parallel", "both", "no_flow", "wide"], 0)
+    for n, tails, heads, caps in _pattern_networks(np.random.default_rng(4),
+                                                   300):
+        side = smallest_min_cut_side(n, tails, heads, caps)
+        value = cut_value(tails, heads, caps, side)
+        net = cut_network(n, tails, heads, 0, n - 1)
+        r = loaded(net, caps)
+        assert maxflow._dinic_cut(net, r.copy()) == (value, side)
+        whole = Dinic(net, r)
+        assert whole.max_flow(0, n - 1) == value
+        assert whole.min_cut_source_side(0) == side
+        assert min_cut(net, caps) == side
+        pairs = {(u, v) for u, v, c in zip(tails, heads, caps) if c}
+        r = loaded(net, caps)
+        seen["dead"] += bool(((r == 0) & (r[net.rev] == 0)).any())
+        seen["parallel"] += bool(net.parallel)
+        seen["both"] += any((v, u) in pairs for u, v in pairs)
+        seen["no_flow"] += value == 0 and len(side) > 1
+        seen["wide"] += max(caps, default=0) >= BIG
+    assert min(seen.values()) >= 20, seen
 
 
 def _network(rng, kind, n):
@@ -90,14 +146,6 @@ def _network(rng, kind, n):
     return tails, heads, caps
 
 
-def _load(network, caps):
-    """The capacities ``caps`` as residuals on the network's pattern,
-    parallel arcs added up, as :func:`min_cut` loads them."""
-    r = np.zeros(len(network.indices), dtype=object)
-    np.add.at(r, network.slot, np.array(caps, dtype=object))
-    return r
-
-
 @pytest.mark.parametrize("kind, narrow", [
     ("small", True), ("int32_max", True),
     ("wide_source", False), ("wide_arc", False), ("wide_pair", False)])
@@ -119,14 +167,14 @@ def test_min_cut_backends_agree_across_int32_cutover(monkeypatch, kind,
             assert side == smallest_min_cut_side(n, tails, heads, caps)
         del solved[:]
         net = cut_network(n, tails, heads, s, t)
-        assert rounds_cut(net, _load(net, caps)) == (flow, side)
+        assert rounds_cut(net, loaded(net, caps)) == (flow, side)
         if narrow:  # a network that fits int32 takes one round
             assert len(solved) == 1
         del compiled[:]
         assert min_cut(net, caps) == side
         # the floor counts the arcs of nonzero capacity only, parallel
         # arcs added up (one arc is given twice)
-        large = np.count_nonzero(_load(net, caps)) >= maxflow._SCIPY_MIN_ARCS
+        large = np.count_nonzero(loaded(net, caps)) >= maxflow._SCIPY_MIN_ARCS
         assert len(compiled) == large
         assert (len(caps) >= maxflow._SCIPY_MIN_ARCS) == (n > 8)
 
@@ -155,7 +203,7 @@ def test_rounds_cut_at_narrow_width(monkeypatch):
     def check(n, tails, heads, caps, enumerate_sides=True):
         del solved[:], contracted[:], dinic[:]
         net = cut_network(n, tails, heads, 0, n - 1)
-        got = maxflow._rounds_cut(net, _load(net, caps))
+        got = maxflow._rounds_cut(net, loaded(net, caps))
         assert got == dinic_reference(n, tails, heads, caps)
         if enumerate_sides:
             assert got[1] == smallest_min_cut_side(n, tails, heads, caps)
@@ -221,7 +269,7 @@ def test_one_round_carries_a_flow_past_int32(monkeypatch):
     n, tails, heads, _ = _star(k, 0, 0)
     caps = rng.integers(2**30, INT32_MAX, 2 * k).tolist()
     net = cut_network(n, tails, heads, 0, n - 1)
-    flow, side = maxflow._rounds_cut(net, _load(net, caps))
+    flow, side = maxflow._rounds_cut(net, loaded(net, caps))
     assert (flow, side) == dinic_reference(n, tails, heads, caps)
     assert flow > 2**37 and len(solved) == 1 and not handed_off
     del solved[:]
@@ -304,7 +352,7 @@ def test_contraction_keeps_every_minimum_cut(monkeypatch):
             n = int(n)
             tails, heads, caps = _wide_network(rng, n)
             net = cut_network(n, tails, heads, 0, n - 1)
-            got = maxflow._rounds_cut(net, _load(net, caps))
+            got = maxflow._rounds_cut(net, loaded(net, caps))
             assert got == dinic_reference(n, tails, heads, caps)
             if n < 9:
                 assert got[1] == smallest_min_cut_side(n, tails, heads,
@@ -445,9 +493,7 @@ def test_rounds_run_on_the_live_pairs(monkeypatch):
         for matrix, _ in matrices:
             assert matrix.nnz == live <= 2 * np.count_nonzero(caps)
             compacted += matrix.nnz < len(network.indices)
-        net = Dinic(network.n)
-        for u, v, c in zip(tails, heads, caps.tolist()):
-            net.add_edge(u, v, c)
+        net = Dinic(network, loaded(network, caps))
         net.max_flow(network.s, network.t)
         assert side == net.min_cut_source_side(network.s)
     assert len(cuts) >= 3 and compacted >= len(cuts)
@@ -479,7 +525,7 @@ def test_rounds_hand_off_a_flow_on_another_pattern(monkeypatch):
             net = cut_network(n, tails, heads, 0, n - 1)
             del handed_off[:]
             rounds = len(pruned)
-            got = maxflow._rounds_cut(net, _load(net, caps))
+            got = maxflow._rounds_cut(net, loaded(net, caps))
             assert got == dinic_reference(n, tails, heads, caps)
             # the rounds end at the first flow on another pattern
             assert pruned[rounds:-1].count(True) == 0
