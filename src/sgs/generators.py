@@ -191,7 +191,6 @@ def make_radial_family(spec: RadialFamilySpec) -> Graph:
     degrees equal the degree in the infinite graph, so every vertex of
     the last sphere carries a forward deficit of ``beta[depth] - 1``.
     """
-    spec.check_feasible()
     sizes = spec.sphere_sizes()
     offsets = np.cumsum([0, *sizes])
     edges = []

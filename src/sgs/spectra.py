@@ -34,14 +34,14 @@ __all__ = [
 ]
 
 DENSE_EIGEN_LIMIT = 4000
-# Extremal eigenvalues (the offsets k_tilde) are dense eigvalsh up to this
-# dimension and the Lanczos batch of _top_eigenvalues above it.  The 18
-# default offsets, dense/batch in ms (2-core x86-64, best of 7): random
-# n=60 2.5/12, n=120 9.3/8.9; grid m=10 6.3/24, m=16 48/12, m=20 127/20;
-# ball r=6 19/2.4; magnetic grid m=16 123/22.  One slope crosses at about
-# n=200.  The limit keeps every report at or below it byte-identical, and
-# it bounds robustness too: at limit 0 the batch fails to converge on a
-# magnetic 19-vertex graph of test_criterion_6; none above it is known to.
+# Extremal eigenvalues (offsets and bottoms) are dense eigvalsh up to
+# this dimension and the Lanczos batch above it; SpectralPlan._tops alone
+# reads it.  The 18 default offsets, dense/batch in ms (2-core x86-64,
+# best of 7): random n=60 2.5/12, n=120 9.3/8.9; grid m=10 6.3/24, m=16
+# 48/12, m=20 127/20; ball r=6 19/2.4; magnetic grid m=16 123/22.  One
+# slope crosses at about n=200.  The limit bounds robustness too: at
+# limit 0 the batch fails to converge on a magnetic 19-vertex graph of
+# test_criterion_6; none above it is known to.
 EXTREMAL_DENSE_LIMIT = 256
 # Seed of the Lanczos start vector.  A fixed vector keeps reports
 # byte-deterministic; it must be generic, because a structured one can be
@@ -148,9 +148,10 @@ class SpectralPlan:
     With ``D = diag(host_deg + q)`` and ``A`` the (phased) adjacency,
     ``H = D - A``, so the lower offset at slope at is
     lambda_max((1-at) D - H) = lambda_max(A - at D) and the upper one
-    lambda_max(H - (1+at) D) = lambda_max(-A - at D): one adjacency and a
-    diagonal shift per slope.  The full spectrum of ``H`` is taken on
-    first use, and the offsets of a call's new slopes in one batch, then
+    lambda_max(H - (1+at) D) = lambda_max(-A - at D): one sparse
+    adjacency, one diagonal shift per slope and one size dispatch,
+    ``_tops``, for offsets and bottoms.  The spectrum of ``H`` is taken
+    on first use and the new slopes of a call in one batch, then
     memoized.  A plan serves one analysis; nothing is cached across plans.
     """
 
@@ -159,17 +160,9 @@ class SpectralPlan:
         self.operator = assemble(graph, potential, phase)
         self.diagonal = np.real(self.operator.matrix.diagonal())
         self.mu = np.sort(self.diagonal)
-        # Offsets at most EXTREMAL_DENSE_LIMIT in size are solved densely,
-        # so the adjacency is kept dense there: a slope then costs one
-        # diagonal shift instead of several sparse constructions.
-        self._dense = graph.vertex_count <= EXTREMAL_DENSE_LIMIT
-        if self._dense:
-            self._adjacency = (np.diag(self.diagonal)
-                               - self.operator.matrix.toarray())
-        else:
-            self._adjacency = (sp.diags(self.diagonal)
-                               - self.operator.matrix).tocsr()
-            self._adjacency.eliminate_zeros()
+        self._adjacency = (sp.diags(self.diagonal)
+                           - self.operator.matrix).tocsr()
+        self._adjacency.eliminate_zeros()
         self._spectrum: np.ndarray | None = None
         self._offsets: dict[float, tuple[float, float]] = {}
 
@@ -179,6 +172,18 @@ class SpectralPlan:
         if self._spectrum is None:
             self._spectrum = eigenvalues(self.operator)
         return self._spectrum
+
+    def _tops(self, slopes, signs) -> np.ndarray:
+        """lambda_max(signs[j] A - slopes[j] D) for every j: dense
+        eigvalsh at or below EXTREMAL_DENSE_LIMIT, one Lanczos batch of
+        _top_eigenvalues above it."""
+        if len(self.diagonal) > EXTREMAL_DENSE_LIMIT:
+            return _top_eigenvalues(self._adjacency, self.diagonal, slopes,
+                                    signs)
+        adjacency = self._adjacency.toarray()
+        return np.array([np.linalg.eigvalsh(
+            sign * adjacency - np.diag(slope * self.diagonal))[-1]
+            for slope, sign in zip(slopes, signs)])
 
     def offsets(self, a_tilde):
         """Smallest k_tilde >= 0 for each side of the comparison, as
@@ -194,16 +199,9 @@ class SpectralPlan:
             if not 0.0 < at < 1.0:
                 raise ValueError(f"a_tilde must lie in (0, 1), got {at!r}")
         new = list(dict.fromkeys(at for at in grid if at not in self._offsets))
-        if self._dense:
-            for at in new:
-                shift = np.diag(at * self.diagonal)
-                self._offsets[at] = tuple(
-                    max(0.0, float(np.linalg.eigvalsh(adj - shift)[-1]))
-                    for adj in (self._adjacency, -self._adjacency))
-        elif new:
-            top = [max(0.0, float(v)) for v in _top_eigenvalues(
-                self._adjacency, self.diagonal, np.repeat(new, 2),
-                [1.0, -1.0] * len(new))]
+        if new:
+            top = [max(0.0, float(v)) for v in
+                   self._tops(np.repeat(new, 2), [1.0, -1.0] * len(new))]
             self._offsets.update(zip(new, zip(top[::2], top[1::2])))
         pairs = [self._offsets[at] for at in grid]
         return pairs[0] if single else pairs
@@ -224,18 +222,12 @@ class SpectralPlan:
 
     def bottoms(self, slope_lower: float,
                 slope_upper: float) -> tuple[float, float]:
-        """Smallest eigenvalues of H - slope_lower D and slope_upper D - H;
-        above the dense limit, -lambda_max(A - (1-slope_lower) D) and
-        -lambda_max(-A - (slope_upper-1) D) from one batch.  On a plan of
-        ``graph.restrict(U)`` they are the bottoms of the compressions
-        to U (functions supported there)."""
-        if self._dense:
-            h, d = self.operator.matrix, sp.diags(self.diagonal)
-            return tuple(float(np.linalg.eigvalsh(m.toarray())[0])
-                         for m in (h - slope_lower * d, slope_upper * d - h))
-        top = _top_eigenvalues(self._adjacency, self.diagonal,
-                               [1.0 - slope_lower, slope_upper - 1.0],
-                               [1.0, -1.0])
+        """Smallest eigenvalues of H - slope_lower D and slope_upper D - H,
+        as -lambda_max(A - (1-slope_lower) D) and -lambda_max(-A -
+        (slope_upper-1) D) from one ``_tops`` call, dense or Lanczos.  On a
+        plan of ``graph.restrict(U)`` they are the bottoms of the
+        compressions to U (functions supported there)."""
+        top = self._tops([1.0 - slope_lower, slope_upper - 1.0], [1.0, -1.0])
         return float(-top[0]), float(-top[1])
 
 
@@ -244,10 +236,7 @@ class SpectralPlan:
 def form_to_sparse(a_tilde: float, k_tilde: float) -> tuple[float, float]:
     """Sparseness pair implied by a lower form bound:
     a = at / (1 - at) and k = kt / (1 - at)."""
-    if not 0.0 < a_tilde < 1.0:
-        raise ValueError("a_tilde must lie in (0, 1)")
-    if k_tilde < 0.0:
-        raise ValueError("k_tilde must be non-negative")
+    FormConstants(a_tilde, k_tilde)  # checks the pair
     return a_tilde / (1.0 - a_tilde), k_tilde / (1.0 - a_tilde)
 
 

@@ -39,6 +39,7 @@ def run_checks(graph: Graph, potential: Potential | None,
     if potential is None:
         potential = Potential.zero(graph)
     region = None if region is None else tuple(region)
+    a_grid, atilde_grid = tuple(a_grid), tuple(atilde_grid)  # walked twice
     checks: list[dict] = []
 
     def add(check_id: str, margin: float, scale: float = 1.0, **details) -> None:

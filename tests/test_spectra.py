@@ -369,6 +369,78 @@ def test_kernel_region_bottoms_match_dense_to_1e_12(phased):
             assert abs(value + top) <= 1e-12 * (1.0 + norm), at
 
 
+def _small_case(name):
+    """(plan arguments, dense H) at or below the dense cutover; the
+    restricted case's H is the compression of the whole grid's."""
+    rng = np.random.default_rng(47)
+    g = grid_graph(14)
+    q = uniform_potential(rng, g.vertex_count, 0, 2)
+    ph = PhaseField.random(g, rng)
+    if name == "restricted":
+        region = np.flatnonzero(g.internal_degree == 4)
+        h = assemble(g, q, ph).toarray()[np.ix_(region, region)]
+        return restricted(g, q, region, ph), h
+    args = {"plain": (regular_tree_ball(3, 6), None), "float_q": (g, q),
+            "magnetic": (g, q, ph)}[name]
+    return args, assemble(*args).toarray()
+
+
+@pytest.mark.parametrize("name", ["plain", "float_q", "magnetic",
+                                  "restricted"])
+def test_bottoms_at_or_below_dense_cutover_match_dense(name):
+    args, h = _small_case(name)
+    assert len(h) <= EXTREMAL_DENSE_LIMIT
+    plan = SpectralPlan(*args)
+    d = np.diag(np.real(np.diag(h)))
+    for at in DEFAULT_ATILDE_GRID:
+        got = plan.bottoms(1.0 - at, 1.0 + at)
+        for value, m in zip(got, (h - (1.0 - at) * d, (1.0 + at) * d - h)):
+            bottom = float(np.linalg.eigvalsh(m)[0])
+            norm = float(np.abs(m).sum(axis=1).max())
+            assert abs(value - bottom) <= 1e-12 * (1.0 + norm), at
+
+
+def _disjoint_union(parts):
+    """(graph, potential, phase) of the disjoint union of the parts'."""
+    shifts = np.cumsum([0] + [g.vertex_count for g, _, _ in parts])
+    union = Graph(int(shifts[-1]), np.concatenate(
+        [g.edge_ends + s for (g, _, _), s in zip(parts, shifts)]),
+        np.concatenate([g.host_degree for g, _, _ in parts]))
+    q = Potential(np.concatenate(
+        [np.zeros(g.vertex_count) if q is None else q.values
+         for g, q, _ in parts]))
+    ph = PhaseField(union, np.concatenate(
+        [np.zeros(g.edge_count) if ph is None else ph.values
+         for g, _, ph in parts]))
+    return union, q, ph
+
+
+def test_disjoint_union_across_the_cutover_takes_max_offsets_min_bottoms():
+    # parts solved densely, their union by Lanczos: the offsets of a
+    # disjoint union are the larger of the parts', the bottoms the smaller
+    parts = [_small_case("magnetic")[0], _small_case("restricted")[0],
+             (regular_tree_ball(3, 5), None, None)]
+    union = _disjoint_union(parts)
+    h = assemble(*union).toarray()
+    assert all(g.vertex_count <= EXTREMAL_DENSE_LIMIT for g, _, _ in parts)
+    assert len(h) > EXTREMAL_DENSE_LIMIT
+    assert np.array_equal(h, sp.block_diag(
+        [assemble(*p).matrix for p in parts]).toarray())
+    d = np.diag(np.real(np.diag(h)))
+    a = d - h
+    whole, plans = SpectralPlan(*union), [SpectralPlan(*p) for p in parts]
+    for at in DEFAULT_ATILDE_GRID:
+        offsets = np.max([p.offsets(at) for p in plans], axis=0)
+        bottoms = np.min([p.bottoms(1.0 - at, 1.0 + at) for p in plans],
+                         axis=0)
+        for got, want, m in (
+                *zip(whole.offsets(at), offsets, (a - at * d, -a - at * d)),
+                *zip(whole.bottoms(1.0 - at, 1.0 + at), bottoms,
+                     (h - (1.0 - at) * d, (1.0 + at) * d - h))):
+            norm = float(np.abs(m).sum(axis=1).max())
+            assert abs(got - want) <= 1e-12 * (1.0 + norm), at
+
+
 @pytest.mark.parametrize("name", ["ball8", "grid_q", "magnetic_grid"])
 def test_kernel_offsets_do_not_depend_on_the_batch(name):
     g, q, ph = _kernel_case(name)

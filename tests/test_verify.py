@@ -124,6 +124,20 @@ def test_run_checks_builds_one_search_for_every_kmin(monkeypatch):
     assert dictionary["amin"] == both(ball, q, [])[1].value
 
 
+def test_run_checks_reads_each_grid_once():
+    # iterators give the records of lists: each grid is read at entry,
+    # although the checks walk it more than once
+    from sgs.verify import run_checks
+    ball = regular_tree_ball(3, 2)
+    grids = {"a_grid": [0.0, 1.0], "atilde_grid": [0.3, 0.5]}
+    records = run_checks(ball, None, **grids)
+    ids = [r["id"] for r in records]
+    assert ids.count("roundtrip_sparse_to_form@a=1") == 1
+    for name in grids:
+        given = {**grids, name: iter(grids[name])}
+        assert run_checks(ball, None, **given) == records, name
+
+
 @pytest.mark.parametrize("m", [8, 20])
 def test_cheeger_form_bounds_on_a_proper_region(tmp_path, m):
     # below (36 vertices) and above (324) the dense limit: the record is
